@@ -113,16 +113,20 @@ def _check_kq(K, q):
         raise ValueError(f"q must lie strictly inside (0,1), got {q}")
 
 
+def _binomial_weights(top, n, K, q):
+    """C(top, n) q^n (1-q)^(K-n) over the array n, via log-space terms."""
+    log_binom = gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
+    log_w = log_binom + n * math.log(q) + (K - n) * math.log1p(-q)
+    return np.exp(log_w)
+
+
 def _pattern_weights(K, q):
-    """w[n] = C(K-1,n) q^n (1-q)^(K-n) for n = 0..K-1, via log-space terms.
+    """w[n] = C(K-1,n) q^n (1-q)^(K-n) for n = 0..K-1.
 
     This is the probability that a given receiver listens while exactly n
     of its K-1 peers transmit.
     """
-    n = np.arange(K)
-    log_binom = gammaln(K) - gammaln(n + 1) - gammaln(K - n)
-    log_w = log_binom + n * math.log(q) + (K - n) * math.log1p(-q)
-    return np.exp(log_w)
+    return _binomial_weights(K - 1, np.arange(K), K, q)
 
 
 def _golden_section_max(f, lo, hi, tol):
@@ -222,18 +226,15 @@ def gauss_symmetric_rate(K, q, gamma):
     return RateResult(rate=rate)
 
 
-def waterfill_lhs(K, q, v):
-    """Average allocated power at water level v (left side of the constraint)."""
-    m = np.arange(1, K)
-    log_binom = gammaln(K + 1) - gammaln(m + 1) - gammaln(K - m + 1)
-    w_full = np.exp(log_binom + m * math.log(q) + (K - m) * math.log1p(-q))
-    levels = np.maximum((K - m) / (K - 1) * v - 1.0, 0.0)
-    return float(np.sum(w_full * levels) / K)
-
-
 def _power_levels(K, v):
     m = np.arange(1, K)
     return np.maximum((K - m) / (K - 1) * v - 1.0, 0.0)
+
+
+def waterfill_lhs(K, q, v):
+    """Average allocated power at water level v (left side of the constraint)."""
+    w_full = _binomial_weights(K, np.arange(1, K), K, q)
+    return float(np.sum(w_full * _power_levels(K, v)) / K)
 
 
 def solve_water_level(K, q, gamma):

@@ -25,10 +25,6 @@ class OrFrameObservation:
     def length(self):
         return self.values.shape[0]
 
-    def quiet_slots(self):
-        """Non-erased slots that read 0."""
-        return np.flatnonzero((self.values == 0) & ~self.erased)
-
 
 @dataclass
 class RealFrameObservation:

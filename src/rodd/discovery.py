@@ -19,11 +19,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import model, signatures
+from .channels import OrFrameObservation
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
+_EXACT_SLOTS = 1 << 24
 
 
 class ConvergenceError(RuntimeError):
@@ -65,13 +67,13 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
     if mode == OR_NOISELESS:
         vals = np.zeros(len(off), dtype=np.uint8)
         for j in nbrs:
-            vals |= book[book.nias[j]].bits[off]
+            vals |= book.bits[j, off]
         return DiscoveryObservation(off_slots=off, values=vals, mode=mode,
                                     num_slots=own.length)
     if mode == ENERGY:
         amp = np.zeros(len(off), dtype=np.float64)
         for j in nbrs:
-            amp += math.sqrt(gains.gamma[receiver, j]) * book[book.nias[j]].bits[off]
+            amp += math.sqrt(gains.gamma[receiver, j]) * book.bits[j, off]
         if noise_var > 0:
             if seed is None:
                 raise ValueError("energy mode with noise needs a seed")
@@ -80,6 +82,40 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
         return DiscoveryObservation(off_slots=off, values=amp**2, mode=mode,
                                     num_slots=own.length)
     raise ValueError(f"unknown discovery mode {mode!r}")
+
+
+def survivors(masks, quiet):
+    """The elimination kernel (COMP): (R, B) bool, True iff row r of the
+    (R, M) `masks` has no on-bit in a quiet slot of row b of (B, M) `quiet`.
+
+    Hits are counted in one float32 product (float32 masks are not
+    copied); the counts are exact only while M < 2**24, so longer frames
+    are refused.
+    """
+    masks = np.asarray(masks)
+    if masks.shape[-1] >= _EXACT_SLOTS:
+        raise ValueError(f"frames of {masks.shape[-1]} slots exceed the "
+                         f"{_EXACT_SLOTS}-slot exactness bound of float32 counts")
+    return masks.astype(np.float32, copy=False) @ np.asarray(quiet, np.float32).T == 0
+
+
+def quiet_slots(listening, reading, mode, threshold=0.0):
+    """The quiet-slot rule, as a bool array: a slot the receiver listened
+    in is quiet when it reads 0 (OR mode) or below `threshold` (energy).
+    """
+    empty = reading == 0 if mode == OR_NOISELESS else reading < threshold
+    return listening & empty
+
+
+def observed_quiet(observation, threshold=0.0):
+    """(1, M) quiet row of a DiscoveryObservation or an OrFrameObservation."""
+    if isinstance(observation, OrFrameObservation):
+        return quiet_slots(~observation.erased, observation.values, OR_NOISELESS)[None]
+    # a discovery observation reads only the slots the receiver listened in
+    quiet = np.zeros((1, observation.num_slots), dtype=bool)
+    quiet[0, observation.off_slots] = quiet_slots(True, observation.values,
+                                                  observation.mode, threshold)
+    return quiet
 
 
 def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
@@ -93,20 +129,12 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if observation.mode == OR_NOISELESS:
-        quiet = observation.off_slots[observation.values == 0]
-    else:
-        quiet = observation.off_slots[observation.values < threshold]
-    survivors = set()
-    eliminated = 0
-    for nia in (book.nias if candidates is None else candidates):
-        if nia == receiver_mask.owner:
-            continue
-        if book[nia].bits[quiet].any():
-            eliminated += 1
-        else:
-            survivors.add(nia)
-    return DiscoveryResult(estimated=survivors, eliminated_count=eliminated,
+    nias = [nia for nia in (book.nias if candidates is None else candidates)
+            if nia != receiver_mask.owner]
+    masks = book.bits[[book.row(nia) for nia in nias]]
+    alive = survivors(masks, observed_quiet(observation, threshold))[:, 0]
+    return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
+                           eliminated_count=len(nias) - int(alive.sum()),
                            slots_used=observation.num_slots)
 
 
@@ -129,7 +157,8 @@ def random_access_baseline(neighbor_sets, frame_bits, tx_prob, target_accuracy,
                            seed, max_frames=200_000):
     """Symbol-slots random access needs to reach the discovery target.
 
-    neighbor_sets[k] is the true neighbor set of node k.  Per contention
+    neighbor_sets[k] holds the true neighbors of node k, as a set or an
+    index array such as neighbor_lists() returns.  Per contention
     frame every node transmits its address (frame_bits symbols) with
     probability tx_prob; receiver k hears node j iff j was the only
     transmitter among k's neighbors.  Runs until every node has heard at
@@ -141,8 +170,7 @@ def random_access_baseline(neighbor_sets, frame_bits, tx_prob, target_accuracy,
     if frame_bits < 1:
         raise ValueError("frame_bits must be >= 1")
     n = len(neighbor_sets)
-    nbr_arrays = [np.fromiter(sorted(s), dtype=np.int64) if s else
-                  np.zeros(0, dtype=np.int64) for s in neighbor_sets]
+    nbr_arrays = [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
     quota = [math.ceil(target_accuracy * len(s) - 1e-12) for s in neighbor_sets]
     heard = [set() for _ in range(n)]
     pending = {k for k in range(n) if quota[k] > 0}
@@ -203,6 +231,18 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def neighbor_lists(topology, radius):
+    """Geometric neighbor lists (fading off) from one radius query.
+
+    Entry k is the sorted int64 array of the nodes within `radius` of k,
+    k excluded, with minimum-image distances on a torus.
+    """
+    tree = cKDTree(topology.positions,
+                   boxsize=topology.area_side if topology.torus else None)
+    raw = tree.query_ball_point(topology.positions, radius)
+    return [np.array(sorted(set(l) - {k}), dtype=np.int64) for k, l in enumerate(raw)]
+
+
 def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
                                area_side=1000.0, alpha=4.0, snr_db=20.0,
                                torus=True):
@@ -236,9 +276,8 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
 
     Fading is off: neighborhood membership is then purely geometric and
     the neighbor lists come from a radius query instead of a dense gain
-    matrix.  Elimination is a blocked mask-by-quiet-slot product; all
-    accumulated sums are small integers, so float32 matmul is exact and
-    the run is bit-reproducible.
+    matrix.  Elimination calls survivors() once per block of receivers;
+    its float32 hit counts are exact, so the run is bit-reproducible.
 
     `threshold` (energy mode) defaults to a quarter of the
     boundary-neighbor energy, the tuned operating point for 20 dB.
@@ -251,12 +290,7 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     if threshold is None:
         threshold = snr_linear * noise_var / 4.0 if mode == ENERGY else 0.0
 
-    tree = cKDTree(topology.positions,
-                   boxsize=topology.area_side if topology.torus else None)
-    raw_lists = tree.query_ball_point(topology.positions, radius)
-    nbr_lists = [np.array(sorted(set(l) - {k}), dtype=np.int64)
-                 for k, l in enumerate(raw_lists)]
-
+    nbr_lists = neighbor_lists(topology, radius)
     book = signatures.reconstruct_book(range(n), q, num_slots,
                                        signatures.DISCOVERY_TAG)
     masks = book.matrix()                      # (N, M) uint8
@@ -274,29 +308,20 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
         quiet = np.zeros((len(chunk), num_slots), dtype=np.float32)
         for row, k in enumerate(chunk):
             nbrs = nbr_lists[k]
-            own_off = masks[k] == 0
             if mode == OR_NOISELESS:
-                busy = masks[nbrs].any(axis=0) if nbrs.size else np.zeros(num_slots, bool)
-                quiet[row] = own_off & ~busy
+                reading = masks[nbrs].any(axis=0)
             else:
-                if nbrs.size:
-                    d = topology.positions[nbrs] - topology.positions[k]
-                    if topology.torus:
-                        d = np.abs(d)
-                        d = np.minimum(d, topology.area_side - d)
-                    dist = np.sqrt((d**2).sum(axis=1))
-                    gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
-                    amp = np.sqrt(gains) @ masks_f[nbrs]
-                else:
-                    amp = np.zeros(num_slots, dtype=np.float32)
+                dist = topology._distance(topology.positions[nbrs], topology.positions[k])
+                gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
+                amp = np.sqrt(gains) @ masks_f[nbrs]
                 rng = np.random.default_rng((seed, _NOISE_SALT, int(k)))
                 noise = rng.normal(0.0, math.sqrt(noise_var), size=num_slots)
-                energy = (amp + noise)**2
-                quiet[row] = own_off & (energy < threshold)
-        hits = masks_f @ quiet.T               # exact: integer-valued float32
+                reading = (amp + noise)**2
+            quiet[row] = quiet_slots(masks[k] == 0, reading, mode, threshold)
+        alive = survivors(masks_f, quiet)
         for row, k in enumerate(chunk):
             nbrs = nbr_lists[k]
-            survive = hits[:, row] == 0
+            survive = alive[:, row]
             est_count = int(survive.sum()) - 1          # own mask always survives
             misses = int(nbrs.size - survive[nbrs].sum())
             fa = est_count - (nbrs.size - misses)
@@ -306,11 +331,3 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
                 acc = None
             report.records.append((int(k), int(nbrs.size), est_count, misses, fa, acc))
     return report
-
-
-def neighbor_sets_from_topology(topology, radius):
-    """Geometric neighbor sets (fading off) via radius query."""
-    tree = cKDTree(topology.positions,
-                   boxsize=topology.area_side if topology.torus else None)
-    raw = tree.query_ball_point(topology.positions, radius)
-    return [set(l) - {k} for k, l in enumerate(raw)]

@@ -51,42 +51,53 @@ class Topology:
     def num_nodes(self):
         return self.positions.shape[0]
 
-    def distances(self):
-        """Pairwise distance matrix, minimum-image when torus is on."""
-        diff = np.abs(self.positions[:, None, :] - self.positions[None, :, :])
+    def _distance(self, a, b):
+        """Distance between broadcast point arrays, minimum-image when torus is on."""
+        diff = np.abs(a - b)
         if self.torus:
             diff = np.minimum(diff, self.area_side - diff)
         return np.sqrt(np.sum(diff**2, axis=-1))
 
+    def distances(self):
+        """Pairwise distance matrix, minimum-image when torus is on."""
+        return self._distance(self.positions[:, None, :], self.positions[None, :, :])
+
     def to_text(self):
-        """Line-oriented dump: a key=value header, then `index x y` lines."""
+        """Line-oriented dump: a key=value header, then `index x y unit_snr` lines."""
         fields = [
             f"count={self.num_nodes}",
             f"alpha={float(self.alpha)!r}",
-            f"unit_snr={float(self.unit_snr[0])!r}",
             f"fading={self.fading_model}",
             f"threshold={float(self.neighbor_threshold)!r}",
             f"area_side={float(self.area_side)!r}",
             f"torus={int(self.torus)}",
         ]
         lines = [" ".join(fields)]
-        for i, (x, y) in enumerate(self.positions):
-            lines.append(f"{i} {float(x)!r} {float(y)!r}")
+        for i, ((x, y), snr) in enumerate(zip(self.positions, self.unit_snr)):
+            lines.append(f"{i} {float(x)!r} {float(y)!r} {float(snr)!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
+        """Parse to_text() output, or the older dump whose header holds one
+        unit_snr for all nodes.  Node indices must be 0..count-1, once each.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = dict(tok.split("=", 1) for tok in lines[0].split())
         count = int(header["count"])
-        positions = np.zeros((count, 2))
-        for ln in lines[1:]:
-            idx, x, y = ln.split()
-            positions[int(idx)] = (float(x), float(y))
+        rows = [ln.split() for ln in lines[1:]]
+        index = [int(row[0]) for row in rows]
+        if sorted(index) != list(range(count)):
+            raise ValueError(f"node lines must carry the indices 0..{count - 1} "
+                             f"once each, got {len(rows)} lines")
+        width = 2 if "unit_snr" in header else 3
+        # ragged or short node lines fail the reshape with a ValueError
+        values = np.array([[float(tok) for tok in row[1:]] for row in rows])
+        values = values.reshape(count, width)[np.argsort(index)]
         return cls(
-            positions=positions,
+            positions=values[:, :2],
             alpha=float(header["alpha"]),
-            unit_snr=float(header["unit_snr"]),
+            unit_snr=values[:, 2] if width == 3 else float(header["unit_snr"]),
             fading_model=header["fading"],
             neighbor_threshold=float(header["threshold"]),
             area_side=float(header["area_side"]),

@@ -12,7 +12,7 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 64-bit Philox output for that key.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -102,41 +102,75 @@ def derive_bit(nia, q, slot, domain_tag=DISCOVERY_TAG):
 
 @dataclass
 class SignatureBook:
-    """Indexed collection of masks sharing one (q, M, domain_tag) derivation."""
+    """Masks of many NIAs as one bit matrix sharing a (q, M) derivation.
+
+    Row i*mu + m of `bits` is message m of nias[i]; discovery books have
+    mu = 1, so row i is the mask of nias[i].  book[nia] and
+    book[(nia, m)] return a DuplexMask whose bits are a view of that row.
+    """
 
     nias: list
     q: float
-    num_slots: int
-    domain_tag: int = DISCOVERY_TAG
-    masks: dict = field(default_factory=dict)  # nia -> DuplexMask
+    bits: np.ndarray  # (len(nias) * mu, M) uint8, 1 = on/transmit
+    mu: int = 1
 
-    def __getitem__(self, nia):
-        return self.masks[nia]
+    def __post_init__(self):
+        self.bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        self._index = {nia: i for i, nia in enumerate(self.nias)}
+        if len(self._index) != len(self.nias):
+            raise ValueError("duplicate NIA in book")
+        if self.bits.ndim != 2 or self.bits.shape[0] != len(self.nias) * self.mu:
+            raise ValueError(f"bits must be a matrix of {len(self.nias) * self.mu} rows")
+        if self.bits.size and self.bits.max() > 1:
+            raise ValueError("mask bits must be 0/1")
+
+    def row(self, nia):
+        """Index into `bits` of the first (or only) mask of `nia`."""
+        return self._index[nia] * self.mu
+
+    def __getitem__(self, key):
+        nia, message = key if isinstance(key, tuple) else (key, 0)
+        if not (0 <= message < self.mu):
+            raise KeyError(key)
+        return DuplexMask(bits=self.bits[self.row(nia) + message], owner=nia, q=self.q)
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.nias)
 
     def __contains__(self, nia):
-        return nia in self.masks
+        return nia in self._index
 
     def matrix(self):
-        """Stacked bit matrix, row i = mask of self.nias[i].  Shape (N, M) uint8."""
-        if not self.nias:
-            return np.zeros((0, self.num_slots), dtype=np.uint8)
-        return np.stack([self.masks[nia].bits for nia in self.nias])
+        """The stored bit matrix itself (not a copy), shape (N*mu, M) uint8."""
+        return self.bits
+
+    def node_matrix(self, nia):
+        """View of the mu rows of one node, shape (mu, M) uint8."""
+        start = self.row(nia)
+        return self.bits[start:start + self.mu]
 
     def export_text(self):
-        """One `nia hex-packed-bits` line per mask.
+        """One `nia hex-packed-bits` line per NIA.
 
         Bits are packed MSB-first: bit of slot 0 is the most significant
-        bit of the first hex byte; the final byte is zero-padded on the
-        right when M is not a multiple of 8.
+        bit of the first hex byte; each mask's final byte is zero-padded
+        on the right when M is not a multiple of 8.  With mu > 1 a line
+        holds the node's mu packed masks in message order.
         """
-        lines = []
-        for nia in self.nias:
-            packed = np.packbits(self.masks[nia].bits)  # MSB-first
-            lines.append(f"{nia} {packed.tobytes().hex()}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        packed = np.packbits(self.bits, axis=1)
+        packed = packed.reshape(len(self.nias), self.mu * packed.shape[1])
+        return "".join(f"{nia} {row.tobytes().hex()}\n"
+                       for nia, row in zip(self.nias, packed))
+
+
+def _derive_book(nias, q, num_slots, tag_base, mu):
+    """Book of `mu` masks per NIA; message m of every NIA uses tag tag_base + m."""
+    nias = list(nias)
+    bits = np.empty((len(nias) * mu, num_slots), dtype=np.uint8)
+    for i, nia in enumerate(nias):
+        for m in range(mu):
+            bits[i * mu + m] = derive_mask(nia, q, num_slots, tag_base + m).bits
+    return SignatureBook(nias=nias, q=q, bits=bits, mu=mu)
 
 
 def reconstruct_book(nias, q, num_slots, domain_tag=DISCOVERY_TAG):
@@ -146,10 +180,4 @@ def reconstruct_book(nias, q, num_slots, domain_tag=DISCOVERY_TAG):
     byte-equal book.  Duplicate NIAs are rejected: masks would silently
     alias.
     """
-    nias = list(nias)
-    if len(set(nias)) != len(nias):
-        raise ValueError("duplicate NIA in book")
-    book = SignatureBook(nias=nias, q=q, num_slots=num_slots, domain_tag=domain_tag)
-    for nia in nias:
-        book.masks[nia] = derive_mask(nia, q, num_slots, domain_tag)
-    return book
+    return _derive_book(nias, q, num_slots, domain_tag, mu=1)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import signatures
-from .channels import OrFrameObservation
+from . import discovery, signatures
 
 DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
@@ -26,43 +25,15 @@ ELIMINATED_ALL = "eliminated_all"
 _MAX_SEED = 1 << 32
 
 
-@dataclass
-class MessageBook:
-    """mu masks per node, indexed by (nia, message)."""
-
-    nias: list
-    mu: int
-    q: float
-    num_slots: int
-    tag_base: int = signatures.MESSAGE_TAG_BASE
-    masks: dict = field(default_factory=dict)  # (nia, message) -> DuplexMask
-
-    def __getitem__(self, key):
-        return self.masks[key]
-
-    def node_matrix(self, nia):
-        """Bit matrix of one node's mu masks, shape (mu, M) uint8."""
-        return np.stack([self.masks[(nia, m)].bits for m in range(self.mu)])
-
-    def matrix(self):
-        """All masks stacked: row i*mu + m is message m of nias[i]."""
-        return np.stack([self.masks[(nia, m)].bits
-                         for nia in self.nias for m in range(self.mu)])
+# The message book is the one signature book with mu > 1.
+MessageBook = signatures.SignatureBook
 
 
 def build_message_book(nias, mu, q, num_slots, tag_base=signatures.MESSAGE_TAG_BASE):
     """Derive the mu-per-node signature book for the message code."""
     if mu < 2:
         raise ValueError(f"need at least 2 messages per node, got mu={mu}")
-    nias = list(nias)
-    if len(set(nias)) != len(nias):
-        raise ValueError("duplicate NIA in book")
-    book = MessageBook(nias=nias, mu=mu, q=q, num_slots=num_slots, tag_base=tag_base)
-    for nia in nias:
-        for m in range(mu):
-            book.masks[(nia, m)] = signatures.derive_mask(nia, q, num_slots,
-                                                          tag_base + m)
-    return book
+    return signatures._derive_book(nias, q, num_slots, tag_base, mu)
 
 
 def encode(book, nia, message):
@@ -79,15 +50,6 @@ class NeighborDecode:
     candidates: frozenset = frozenset()
 
 
-def _quiet_slots(observation, threshold):
-    if isinstance(observation, OrFrameObservation):
-        return observation.quiet_slots()
-    # discovery-style observation: values over off-slots only
-    if observation.mode == "or_noiseless":
-        return observation.off_slots[observation.values == 0]
-    return observation.off_slots[observation.values < threshold]
-
-
 def decode(observation, receiver_mask, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
@@ -97,21 +59,20 @@ def decode(observation, receiver_mask, book, neighbor_list, threshold=0.0):
     of that neighbor (impossible without noise) and is reported as
     ELIMINATED_ALL rather than papered over.
     """
-    quiet = _quiet_slots(observation, threshold)
-    outcomes = {}
-    for nia in neighbor_list:
-        node_bits = book.node_matrix(nia)
-        alive = ~node_bits[:, quiet].any(axis=1)
-        survivors = frozenset(int(m) for m in np.flatnonzero(alive))
-        if len(survivors) == 1:
-            outcomes[nia] = NeighborDecode(status=DECODED,
-                                           message=next(iter(survivors)),
-                                           candidates=survivors)
-        elif survivors:
-            outcomes[nia] = NeighborDecode(status=AMBIGUOUS, candidates=survivors)
-        else:
-            outcomes[nia] = NeighborDecode(status=ELIMINATED_ALL)
-    return outcomes
+    quiet = discovery.observed_quiet(observation, threshold)
+    return {nia: _outcome(discovery.survivors(book.node_matrix(nia), quiet)[:, 0])
+            for nia in neighbor_list}
+
+
+def _outcome(alive):
+    """Decode status of one neighbor from its mu-long survivor vector."""
+    survivors = frozenset(int(m) for m in np.flatnonzero(alive))
+    if len(survivors) == 1:
+        return NeighborDecode(status=DECODED, message=next(iter(survivors)),
+                              candidates=survivors)
+    if survivors:
+        return NeighborDecode(status=AMBIGUOUS, candidates=survivors)
+    return NeighborDecode(status=ELIMINATED_ALL)
 
 
 @dataclass
@@ -145,25 +106,15 @@ class SparseCodeReport:
         return "\n".join(lines) + "\n"
 
 
-def _leave_one_out_or(stack):
-    """busy[k] = OR of all rows except k, via prefix/suffix sweeps."""
-    n, m = stack.shape
-    prefix = np.zeros((n + 1, m), dtype=bool)
-    suffix = np.zeros((n + 1, m), dtype=bool)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] | stack[i]
-        suffix[n - 1 - i] = suffix[n - i] | stack[n - 1 - i]
-    return [prefix[k] | suffix[k + 1] for k in range(n)]
-
-
 def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
                               tag_base=signatures.MESSAGE_TAG_BASE):
     """Fully-connected message-code experiment over the noiseless OR channel.
 
     One signature book per run (NIAs disjoint across seeds); each trial
     draws fresh uniform messages and decodes every (receiver, neighbor)
-    pair.  Elimination uses an exact float32 signature-by-quiet-slot
-    product, vectorized over all mu*K candidates at once.
+    pair.  Each receiver hears every other node, so its busy slots are
+    the OR of the other sent masks; elimination screens all mu*K
+    candidates against all K receivers in one survivors() call.
     """
     if not (0 <= seed < _MAX_SEED):
         raise ValueError(f"seed must fit in 32 bits, got {seed}")
@@ -171,39 +122,28 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
     book = build_message_book(nias, mu, q, num_slots, tag_base)
     all_masks = book.matrix()                     # (K*mu, M) uint8
     all_masks_f = all_masks.astype(np.float32)
+    others = [np.delete(np.arange(num_nodes), k) for k in range(num_nodes)]
 
     rng = np.random.default_rng((seed, 0x5C0DE))
     report = SparseCodeReport()
     s = report.summary
     for t in range(trials):
         msgs = rng.integers(0, mu, size=num_nodes)
-        sent = all_masks[np.arange(num_nodes) * mu + msgs].astype(bool)
-        busy = _leave_one_out_or(sent)
+        sent = all_masks[np.arange(num_nodes) * mu + msgs]
         quiet = np.zeros((num_nodes, num_slots), dtype=np.float32)
         for k in range(num_nodes):
-            quiet[k] = ~sent[k] & ~busy[k]
-        hits = all_masks_f @ quiet.T              # (K*mu, K), exact integers
-        alive = (hits == 0).reshape(num_nodes, mu, num_nodes)
-        n_alive = alive.sum(axis=1)               # (node j, receiver k)
-        true_alive = alive[np.arange(num_nodes), msgs, :]
+            quiet[k] = discovery.quiet_slots(sent[k] == 0, sent[others[k]].any(axis=0),
+                                             discovery.OR_NOISELESS)
+        alive = discovery.survivors(all_masks_f, quiet).reshape(num_nodes, mu, num_nodes)
         for k in range(num_nodes):
             for j in range(num_nodes):
                 if j == k:
                     continue
+                out, true_msg = _outcome(alive[j, :, k]), int(msgs[j])
                 s.pairs += 1
-                if not true_alive[j, k]:
-                    s.miss_violations += 1
-                na = int(n_alive[j, k])
-                if na == 0:
-                    s.eliminated_all += 1
-                    outcome, dec = ELIMINATED_ALL, None
-                elif na == 1:
-                    outcome = DECODED
-                    dec = int(np.flatnonzero(alive[j, :, k])[0])
-                    if dec == msgs[j]:
-                        s.decoded_correct += 1
-                else:
-                    s.ambiguous += 1
-                    outcome, dec = AMBIGUOUS, None
-                report.records.append((t, k, j, outcome, int(msgs[j]), dec))
+                s.miss_violations += true_msg not in out.candidates
+                s.eliminated_all += out.status == ELIMINATED_ALL
+                s.ambiguous += out.status == AMBIGUOUS
+                s.decoded_correct += out.message == true_msg
+                report.records.append((t, k, j, out.status, true_msg, out.message))
     return report

@@ -88,6 +88,16 @@ def test_discover_smoke(tmp_path):
     assert lines[-1].startswith("aggregate,")
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_discover_rejects_fewer_than_one_receiver(tmp_path, capsys, count):
+    out = tmp_path / "d.csv"
+    assert run("discover", "--n", "20", "--neighbors", "4", "--M", "200",
+               "--q", "0.1", "--area", "100", "--receivers", count, "--seed", "1",
+               "--out", str(out)) == 2
+    assert "--receivers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discover_determinism(tmp_path):
     out = tmp_path / "d.csv"
     argv = ["discover", "--n", "60", "--neighbors", "5", "--M", "300",

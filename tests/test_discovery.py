@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodd import discovery, model, signatures
 from rodd.model import LinkGains
@@ -49,10 +51,8 @@ def test_constructed_elimination():
         3: [0, 0, 1, 0, 0, 0],   # on at quiet slot 2
         4: [0, 0, 0, 1, 0, 0],   # on at quiet slot 3
     }
-    book = signatures.SignatureBook(nias=list(masks), q=0.3, num_slots=6)
-    for nia, bits in masks.items():
-        book.masks[nia] = signatures.DuplexMask(
-            bits=np.array(bits, dtype=np.uint8), owner=nia, q=0.3)
+    book = signatures.SignatureBook(nias=list(masks), q=0.3,
+                                    bits=np.array(list(masks.values()), dtype=np.uint8))
     obs = discovery.DiscoveryObservation(
         off_slots=np.arange(1, 6),
         values=np.array(masks[2])[1:].astype(np.uint8),
@@ -61,6 +61,32 @@ def test_constructed_elimination():
     assert result.estimated == {2}
     assert result.eliminated_count == 2
     assert result.slots_used == 6
+
+
+def _reference_survivors(masks, quiet):
+    out = np.empty((masks.shape[0], quiet.shape[0]), dtype=bool)
+    for b, row in enumerate(quiet):
+        out[:, b] = ~masks[:, row].any(axis=1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), receivers=st.integers(0, 5), m=st.integers(1, 60),
+       density=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_survivors_matches_reference(rows, receivers, m, density, seed):
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, m)) < density).astype(np.uint8)
+    quiet = rng.random((receivers, m)) < density
+    got = discovery.survivors(masks, quiet)
+    assert got.dtype == bool
+    assert np.array_equal(got, _reference_survivors(masks, quiet))
+
+
+def test_survivors_refuses_frames_past_float32_exactness():
+    # zero rows: the check fires before anything of size 2**24 is allocated
+    masks = np.zeros((0, 2**24), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        discovery.survivors(masks, masks)
 
 
 def _random_instance(seed, n=12, q=0.15, m=150, p_neighbor=0.3):
@@ -80,6 +106,17 @@ def test_noiseless_mode_never_misses(seed):
         obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
         est = discovery.eliminate(obs, book[k], book)
         assert true <= est.estimated
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), q=st.floats(0.02, 0.6),
+       m=st.integers(1, 150), p_neighbor=st.floats(0.0, 1.0))
+def test_noiseless_elimination_never_misses_on_random_books(seed, n, q, m, p_neighbor):
+    gains, book = _random_instance(seed, n, q, m, p_neighbor)
+    for k in range(n):
+        true = model.neighbors(gains, k, 1.0)
+        obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
+        assert true <= discovery.eliminate(obs, book[k], book).estimated
 
 
 def test_more_slots_never_add_false_alarms():
@@ -173,7 +210,7 @@ def test_baseline_counts_only_collision_free_frames():
 def test_topology_hits_the_degree_target():
     topo, radius = discovery.poisson_discovery_topology(
         2000, 12.0, seed=9, area_side=500.0, torus=True)
-    sets = discovery.neighbor_sets_from_topology(topo, radius)
+    sets = discovery.neighbor_lists(topo, radius)
     mean_degree = np.mean([len(s) for s in sets])
     assert abs(mean_degree - 12.0) <= 1.0
     # boundary link sits at the configured SNR
@@ -198,7 +235,7 @@ def test_compressed_discovery_beats_random_access():
     rep = discovery.run_discovery_experiment(topo, radius, m, 0.12,
                                              discovery.OR_NOISELESS, seed=3)
     assert rep.mean_accuracy >= 0.99
-    sets = discovery.neighbor_sets_from_topology(topo, radius)
+    sets = discovery.neighbor_lists(topo, radius)
     slots = discovery.random_access_baseline(sets, frame_bits=32, tx_prob=1 / 7,
                                              target_accuracy=0.99, seed=3)
     assert slots >= 2 * m

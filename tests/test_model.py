@@ -127,6 +127,37 @@ def test_text_round_trip():
     assert back.fading_model == topo.fading_model
 
 
+def test_text_round_trip_keeps_per_node_unit_snr():
+    topo = model.Topology(
+        positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        alpha=4.0, unit_snr=np.array([1.0, 5.0, 9.0]),
+        fading_model="none", neighbor_threshold=1.0, area_side=5.0, torus=True)
+    back = model.Topology.from_text(topo.to_text())
+    assert np.array_equal(back.unit_snr, [1.0, 5.0, 9.0])
+    assert back.torus
+
+
+def test_text_reads_scalar_unit_snr_header():
+    text = ("count=2 alpha=4.0 unit_snr=7.5 fading=none threshold=1.0 "
+            "area_side=5.0 torus=0\n1 3.0 4.0\n0 1.0 2.0\n")
+    topo = model.Topology.from_text(text)
+    assert np.array_equal(topo.positions, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(topo.unit_snr, [7.5, 7.5])
+
+
+@pytest.mark.parametrize("nodes", [
+    "0 1.0 2.0\n",                          # count=3, one node line
+    "0 1.0 2.0\n1 1.0 2.0\n1 3.0 4.0\n",  # duplicate index
+    "0 1.0 2.0\n1 1.0 2.0\n3 3.0 4.0\n",  # index past count
+    "0 1.0 2.0\n1 1.0 2.0\n2 3.0\n",      # value missing
+])
+def test_text_rejects_malformed_node_lines(nodes):
+    header = ("count=3 alpha=4.0 unit_snr=1.0 fading=none threshold=1.0 "
+              "area_side=5.0 torus=0\n")
+    with pytest.raises(ValueError):
+        model.Topology.from_text(header + nodes)
+
+
 def test_per_node_unit_snr_override():
     topo = model.Topology(
         positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),

@@ -92,11 +92,29 @@ def test_duplicate_nia_rejected():
 
 
 def test_export_packs_msb_first():
-    book = signatures.SignatureBook(nias=[3], q=0.5, num_slots=12)
-    bits = np.array([1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0], dtype=np.uint8)
-    book.masks[3] = signatures.DuplexMask(bits=bits, owner=3, q=0.5)
+    bits = np.array([[1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0]], dtype=np.uint8)
+    book = signatures.SignatureBook(nias=[3], q=0.5, bits=bits)
     # slot 0 is the MSB of the first byte; last byte zero-padded on the right
     assert book.export_text() == "3 81a0\n"
+
+
+def test_book_rows_are_views_of_one_matrix():
+    book = signatures.reconstruct_book([7, 3], 0.3, 40)
+    assert book.matrix() is book.bits
+    assert np.shares_memory(book[3].bits, book.matrix())
+    assert np.array_equal(book[3].bits, book.matrix()[1])
+    with pytest.raises(KeyError):
+        book[(3, 1)]
+
+
+@pytest.mark.parametrize("bits", [
+    np.zeros((1, 4), dtype=np.uint8),        # one row for two NIAs
+    np.full((2, 4), 2, dtype=np.uint8),      # not 0/1
+    np.zeros(4, dtype=np.uint8),             # not a matrix
+])
+def test_book_rejects_malformed_bits(bits):
+    with pytest.raises(ValueError):
+        signatures.SignatureBook(nias=[1, 2], q=0.5, bits=bits)
 
 
 def test_masks_are_prefix_stable():

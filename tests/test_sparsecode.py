@@ -38,16 +38,14 @@ def test_message_tags_do_not_collide_with_discovery():
 
 
 def test_decode_constructed_pair():
-    book = sparsecode.MessageBook(nias=[1, 2], mu=2, q=0.5, num_slots=4)
-    bits = {
-        (1, 0): [1, 0, 0, 0],
-        (1, 1): [0, 0, 0, 1],
-        (2, 0): [0, 1, 0, 0],   # sent
-        (2, 1): [0, 0, 1, 0],   # on-bit at quiet slot 2 -> eliminated
-    }
-    for key, b in bits.items():
-        book.masks[key] = signatures.DuplexMask(
-            bits=np.array(b, dtype=np.uint8), owner=key[0], q=0.5)
+    bits = [
+        [1, 0, 0, 0],   # (1, 0)
+        [0, 0, 0, 1],   # (1, 1)
+        [0, 1, 0, 0],   # (2, 0): sent
+        [0, 0, 1, 0],   # (2, 1): on-bit at quiet slot 2 -> eliminated
+    ]
+    book = sparsecode.MessageBook(nias=[1, 2], mu=2, q=0.5,
+                                  bits=np.array(bits, dtype=np.uint8))
     receiver_mask = book[(1, 0)]
     obs = _or_observation(receiver_mask, [book[(2, 0)]])
     out = sparsecode.decode(obs, receiver_mask, book, [2])
