@@ -326,33 +326,25 @@ def asymmetric_rate_bound(gains, q, k):
     return best
 
 
+def _sweep(Ks, q_grid, gamma, rate, capacity, aloha):
+    """K times the symmetric rate and capacity, and the ALOHA throughput,
+    over a (K, q) grid; a gamma that is not None is passed on to all three."""
+    extra = () if gamma is None else (gamma,)
+    return SweepTable(rows=[
+        SweepRow(K=K, q=q, gamma=gamma,
+                 rodd_sum_rate=K * rate(K, q, *extra).rate,
+                 rodd_sum_capacity=K * capacity(K, q, *extra).rate,
+                 aloha=aloha(K, q, *extra))
+        for K in Ks for q in q_grid])
+
+
 def sweep_or(Ks, q_grid):
     """Sum rate, sum capacity and ALOHA throughput over a (K, q) grid."""
-    rows = []
-    for K in Ks:
-        for q in q_grid:
-            r = or_symmetric_rate(K, q).rate
-            c = or_symmetric_capacity(K, q).rate
-            rows.append(SweepRow(
-                K=K, q=q, gamma=None,
-                rodd_sum_rate=K * r,
-                rodd_sum_capacity=K * c,
-                aloha=or_aloha_throughput(K, q),
-            ))
-    return SweepTable(rows=rows)
+    return _sweep(Ks, q_grid, None, or_symmetric_rate, or_symmetric_capacity,
+                  or_aloha_throughput)
 
 
 def sweep_gauss(Ks, q_grid, gamma):
     """Gaussian-channel counterpart of sweep_or at a common SNR."""
-    rows = []
-    for K in Ks:
-        for q in q_grid:
-            r = gauss_symmetric_rate(K, q, gamma).rate
-            c = gauss_symmetric_capacity(K, q, gamma).rate
-            rows.append(SweepRow(
-                K=K, q=q, gamma=gamma,
-                rodd_sum_rate=K * r,
-                rodd_sum_capacity=K * c,
-                aloha=gauss_aloha_throughput(K, q, gamma),
-            ))
-    return SweepTable(rows=rows)
+    return _sweep(Ks, q_grid, gamma, gauss_symmetric_rate, gauss_symmetric_capacity,
+                  gauss_aloha_throughput)

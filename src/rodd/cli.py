@@ -137,22 +137,17 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", metavar="command")
     registry = {}
 
-    p = subs.add_parser("fig2", help="OR-channel sum rate/capacity vs ALOHA sweep")
-    p.add_argument("--K", default="3,5,20", help="comma list of node counts")
-    p.add_argument("--q", default="0.02:0.98:0.02", help="q grid start:stop:step")
-    p.add_argument("--check", action="store_true",
-                   help="verify dominance per row, exit 3 on failure")
-    _add_common(p)
-    registry["fig2"] = p
-
-    p = subs.add_parser("fig3", help="Gaussian-channel sweep at fixed SNR")
-    p.add_argument("--K", default="3,5,20", help="comma list of node counts")
-    p.add_argument("--q", default="0.02:0.98:0.02", help="q grid start:stop:step")
-    p.add_argument("--gamma-db", type=float, default=20.0, help="link SNR in dB")
-    p.add_argument("--check", action="store_true",
-                   help="verify dominance per row, exit 3 on failure")
-    _add_common(p)
-    registry["fig3"] = p
+    for name, help_text in (("fig2", "OR-channel sum rate/capacity vs ALOHA sweep"),
+                            ("fig3", "Gaussian-channel sweep at fixed SNR")):
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--K", default="3,5,20", help="comma list of node counts")
+        p.add_argument("--q", default="0.02:0.98:0.02", help="q grid start:stop:step")
+        if name == "fig3":
+            p.add_argument("--gamma-db", type=float, default=20.0, help="link SNR in dB")
+        p.add_argument("--check", action="store_true",
+                       help="verify dominance per row, exit 3 on failure")
+        _add_common(p)
+        registry[name] = p
 
     p = subs.add_parser("discover", help="network-wide compressed neighbor discovery")
     p.add_argument("--n", type=int, default=10000, help="expected node count")
@@ -218,43 +213,29 @@ def build_parser():
     return parser, registry
 
 
-def _cmd_fig2(args):
+def _cmd_sweep(args):
+    """fig2 (OR channel) or fig3 (Gaussian channel at --gamma-db)."""
     Ks = parse_int_list(args.K)
     grid = parse_q_grid(args.q)
     if not Ks:
         raise UsageError("empty K list")
-    table = analysis.sweep_or(Ks, grid)
+    if args.command == "fig2":
+        table, note = analysis.sweep_or(Ks, grid), ""
+    else:
+        gamma = db_to_linear(args.gamma_db)
+        table, note = analysis.sweep_gauss(Ks, grid, gamma), f" (gamma = {gamma:.6g})"
     _write_text(args.out, table.to_csv())
-    _say(args, f"fig2: wrote {len(table.rows)} rows to {args.out}")
+    _say(args, f"{args.command}: wrote {len(table.rows)} rows to {args.out}{note}")
     if args.check:
-        _check_dominance(args, table)
+        failures = 0
+        for row in table.rows:
+            ok = (row.rodd_sum_rate >= row.aloha - 1e-9
+                  and row.rodd_sum_capacity >= row.rodd_sum_rate - 1e-9)
+            _say(args, f"check K={row.K} q={row.q:.12g} {'PASS' if ok else 'FAIL'}")
+            failures += not ok
+        if failures:
+            raise CheckFailure(f"dominance failed on {failures} rows")
     return 0
-
-
-def _cmd_fig3(args):
-    Ks = parse_int_list(args.K)
-    grid = parse_q_grid(args.q)
-    if not Ks:
-        raise UsageError("empty K list")
-    gamma = db_to_linear(args.gamma_db)
-    table = analysis.sweep_gauss(Ks, grid, gamma)
-    _write_text(args.out, table.to_csv())
-    _say(args, f"fig3: wrote {len(table.rows)} rows to {args.out} "
-               f"(gamma = {gamma:.6g})")
-    if args.check:
-        _check_dominance(args, table)
-    return 0
-
-
-def _check_dominance(args, table):
-    failures = 0
-    for row in table.rows:
-        ok = (row.rodd_sum_rate >= row.aloha - 1e-9
-              and row.rodd_sum_capacity >= row.rodd_sum_rate - 1e-9)
-        _say(args, f"check K={row.K} q={row.q:.12g} {'PASS' if ok else 'FAIL'}")
-        failures += not ok
-    if failures:
-        raise CheckFailure(f"dominance failed on {failures} rows")
 
 
 def _cmd_discover(args):
@@ -275,10 +256,8 @@ def _cmd_discover(args):
             rep = discovery.run_discovery_experiment(
                 topo, radius, args.M, args.q, mode, noise_var=args.noise_var,
                 threshold=thr, seed=args.seed, receivers=receivers)
-            counted = [r for r in rep.records if r[1] > 0]
-            miss = sum(r[3] / r[1] for r in counted) / len(counted)
-            fa = sum(r[4] / r[1] for r in counted) / len(counted)
-            lines.append(f"{thr:.12g},{miss:.12g},{fa:.12g},{rep.mean_accuracy:.12g}")
+            lines.append(f"{thr:.12g},{rep.mean_miss_rate:.12g},"
+                         f"{rep.mean_false_alarm_rate:.12g},{rep.mean_accuracy:.12g}")
             _say(args, f"discover: threshold {thr:g} -> accuracy "
                        f"{rep.mean_accuracy:.6f}")
         _write_text(args.out, "\n".join(lines) + "\n")
@@ -385,8 +364,8 @@ def _cmd_trace(args):
 
 
 _COMMANDS = {
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
+    "fig2": _cmd_sweep,
+    "fig3": _cmd_sweep,
     "discover": _cmd_discover,
     "sparsecode": _cmd_sparsecode,
     "validate": _cmd_validate,
@@ -419,10 +398,7 @@ def main(argv=None):
             parser.print_usage(sys.stderr)
             return 2
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, discovery.ConvergenceError,
+    except (UsageError, ValueError, discovery.ConvergenceError,
             analysis.WaterLevelBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,34 +54,44 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
     """What receiver `receiver` measures while everyone sends signatures.
 
     Node i's signature is book[book.nias[i]]; the true neighbors are the
-    nodes whose gain at the receiver meets `neighbor_threshold`.  In
-    energy mode each off-slot reads |sum_j sqrt(gamma_kj) + w|^2 over the
-    neighbors transmitting in that slot, with unit per-node amplitudes
-    (noncoherent energy detection) and w ~ Normal(0, noise_var).
+    nodes whose gain at the receiver meets `neighbor_threshold`.  The
+    values are _reading() at the receiver's off-slots, so a given seed
+    yields exactly what run_discovery_experiment sees.
     """
     if len(book) != gains.num_nodes:
         raise ValueError("book must cover every node in the gain matrix")
     own = book[book.nias[receiver]]
     off = own.off_slots()
-    nbrs = sorted(model.neighbors(gains, receiver, neighbor_threshold))
+    nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
+                    dtype=np.int64)
+    reading = _reading(book.bits, receiver, nbrs, gains.gamma[receiver, nbrs],
+                       mode, noise_var, seed)
+    return DiscoveryObservation(off_slots=off, values=reading[off], mode=mode,
+                                num_slots=own.length)
+
+
+def _reading(masks, receiver, nbrs, gains, mode, noise_var, seed):
+    """The one observation stage: what `receiver` reads in each of the M
+    slots while the nodes `nbrs` send their rows of the (N, M) `masks`.
+
+    OR mode reads the uint8 OR of those rows.  Energy mode reads
+    (sum_j sqrt(gains_j) * mask_j + w)**2 per slot, with unit per-node
+    amplitudes (noncoherent energy detection) and w ~ Normal(0, noise_var)
+    drawn over the whole frame from the (seed, receiver) stream.
+    """
     if mode == OR_NOISELESS:
-        vals = np.zeros(len(off), dtype=np.uint8)
-        for j in nbrs:
-            vals |= book.bits[j, off]
-        return DiscoveryObservation(off_slots=off, values=vals, mode=mode,
-                                    num_slots=own.length)
-    if mode == ENERGY:
-        amp = np.zeros(len(off), dtype=np.float64)
-        for j in nbrs:
-            amp += math.sqrt(gains.gamma[receiver, j]) * book.bits[j, off]
-        if noise_var > 0:
-            if seed is None:
-                raise ValueError("energy mode with noise needs a seed")
-            rng = np.random.default_rng((seed, _NOISE_SALT, receiver))
-            amp = amp + rng.normal(0.0, math.sqrt(noise_var), size=len(off))
-        return DiscoveryObservation(off_slots=off, values=amp**2, mode=mode,
-                                    num_slots=own.length)
-    raise ValueError(f"unknown discovery mode {mode!r}")
+        return np.bitwise_or.reduce(masks[nbrs], axis=0)
+    if mode != ENERGY:
+        raise ValueError(f"unknown discovery mode {mode!r}")
+    if noise_var < 0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    amp = np.sqrt(gains) @ masks[nbrs]
+    if noise_var > 0:
+        if seed is None:
+            raise ValueError("energy mode with noise needs a seed")
+        rng = np.random.default_rng((seed, _NOISE_SALT, int(receiver)))
+        amp = amp + rng.normal(0.0, math.sqrt(noise_var), size=masks.shape[1])
+    return amp**2
 
 
 def survivors(masks, quiet):
@@ -218,6 +228,17 @@ class ExperimentReport:
         accs = [r[5] for r in self.records if r[5] is not None]
         return float(np.mean(accs)) if accs else float("nan")
 
+    def _mean_rate(self, col):
+        """Mean of record column `col` per true neighbor, over the receivers
+        with at least one neighbor (as mean_accuracy); nan when there are none."""
+        counted = [r for r in self.records if r[1] > 0]
+        if not counted:
+            return float("nan")
+        return sum(r[col] / r[1] for r in counted) / len(counted)
+
+    mean_miss_rate = property(lambda self: self._mean_rate(3))
+    mean_false_alarm_rate = property(lambda self: self._mean_rate(4))
+
     def to_csv(self):
         lines = ["receiver,true_count,est_count,misses,false_alarms,accuracy"]
         for rec in self.records:
@@ -276,8 +297,9 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
 
     Fading is off: neighborhood membership is then purely geometric and
     the neighbor lists come from a radius query instead of a dense gain
-    matrix.  Elimination calls survivors() once per block of receivers;
-    its float32 hit counts are exact, so the run is bit-reproducible.
+    matrix.  Each receiver's reading comes from _reading(), as in
+    observe_discovery.  Elimination calls survivors() once per block of
+    receivers; its float32 hit counts are exact.
 
     `threshold` (energy mode) defaults to a quarter of the
     boundary-neighbor energy, the tuned operating point for 20 dB.
@@ -296,10 +318,7 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     masks = book.matrix()                      # (N, M) uint8
     masks_f = masks.astype(np.float32)
 
-    if receivers is None:
-        receivers = np.arange(n)
-    else:
-        receivers = np.asarray(receivers, dtype=np.int64)
+    receivers = np.arange(n) if receivers is None else np.asarray(receivers, np.int64)
 
     report = ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
                               threshold=threshold)
@@ -307,16 +326,11 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
         chunk = receivers[start:start + block]
         quiet = np.zeros((len(chunk), num_slots), dtype=np.float32)
         for row, k in enumerate(chunk):
-            nbrs = nbr_lists[k]
-            if mode == OR_NOISELESS:
-                reading = masks[nbrs].any(axis=0)
-            else:
+            nbrs, gains = nbr_lists[k], None
+            if mode == ENERGY:
                 dist = topology._distance(topology.positions[nbrs], topology.positions[k])
                 gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
-                amp = np.sqrt(gains) @ masks_f[nbrs]
-                rng = np.random.default_rng((seed, _NOISE_SALT, int(k)))
-                noise = rng.normal(0.0, math.sqrt(noise_var), size=num_slots)
-                reading = (amp + noise)**2
+            reading = _reading(masks, k, nbrs, gains, mode, noise_var, seed)
             quiet[row] = quiet_slots(masks[k] == 0, reading, mode, threshold)
         alive = survivors(masks_f, quiet)
         for row, k in enumerate(chunk):

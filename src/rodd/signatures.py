@@ -19,6 +19,7 @@ from numpy.random import Philox
 
 _WORD_BITS = 64
 _MAX_KEY_PART = 1 << 64
+_MAX_SEED = 1 << 32
 
 # Conventional domain tags.  Discovery signatures and per-message data
 # signatures must never collide, so the message code starts its tags at 1.
@@ -32,6 +33,13 @@ def _mask_key(nia, domain_tag):
     if not (0 <= domain_tag < _MAX_KEY_PART):
         raise ValueError(f"domain_tag must be an unsigned 64-bit integer, got {domain_tag}")
     return (domain_tag << 64) | nia
+
+
+def _seeded_nias(seed, count):
+    """NIAs seed * 2**32 + i for i < count: disjoint across 32-bit seeds."""
+    if not (0 <= seed < _MAX_SEED):
+        raise ValueError(f"seed must fit in 32 bits, got {seed}")
+    return [seed * _MAX_SEED + i for i in range(count)]
 
 
 def _on_threshold(q):

@@ -22,8 +22,6 @@ DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
 ELIMINATED_ALL = "eliminated_all"
 
-_MAX_SEED = 1 << 32
-
 
 # The message book is the one signature book with mu > 1.
 MessageBook = signatures.SignatureBook
@@ -116,9 +114,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
     the OR of the other sent masks; elimination screens all mu*K
     candidates against all K receivers in one survivors() call.
     """
-    if not (0 <= seed < _MAX_SEED):
-        raise ValueError(f"seed must fit in 32 bits, got {seed}")
-    nias = [seed * _MAX_SEED + i for i in range(num_nodes)]
+    nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots, tag_base)
     all_masks = book.matrix()                     # (K*mu, M) uint8
     all_masks_f = all_masks.astype(np.float32)
@@ -132,8 +128,9 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
         sent = all_masks[np.arange(num_nodes) * mu + msgs]
         quiet = np.zeros((num_nodes, num_slots), dtype=np.float32)
         for k in range(num_nodes):
-            quiet[k] = discovery.quiet_slots(sent[k] == 0, sent[others[k]].any(axis=0),
-                                             discovery.OR_NOISELESS)
+            busy = discovery._reading(sent, k, others[k], None, discovery.OR_NOISELESS,
+                                      0.0, None)
+            quiet[k] = discovery.quiet_slots(sent[k] == 0, busy, discovery.OR_NOISELESS)
         alive = discovery.survivors(all_masks_f, quiet).reshape(num_nodes, mu, num_nodes)
         for k in range(num_nodes):
             for j in range(num_nodes):

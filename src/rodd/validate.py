@@ -15,7 +15,6 @@ import numpy as np
 
 from . import analysis, signatures
 
-_MAX_SEED = 1 << 32
 MC_TAG_BASE = 1 << 20  # domain tags reserved for validation books
 
 
@@ -27,19 +26,17 @@ class McEstimate:
 
 
 def _mc_book_matrix(K, q, num_slots, seed):
-    """Bit matrix of K freshly derived masks; disjoint NIAs per seed."""
-    if not (0 <= seed < _MAX_SEED):
-        raise ValueError(f"seed must fit in 32 bits, got {seed}")
-    nias = [seed * _MAX_SEED + j for j in range(K)]
-    book = signatures.reconstruct_book(nias, q, num_slots, MC_TAG_BASE)
-    return book.matrix()
+    """Bit matrix of K freshly derived masks; disjoint NIAs per seed.
+
+    Row j is the mask of NIA seed * 2**32 + j, so the first K rows of a
+    larger book are this book.
+    """
+    nias = signatures._seeded_nias(seed, K)
+    return signatures.reconstruct_book(nias, q, num_slots, MC_TAG_BASE).matrix()
 
 
 def _check_mc_args(K, q, num_slots):
-    if K < 2:
-        raise ValueError(f"need at least 2 nodes, got K={K}")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly inside (0,1), got {q}")
+    analysis._check_kq(K, q)
     if num_slots < 1000:
         raise ValueError("Monte Carlo runs need at least 10^3 slots")
 
@@ -52,28 +49,29 @@ def mc_weight_distribution(K, q, num_slots, seed):
     return np.bincount(weights, minlength=K + 1) / num_slots
 
 
-def _per_slot_estimate(samples):
-    m = samples.shape[0]
+def _mc_rate(masks, functional):
+    """Slot average of a per-slot rate functional seen by receiver 0.
+
+    Row 0 of the (K, M) `masks` is the receiver.  Each of its off-slots
+    contributes functional(n)/(K-1), where n is the realized count of
+    transmitting peers (an array over the slots); on-slots contribute 0.
+    """
+    K, m = masks.shape
+    n = masks[1:].sum(axis=0).astype(np.float64)
+    samples = np.where(masks[0] == 0, functional(n), 0.0) / (K - 1)
     return McEstimate(mean=float(samples.mean()),
                       std_error=float(samples.std(ddof=1) / math.sqrt(m)),
                       trials=m)
 
 
 def mc_or_rate(K, q, p, num_slots, seed):
-    """Slot-average of the OR-channel rate functional at silence prob p.
-
-    Receiver 0 contributes h2(p^n)/(K-1) in each of its off-slots, where
-    n is the realized count of transmitting peers; on-slots contribute
-    0.  The mean estimates the un-maximized symmetric rate at p.
+    """Slot-average of the OR-channel rate functional h2(p^n) at silence
+    prob p; the mean estimates the un-maximized symmetric rate at p.
     """
     _check_mc_args(K, q, num_slots)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
-    masks = _mc_book_matrix(K, q, num_slots, seed)
-    off = masks[0] == 0
-    n = masks[1:].sum(axis=0).astype(np.float64)
-    samples = np.where(off, analysis.h2(p**n), 0.0) / (K - 1)
-    return _per_slot_estimate(samples)
+    return _mc_rate(_mc_book_matrix(K, q, num_slots, seed), lambda n: analysis.h2(p**n))
 
 
 def mc_gauss_rate(K, q, gamma, num_slots, seed):
@@ -81,11 +79,8 @@ def mc_gauss_rate(K, q, gamma, num_slots, seed):
     _check_mc_args(K, q, num_slots)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    masks = _mc_book_matrix(K, q, num_slots, seed)
-    off = masks[0] == 0
-    n = masks[1:].sum(axis=0).astype(np.float64)
-    samples = np.where(off, analysis.g(n * gamma / q), 0.0) / (K - 1)
-    return _per_slot_estimate(samples)
+    return _mc_rate(_mc_book_matrix(K, q, num_slots, seed),
+                    lambda n: analysis.g(n * gamma / q))
 
 
 def erased_fraction(K, q, num_slots, seed):
@@ -134,30 +129,30 @@ def validate_suite(seed, num_slots=100_000, *, suite="all", Ks=(3, 5, 20),
     families also verify that the erased-slot fraction matches q within
     binomial noise.
     """
-    report = ValidationReport()
     if suite not in ("all", "or", "gauss"):
         raise ValueError(f"unknown suite {suite!r}")
-    if suite in ("all", "or"):
+
+    def or_family(K):
+        r = analysis.or_symmetric_rate(K, q_or)
+        return r.rate, lambda n: analysis.h2(r.p_star**n)
+
+    def gauss_family(K):
+        return (analysis.gauss_symmetric_rate(K, q_gauss, gamma).rate,
+                lambda n: analysis.g(n * gamma / q_gauss))
+
+    report = ValidationReport()
+    for name, q, family in (("or", q_or, or_family), ("gauss", q_gauss, gauss_family)):
+        if suite not in ("all", name):
+            continue
+        _check_mc_args(min(Ks), q, num_slots)
+        book = _mc_book_matrix(max(Ks), q, num_slots, seed)
         for K in Ks:
-            r = analysis.or_symmetric_rate(K, q_or)
-            est = mc_or_rate(K, q_or, r.p_star, num_slots, seed)
+            analytic, functional = family(K)
+            est = _mc_rate(book[:K], functional)
             report.rows.append(ValidationRow(
-                quantity=f"or_rate_K{K}", analytic=r.rate,
+                quantity=f"{name}_rate_K{K}", analytic=analytic,
                 mc_mean=est.mean, mc_stderr=est.std_error, trials=est.trials))
-        frac = erased_fraction(Ks[-1], q_or, num_slots, seed)
         report.rows.append(ValidationRow(
-            quantity="erased_fraction_or", analytic=q_or, mc_mean=frac,
-            mc_stderr=math.sqrt(q_or * (1 - q_or) / num_slots), trials=num_slots))
-    if suite in ("all", "gauss"):
-        for K in Ks:
-            r = analysis.gauss_symmetric_rate(K, q_gauss, gamma)
-            est = mc_gauss_rate(K, q_gauss, gamma, num_slots, seed)
-            report.rows.append(ValidationRow(
-                quantity=f"gauss_rate_K{K}", analytic=r.rate,
-                mc_mean=est.mean, mc_stderr=est.std_error, trials=est.trials))
-        frac = erased_fraction(Ks[-1], q_gauss, num_slots, seed)
-        report.rows.append(ValidationRow(
-            quantity="erased_fraction_gauss", analytic=q_gauss, mc_mean=frac,
-            mc_stderr=math.sqrt(q_gauss * (1 - q_gauss) / num_slots),
-            trials=num_slots))
+            quantity=f"erased_fraction_{name}", analytic=q, mc_mean=float(book[0].mean()),
+            mc_stderr=math.sqrt(q * (1 - q) / num_slots), trials=num_slots))
     return report

@@ -118,6 +118,24 @@ def test_discover_threshold_sweep(tmp_path):
     assert len(lines) == 4
 
 
+def test_threshold_sweep_over_receivers_without_neighbors(tmp_path):
+    # receiver 0 of this sparse network has no neighbor: its rates are
+    # undefined, so the sweep row reads nan instead of crashing
+    out = tmp_path / "sweep.csv"
+    assert run("discover", "--n", "40", "--neighbors", "0.05", "--area", "1000",
+               "--M", "100", "--q", "0.1", "--mode", "energy",
+               "--threshold-sweep", "1:2:1", "--receivers", "1", "--seed", "1",
+               "--out", str(out)) == 0
+    assert out.read_text().split("\n")[1:3] == ["1,nan,nan,nan", "2,nan,nan,nan"]
+
+
+def test_discover_rejects_negative_noise_variance(tmp_path, capsys):
+    assert run("discover", "--n", "40", "--neighbors", "4", "--M", "100",
+               "--q", "0.1", "--area", "100", "--mode", "energy",
+               "--noise-var", "-1", "--seed", "1", "--out", str(tmp_path / "x")) == 2
+    assert "noise_var must be nonnegative" in capsys.readouterr().err
+
+
 def test_threshold_sweep_requires_energy_mode(tmp_path):
     assert run("discover", "--n", "20", "--neighbors", "4", "--seed", "1",
                "--threshold-sweep", "1:2:1", "--out", str(tmp_path / "x")) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,25 +243,56 @@ def test_compressed_discovery_beats_random_access():
     assert slots >= 2 * m
 
 
-def test_experiment_matches_op_level_path():
+def _assert_experiment_matches_op_level_path(mode, noise_var):
     # the vectorized driver must agree receiver by receiver with the
-    # observe/eliminate operations on a dense-gains instance
+    # observe/eliminate operations on a dense-gains instance; in energy
+    # mode both read the same noise, so every count matches
     topo, radius = discovery.poisson_discovery_topology(
         60, 6.0, seed=5, area_side=100.0, snr_db=20.0, torus=True)
-    rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1,
-                                             discovery.OR_NOISELESS, seed=5)
+    rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
+                                             noise_var=noise_var, seed=5)
     gains = model.link_gains(topo)
     book = signatures.reconstruct_book(range(topo.num_nodes), 0.1, 300)
     tau = topo.neighbor_threshold
-    for rec in rep.records[:10]:
+    assert len(rep.records) == topo.num_nodes
+    for rec in rep.records:
         k, true_count, est_count, misses, fa, acc = rec
         true = model.neighbors(gains, k, tau)
-        obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=tau)
-        est = discovery.eliminate(obs, book[k], book)
+        obs = discovery.observe_discovery(k, gains, book, mode, neighbor_threshold=tau,
+                                          noise_var=noise_var, seed=5)
+        est = discovery.eliminate(obs, book[k], book, threshold=rep.threshold)
         assert len(true) == true_count
         assert len(est.estimated) == est_count
         assert len(true - est.estimated) == misses
         assert len(est.estimated - true) == fa
+
+
+def test_experiment_matches_op_level_path():
+    _assert_experiment_matches_op_level_path(discovery.OR_NOISELESS, 1.0)
+
+
+def test_experiment_matches_op_level_path_energy():
+    _assert_experiment_matches_op_level_path(discovery.ENERGY, 10.0)
+
+
+def test_observation_rejects_negative_noise_variance():
+    gains = _clique_gains(4)
+    with pytest.raises(ValueError, match="noise_var"):
+        discovery.observe_discovery(0, gains, _book(4), discovery.ENERGY,
+                                    neighbor_threshold=1.0, noise_var=-1.0, seed=5)
+
+
+def test_mean_rates_skip_receivers_without_neighbors():
+    rep = discovery.ExperimentReport(records=[(0, 0, 0, 0, 0, None),
+                                              (1, 4, 5, 1, 2, 0.25),
+                                              (2, 2, 2, 0, 0, 1.0)])
+    assert rep.mean_miss_rate == pytest.approx((1 / 4 + 0) / 2)
+    assert rep.mean_false_alarm_rate == pytest.approx((2 / 4 + 0) / 2)
+    assert rep.mean_accuracy == pytest.approx(0.625)
+    lonely = discovery.ExperimentReport(records=[(0, 0, 1, 0, 1, None)])
+    assert math.isnan(lonely.mean_miss_rate)
+    assert math.isnan(lonely.mean_false_alarm_rate)
+    assert math.isnan(lonely.mean_accuracy)
 
 
 def test_experiment_report_csv_shape():

@@ -147,3 +147,10 @@ def test_ten_bit_messages_at_small_scale():
     rep = sparsecode.run_sparsecode_experiment(10, 1024, 0.09, 512, trials=2, seed=1)
     assert rep.summary.no_miss_rate == 1.0
     assert rep.summary.success_rate >= 0.99
+
+
+def test_experiment_seed_must_fit_32_bits():
+    with pytest.raises(ValueError, match="32 bits"):
+        sparsecode.run_sparsecode_experiment(3, 4, 0.2, 64, trials=1, seed=2**32)
+    with pytest.raises(ValueError, match="32 bits"):
+        sparsecode.run_sparsecode_experiment(3, 4, 0.2, 64, trials=1, seed=-1)

@@ -100,3 +100,23 @@ def test_suite_report_format_and_pass():
     only_or = validate.validate_suite(seed=3, num_slots=10_000, suite="or")
     assert all(r.quantity.startswith(("or_", "erased_fraction_or"))
                for r in only_or.rows)
+
+
+def test_suite_rows_match_the_op_level_estimators():
+    # the suite derives one book per family at max(Ks) and slices it; the
+    # first K rows are the K-mask book, so every row is bit-identical
+    m, seed = 5_000, 3
+    rows = {r.quantity: r for r in validate.validate_suite(seed, m).rows}
+    for K in (3, 5, 20):
+        p = analysis.or_symmetric_rate(K, 0.3).p_star
+        for name, est in ((f"or_rate_K{K}", validate.mc_or_rate(K, 0.3, p, m, seed)),
+                          (f"gauss_rate_K{K}",
+                           validate.mc_gauss_rate(K, 0.2, 100.0, m, seed))):
+            assert (rows[name].mc_mean, rows[name].mc_stderr) == (est.mean, est.std_error)
+    assert rows["erased_fraction_or"].mc_mean == validate.erased_fraction(20, 0.3, m, seed)
+    assert rows["erased_fraction_gauss"].mc_mean == validate.erased_fraction(5, 0.2, m, seed)
+
+
+def test_mc_seed_must_fit_32_bits():
+    with pytest.raises(ValueError, match="32 bits"):
+        validate.mc_or_rate(5, 0.3, 0.5, 10_000, seed=2**32)
