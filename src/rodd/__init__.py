@@ -34,7 +34,6 @@ from .channels import (
     or_channel,
 )
 from .discovery import (
-    DiscoveryObservation,
     DiscoveryResult,
     discovery_metrics,
     eliminate,

@@ -333,6 +333,8 @@ def _cmd_asym(args):
 
 def _cmd_trace(args):
     _require_seed(args)
+    if args.noise_var < 0:
+        raise UsageError(f"noise_var must be nonnegative, got {args.noise_var}")
     from . import channels, model, signatures
     topo = model.generate_poisson_network(args.area, args.n / args.area**2,
                                           args.seed)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import model, signatures
-from .channels import OrFrameObservation
+from .channels import OrFrameObservation, RealFrameObservation
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
@@ -30,16 +30,6 @@ _EXACT_SLOTS = 1 << 24
 
 class ConvergenceError(RuntimeError):
     """Baseline simulation hit its frame cap before reaching the target."""
-
-
-@dataclass
-class DiscoveryObservation:
-    """Measurements over one receiver's off-slots only."""
-
-    off_slots: np.ndarray   # slot indices where the receiver listened
-    values: np.ndarray      # uint8 bits (OR mode) or energies (energy mode)
-    mode: str
-    num_slots: int          # full frame length M
 
 
 @dataclass
@@ -54,44 +44,45 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
     """What receiver `receiver` measures while everyone sends signatures.
 
     Node i's signature is book[book.nias[i]]; the true neighbors are the
-    nodes whose gain at the receiver meets `neighbor_threshold`.  The
-    values are _reading() at the receiver's off-slots, so a given seed
-    yields exactly what run_discovery_experiment sees.
+    nodes whose gain at the receiver meets `neighbor_threshold`.  Returns
+    _reading() over all M slots, as run_discovery_experiment sees it, in
+    the channel's record (OrFrameObservation, or RealFrameObservation of
+    energy-mode amplitudes) with the receiver's own on-slots erased.
     """
     if len(book) != gains.num_nodes:
         raise ValueError("book must cover every node in the gain matrix")
-    own = book[book.nias[receiver]]
-    off = own.off_slots()
+    erased = book.bits[receiver].astype(bool)
     nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
                     dtype=np.int64)
     reading = _reading(book.bits, receiver, nbrs, gains.gamma[receiver, nbrs],
                        mode, noise_var, seed)
-    return DiscoveryObservation(off_slots=off, values=reading[off], mode=mode,
-                                num_slots=own.length)
+    reading[erased] = 0
+    record = OrFrameObservation if mode == OR_NOISELESS else RealFrameObservation
+    return record(values=reading, erased=erased)
 
 
 def _reading(masks, receiver, nbrs, gains, mode, noise_var, seed):
     """The one observation stage: what `receiver` reads in each of the M
     slots while the nodes `nbrs` send their rows of the (N, M) `masks`.
 
-    OR mode reads the uint8 OR of those rows.  Energy mode reads
-    (sum_j sqrt(gains_j) * mask_j + w)**2 per slot, with unit per-node
-    amplitudes (noncoherent energy detection) and w ~ Normal(0, noise_var)
+    OR mode reads the uint8 OR of those rows.  Energy mode reads the
+    amplitude sum_j sqrt(gains_j) * mask_j + w per slot (unit per-node
+    amplitudes, noncoherent energy detection), w ~ Normal(0, noise_var)
     drawn over the whole frame from the (seed, receiver) stream.
     """
+    if noise_var < 0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
     if mode == OR_NOISELESS:
         return np.bitwise_or.reduce(masks[nbrs], axis=0)
     if mode != ENERGY:
         raise ValueError(f"unknown discovery mode {mode!r}")
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
     amp = np.sqrt(gains) @ masks[nbrs]
     if noise_var > 0:
         if seed is None:
             raise ValueError("energy mode with noise needs a seed")
         rng = np.random.default_rng((seed, _NOISE_SALT, int(receiver)))
         amp = amp + rng.normal(0.0, math.sqrt(noise_var), size=masks.shape[1])
-    return amp**2
+    return amp
 
 
 def survivors(masks, quiet):
@@ -111,21 +102,16 @@ def survivors(masks, quiet):
 
 def quiet_slots(listening, reading, mode, threshold=0.0):
     """The quiet-slot rule, as a bool array: a slot the receiver listened
-    in is quiet when it reads 0 (OR mode) or below `threshold` (energy).
+    in is quiet when it reads 0 (OR mode) or reading**2 < `threshold` (energy).
     """
-    empty = reading == 0 if mode == OR_NOISELESS else reading < threshold
+    empty = reading == 0 if mode == OR_NOISELESS else reading**2 < threshold
     return listening & empty
 
 
 def observed_quiet(observation, threshold=0.0):
-    """(1, M) quiet row of a DiscoveryObservation or an OrFrameObservation."""
-    if isinstance(observation, OrFrameObservation):
-        return quiet_slots(~observation.erased, observation.values, OR_NOISELESS)[None]
-    # a discovery observation reads only the slots the receiver listened in
-    quiet = np.zeros((1, observation.num_slots), dtype=bool)
-    quiet[0, observation.off_slots] = quiet_slots(True, observation.values,
-                                                  observation.mode, threshold)
-    return quiet
+    """(1, M) quiet row of a channel observation: OR bits or real amplitudes."""
+    mode = OR_NOISELESS if isinstance(observation, OrFrameObservation) else ENERGY
+    return quiet_slots(~observation.erased, observation.values, mode, threshold)[None]
 
 
 def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
@@ -145,7 +131,7 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     alive = survivors(masks, observed_quiet(observation, threshold))[:, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
-                           slots_used=observation.num_slots)
+                           slots_used=observation.length)
 
 
 def discovery_metrics(true_set, result):
@@ -302,7 +288,8 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     receivers; its float32 hit counts are exact.
 
     `threshold` (energy mode) defaults to a quarter of the
-    boundary-neighbor energy, the tuned operating point for 20 dB.
+    boundary-neighbor energy, the tuned operating point for 20 dB; that
+    scales with noise_var, so a noiseless energy run must set it.
     Returns an ExperimentReport.
     """
     if topology.fading_model != "none":
@@ -310,6 +297,8 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     n = topology.num_nodes
     snr_linear = topology.neighbor_threshold
     if threshold is None:
+        if mode == ENERGY and noise_var == 0:
+            raise ValueError("a noiseless energy run needs an explicit threshold")
         threshold = snr_linear * noise_var / 4.0 if mode == ENERGY else 0.0
 
     nbr_lists = neighbor_lists(topology, radius)

@@ -27,11 +27,11 @@ ELIMINATED_ALL = "eliminated_all"
 MessageBook = signatures.SignatureBook
 
 
-def build_message_book(nias, mu, q, num_slots, tag_base=signatures.MESSAGE_TAG_BASE):
+def build_message_book(nias, mu, q, num_slots):
     """Derive the mu-per-node signature book for the message code."""
     if mu < 2:
         raise ValueError(f"need at least 2 messages per node, got mu={mu}")
-    return signatures._derive_book(nias, q, num_slots, tag_base, mu)
+    return signatures._derive_book(nias, q, num_slots, signatures.MESSAGE_TAG_BASE, mu)
 
 
 def encode(book, nia, message):
@@ -48,7 +48,7 @@ class NeighborDecode:
     candidates: frozenset = frozenset()
 
 
-def decode(observation, receiver_mask, book, neighbor_list, threshold=0.0):
+def decode(observation, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
     Neighbors are decoded independently, so the outcome for one neighbor
@@ -104,8 +104,7 @@ class SparseCodeReport:
         return "\n".join(lines) + "\n"
 
 
-def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
-                              tag_base=signatures.MESSAGE_TAG_BASE):
+def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     """Fully-connected message-code experiment over the noiseless OR channel.
 
     One signature book per run (NIAs disjoint across seeds); each trial
@@ -115,7 +114,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed, *,
     candidates against all K receivers in one survivors() call.
     """
     nias = signatures._seeded_nias(seed, num_nodes)
-    book = build_message_book(nias, mu, q, num_slots, tag_base)
+    book = build_message_book(nias, mu, q, num_slots)
     all_masks = book.matrix()                     # (K*mu, M) uint8
     all_masks_f = all_masks.astype(np.float32)
     others = [np.delete(np.arange(num_nodes), k) for k in range(num_nodes)]

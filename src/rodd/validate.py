@@ -16,6 +16,8 @@ import numpy as np
 from . import analysis, signatures
 
 MC_TAG_BASE = 1 << 20  # domain tags reserved for validation books
+# validate_suite's node counts, OR/Gaussian on-probabilities and linear link SNR
+SUITE_KS, SUITE_Q_OR, SUITE_Q_GAUSS, SUITE_GAMMA = (3, 5, 20), 0.3, 0.2, 100.0
 
 
 @dataclass
@@ -121,8 +123,7 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def validate_suite(seed, num_slots=100_000, *, suite="all", Ks=(3, 5, 20),
-                   q_or=0.3, q_gauss=0.2, gamma=100.0):
+def validate_suite(seed, num_slots=100_000, *, suite="all"):
     """MC-vs-analytic rows for the OR and Gaussian rate functionals.
 
     The OR checks run at each K's own optimal silence probability; both
@@ -133,20 +134,21 @@ def validate_suite(seed, num_slots=100_000, *, suite="all", Ks=(3, 5, 20),
         raise ValueError(f"unknown suite {suite!r}")
 
     def or_family(K):
-        r = analysis.or_symmetric_rate(K, q_or)
+        r = analysis.or_symmetric_rate(K, SUITE_Q_OR)
         return r.rate, lambda n: analysis.h2(r.p_star**n)
 
     def gauss_family(K):
-        return (analysis.gauss_symmetric_rate(K, q_gauss, gamma).rate,
-                lambda n: analysis.g(n * gamma / q_gauss))
+        return (analysis.gauss_symmetric_rate(K, SUITE_Q_GAUSS, SUITE_GAMMA).rate,
+                lambda n: analysis.g(n * SUITE_GAMMA / SUITE_Q_GAUSS))
 
     report = ValidationReport()
-    for name, q, family in (("or", q_or, or_family), ("gauss", q_gauss, gauss_family)):
+    for name, q, family in (("or", SUITE_Q_OR, or_family),
+                            ("gauss", SUITE_Q_GAUSS, gauss_family)):
         if suite not in ("all", name):
             continue
-        _check_mc_args(min(Ks), q, num_slots)
-        book = _mc_book_matrix(max(Ks), q, num_slots, seed)
-        for K in Ks:
+        _check_mc_args(min(SUITE_KS), q, num_slots)
+        book = _mc_book_matrix(max(SUITE_KS), q, num_slots, seed)
+        for K in SUITE_KS:
             analytic, functional = family(K)
             est = _mc_rate(book[:K], functional)
             report.rows.append(ValidationRow(

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodd import analysis
 from rodd.model import LinkGains
@@ -281,6 +283,17 @@ def test_sweep_gauss_dominance():
     for row in table.rows:
         assert row.rodd_sum_rate >= row.aloha - 1e-9
         assert row.rodd_sum_capacity >= row.rodd_sum_rate - 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(K=st.integers(2, 40), q=st.floats(0.01, 0.99), gamma_db=st.floats(-20.0, 40.0))
+def test_rate_within_capacity_and_above_aloha_on_random_points(K, q, gamma_db):
+    # the CLI --check rule and tolerance, on both channels
+    rows = (analysis.sweep_or([K], [q]).rows
+            + analysis.sweep_gauss([K], [q], 10.0 ** (gamma_db / 10.0)).rows)
+    for row in rows:
+        assert row.rodd_sum_capacity >= row.rodd_sum_rate - 1e-9
+        assert row.rodd_sum_rate >= row.aloha - 1e-9
 
 
 def test_sweep_csv_format():

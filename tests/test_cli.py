@@ -130,10 +130,36 @@ def test_threshold_sweep_over_receivers_without_neighbors(tmp_path):
 
 
 def test_discover_rejects_negative_noise_variance(tmp_path, capsys):
-    assert run("discover", "--n", "40", "--neighbors", "4", "--M", "100",
-               "--q", "0.1", "--area", "100", "--mode", "energy",
-               "--noise-var", "-1", "--seed", "1", "--out", str(tmp_path / "x")) == 2
-    assert "noise_var must be nonnegative" in capsys.readouterr().err
+    for mode in ("energy", "or"):   # OR mode never reads it, yet must refuse it
+        assert run("discover", "--n", "40", "--neighbors", "4", "--M", "100",
+                   "--q", "0.1", "--area", "100", "--mode", mode, "--noise-var", "-1",
+                   "--seed", "1", "--out", str(tmp_path / "x")) == 2
+        assert "noise_var must be nonnegative" in capsys.readouterr().err
+
+
+def test_noiseless_energy_discovery_needs_a_threshold(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    argv = ["discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
+            "--area", "300", "--mode", "energy", "--noise-var", "0", "--seed", "1",
+            "--receivers", "3", "--out", str(out)]
+    assert run(*argv) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--threshold", "1") == 0
+    aggregate = out.read_text().strip().split("\n")[-1].split(",")
+    assert aggregate[4:] == ["0", "1"]     # no false alarm, accuracy 1
+
+
+def test_out_dash_writes_the_csv_to_stdout_and_the_summary_to_stderr(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "2",
+            "--seed", "1"]
+    assert run(*argv, "--out", str(out)) == 0
+    summary = capsys.readouterr().out
+    assert run(*argv, "--out", "-") == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == out.read_bytes()
+    assert captured.err == summary
 
 
 def test_threshold_sweep_requires_energy_mode(tmp_path):
@@ -231,6 +257,14 @@ def test_trace_gauss_mode_deterministic(tmp_path):
             "--noise-var", "0.5", "--seed", "12", "--out", str(out)]
     hashes = {(run(*argv), digest(out)) for _ in range(3)}
     assert len(hashes) == 1
+
+
+def test_trace_or_mode_rejects_negative_noise_variance(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert run("trace", "--mode", "or", "--noise-var", "-1", "--seed", "1",
+               "--out", str(out)) == 2
+    assert "noise_var must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_receiver_out_of_range(tmp_path):

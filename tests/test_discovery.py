@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodd import discovery, model, signatures
+from rodd import channels, discovery, model, signatures
 from rodd.model import LinkGains
 
 
@@ -22,7 +22,7 @@ def test_observation_with_no_neighbors_is_silent():
     book = _book(3)
     obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
     assert np.all(obs.values == 0)
-    assert np.array_equal(obs.off_slots, book[0].off_slots())
+    assert np.array_equal(np.flatnonzero(~obs.erased), book[0].off_slots())
 
 
 def test_single_neighbor_observation_is_its_signature():
@@ -31,7 +31,14 @@ def test_single_neighbor_observation_is_its_signature():
                                       [0.1, 0.1, 0.0]]))
     book = _book(3)
     obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
-    assert np.array_equal(obs.values, book[1].bits[obs.off_slots])
+    assert np.array_equal(obs.values[~obs.erased], book[1].bits[~obs.erased])
+    # energy mode records the linear channel's amplitude; quiet_slots squares it
+    amp = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
+                                      neighbor_threshold=1.0, noise_var=0.0)
+    assert isinstance(amp, channels.RealFrameObservation)
+    assert np.array_equal(amp.erased, obs.erased)
+    assert np.array_equal(amp.values,
+                          np.where(obs.erased, 0.0, math.sqrt(5.0) * book[1].bits))
 
 
 def test_energy_mode_is_seeded():
@@ -55,10 +62,8 @@ def test_constructed_elimination():
     }
     book = signatures.SignatureBook(nias=list(masks), q=0.3,
                                     bits=np.array(list(masks.values()), dtype=np.uint8))
-    obs = discovery.DiscoveryObservation(
-        off_slots=np.arange(1, 6),
-        values=np.array(masks[2])[1:].astype(np.uint8),
-        mode=discovery.OR_NOISELESS, num_slots=6)
+    obs = channels.OrFrameObservation(values=np.array(masks[2], dtype=np.uint8),
+                                      erased=np.array(masks[1], dtype=bool))
     result = discovery.eliminate(obs, book[1], book)
     assert result.estimated == {2}
     assert result.eliminated_count == 2
@@ -149,6 +154,22 @@ def test_energy_mode_converges_to_noiseless():
             noise_var=1e-20, seed=9)
         got = discovery.eliminate(obs_e, book[k], book, threshold=1e-6)
         assert got.estimated == ref.estimated
+
+
+def test_eliminate_reads_either_channel_record():
+    # one frame through both channels: noiseless gaussian_mac with unit
+    # symbols carries energy exactly where or_channel with all-one bits reads 1
+    gains, book = _random_instance(7)
+    n, m = gains.num_nodes, book.bits.shape[1]
+    frames = [channels.TransmitFrame(symbols=np.ones(m), mask=book[j]) for j in range(n)]
+    for k in range(n):
+        peers = [(book[j], np.ones(m, dtype=np.uint8))
+                 for j in sorted(model.neighbors(gains, k, 1.0))]
+        or_obs = channels.or_channel(book[k], peers)
+        real_obs = channels.gaussian_mac(k, gains, frames, 0.0, neighbor_threshold=1.0)
+        got = discovery.eliminate(real_obs, book[k], book, threshold=1e-6)
+        assert got.estimated == discovery.eliminate(or_obs, book[k], book).estimated
+        assert got.slots_used == m
 
 
 def test_threshold_sweep_trades_misses_for_false_alarms():
@@ -276,10 +297,27 @@ def test_experiment_matches_op_level_path_energy():
 
 
 def test_observation_rejects_negative_noise_variance():
+    # OR mode never reads noise_var, but a negative one is still an error
     gains = _clique_gains(4)
-    with pytest.raises(ValueError, match="noise_var"):
-        discovery.observe_discovery(0, gains, _book(4), discovery.ENERGY,
-                                    neighbor_threshold=1.0, noise_var=-1.0, seed=5)
+    for mode in (discovery.ENERGY, discovery.OR_NOISELESS):
+        with pytest.raises(ValueError, match="noise_var"):
+            discovery.observe_discovery(0, gains, _book(4), mode,
+                                        neighbor_threshold=1.0, noise_var=-1.0, seed=5)
+
+
+def test_noiseless_energy_run_needs_a_threshold():
+    # the default threshold scales with noise_var, so at 0 nothing would
+    # read quiet and every candidate would survive
+    topo, radius = discovery.poisson_discovery_topology(
+        200, 6.0, seed=1, area_side=300.0, torus=True)
+    run = dict(noise_var=0.0, seed=1, receivers=[0, 1, 2])
+    with pytest.raises(ValueError, match="threshold"):
+        discovery.run_discovery_experiment(topo, radius, 300, 0.1, discovery.ENERGY,
+                                           **run)
+    rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1, discovery.ENERGY,
+                                             threshold=1.0, **run)
+    assert rep.mean_accuracy == 1.0
+    assert rep.total_false_alarms == 0
 
 
 def test_mean_rates_skip_receivers_without_neighbors():

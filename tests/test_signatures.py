@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rodd import signatures
 
@@ -52,9 +54,15 @@ def test_pairwise_overlap_is_independent():
     assert abs(overlap - q**2 * m) <= 3 * sigma
 
 
-def test_single_bit_access_matches_full_derivation():
-    mask = signatures.derive_mask(321, 0.27, 97, domain_tag=5)
-    got = [signatures.derive_bit(321, 0.27, s, domain_tag=5) for s in range(97)]
+_KEY_PART = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@example(nia=321, tag=5, q=0.27, m=97)
+@given(nia=_KEY_PART, tag=_KEY_PART, q=st.floats(0.001, 0.999), m=st.integers(1, 120))
+def test_single_bit_access_matches_full_derivation(nia, tag, q, m):
+    mask = signatures.derive_mask(nia, q, m, domain_tag=tag)
+    got = [signatures.derive_bit(nia, q, s, domain_tag=tag) for s in range(m)]
     assert np.array_equal(mask.bits, np.array(got, dtype=np.uint8))
 
 
@@ -98,6 +106,24 @@ def test_export_packs_msb_first():
     assert book.export_text() == "3 81a0\n"
 
 
+@settings(max_examples=40, deadline=None)
+@example(n=2, mu=1, m=13, seed=0)
+@example(n=2, mu=3, m=13, seed=0)
+@given(n=st.integers(1, 5), mu=st.integers(1, 4), m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_export_text_decodes_back_to_the_bits(n, mu, m, seed):
+    bits = (np.random.default_rng(seed).random((n * mu, m)) < 0.5).astype(np.uint8)
+    book = signatures.SignatureBook(nias=list(range(100, 100 + n)), q=0.5, bits=bits,
+                                    mu=mu)
+    lines = [line.split() for line in book.export_text().splitlines()]
+    assert [int(nia) for nia, _ in lines] == book.nias
+    packed = np.stack([np.frombuffer(bytes.fromhex(h), dtype=np.uint8)
+                       for _, h in lines]).reshape(n * mu, -1)
+    unpacked = np.unpackbits(packed, axis=1)
+    assert np.array_equal(unpacked[:, :m], book.bits)
+    assert not unpacked[:, m:].any()          # padding bits are zero
+
+
 def test_book_rows_are_views_of_one_matrix():
     book = signatures.reconstruct_book([7, 3], 0.3, 40)
     assert book.matrix() is book.bits
@@ -117,11 +143,15 @@ def test_book_rejects_malformed_bits(bits):
         signatures.SignatureBook(nias=[1, 2], q=0.5, bits=bits)
 
 
-def test_masks_are_prefix_stable():
+@settings(max_examples=30, deadline=None)
+@example(nia=11, tag=signatures.DISCOVERY_TAG, q=0.3, m=100, extra=300)
+@given(nia=_KEY_PART, tag=_KEY_PART, q=st.floats(0.001, 0.999), m=st.integers(1, 200),
+       extra=st.integers(0, 300))
+def test_masks_are_prefix_stable(nia, tag, q, m, extra):
     # same key: a longer frame extends the mask without changing the prefix
-    short = signatures.derive_mask(11, 0.3, 100)
-    long = signatures.derive_mask(11, 0.3, 400)
-    assert np.array_equal(long.bits[:100], short.bits)
+    short = signatures.derive_mask(nia, q, m, tag)
+    long = signatures.derive_mask(nia, q, m + extra, tag)
+    assert np.array_equal(long.bits[:m], short.bits)
 
 
 def test_book_statistics_match_design_q():

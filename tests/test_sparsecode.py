@@ -48,9 +48,35 @@ def test_decode_constructed_pair():
                                   bits=np.array(bits, dtype=np.uint8))
     receiver_mask = book[(1, 0)]
     obs = _or_observation(receiver_mask, [book[(2, 0)]])
-    out = sparsecode.decode(obs, receiver_mask, book, [2])
+    out = sparsecode.decode(obs, book, [2])
     assert out[2].status == sparsecode.DECODED
     assert out[2].message == 0
+
+
+def _constructed_book(neighbor_rows):
+    # node 1 sends (1, 0), on only at slot 0; node 2's two messages follow
+    bits = [[1, 0, 0, 0], [0, 0, 0, 1]] + neighbor_rows
+    return sparsecode.MessageBook(nias=[1, 2], mu=2, q=0.5,
+                                  bits=np.array(bits, dtype=np.uint8))
+
+
+def test_decode_constructed_ambiguous_pair():
+    # (2, 1) is on only where the receiver transmits, so nothing rules it out
+    book = _constructed_book([[0, 1, 0, 0], [1, 0, 0, 0]])
+    obs = _or_observation(book[(1, 0)], [book[(2, 0)]])
+    out = sparsecode.decode(obs, book, [2])
+    assert out[2].status == sparsecode.AMBIGUOUS
+    assert out[2].message is None
+    assert out[2].candidates == {0, 1}
+
+
+def test_decode_constructed_contradiction():
+    # a frame quiet wherever the receiver listened rules out both of node
+    # 2's signatures; only noise could produce it
+    book = _constructed_book([[0, 1, 0, 0], [0, 0, 1, 0]])
+    obs = _or_observation(book[(1, 0)], [])
+    out = sparsecode.decode(obs, book, [2])
+    assert out[2] == sparsecode.NeighborDecode(status=sparsecode.ELIMINATED_ALL)
 
 
 def _decode_trial(seed, num_nodes=5, mu=8, q=0.12, m=250):
@@ -62,7 +88,7 @@ def _decode_trial(seed, num_nodes=5, mu=8, q=0.12, m=250):
     for k in range(num_nodes):
         nbrs = [j for j in range(num_nodes) if j != k]
         obs = _or_observation(sent[k], [sent[j] for j in nbrs])
-        outcomes[k] = sparsecode.decode(obs, sent[k], book, nbrs)
+        outcomes[k] = sparsecode.decode(obs, book, nbrs)
     return msgs, outcomes
 
 
@@ -84,8 +110,8 @@ def test_decoding_is_order_independent():
     msgs = rng.integers(0, 4, size=4)
     sent = {j: sparsecode.encode(book, j, int(msgs[j])) for j in range(4)}
     obs = _or_observation(sent[0], [sent[1], sent[2], sent[3]])
-    fwd = sparsecode.decode(obs, sent[0], book, [1, 2, 3])
-    rev = sparsecode.decode(obs, sent[0], book, [3, 2, 1])
+    fwd = sparsecode.decode(obs, book, [1, 2, 3])
+    rev = sparsecode.decode(obs, book, [3, 2, 1])
     assert fwd == rev
 
 
@@ -101,8 +127,8 @@ def test_longer_frames_only_help():
             sent_b = {j: sparsecode.encode(book_b, j, int(msgs[j])) for j in range(4)}
             obs_a = _or_observation(sent_a[0], [sent_a[j] for j in (1, 2, 3)])
             obs_b = _or_observation(sent_b[0], [sent_b[j] for j in (1, 2, 3)])
-            out_a = sparsecode.decode(obs_a, sent_a[0], book_a, [1, 2, 3])
-            out_b = sparsecode.decode(obs_b, sent_b[0], book_b, [1, 2, 3])
+            out_a = sparsecode.decode(obs_a, book_a, [1, 2, 3])
+            out_b = sparsecode.decode(obs_b, book_b, [1, 2, 3])
             for j in (1, 2, 3):
                 assert out_b[j].candidates <= out_a[j].candidates
 
@@ -122,7 +148,7 @@ def test_experiment_matches_op_level_decode():
         for k in range(num_nodes):
             nbr_idx = [i for i in range(num_nodes) if i != k]
             obs = _or_observation(sent[k], [sent[i] for i in nbr_idx])
-            out = sparsecode.decode(obs, sent[k], book, [nias[i] for i in nbr_idx])
+            out = sparsecode.decode(obs, book, [nias[i] for i in nbr_idx])
             for i in nbr_idx:
                 rec = next(r for r in rep.records
                            if r[0] == trial and r[1] == k and r[2] == i)
