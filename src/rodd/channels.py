@@ -1,10 +1,11 @@
 """Slot-level multiaccess channel simulators with receiver-side erasure.
 
-Both channels share the erasure rule: whatever a node transmits, its own
-observation in every slot where its mask is ON is erased.  Erasures are
-marked explicitly instead of being folded into a 0 value; the receiver
-knows its own mask, so the mark is genuine side information and decoders
-must be able to tell "erased" from "silent".
+`receive` is the one channel, behind `or_channel` and `gaussian_mac`.
+Whatever a node transmits, its own observation in every slot where its
+mask is ON is erased.  Erasures are marked explicitly instead of being
+folded into a 0 value; the receiver knows its own mask, so the mark is
+genuine side information and decoders must be able to tell "erased"
+from "silent".
 """
 
 from dataclasses import dataclass
@@ -63,6 +64,38 @@ class TransmitFrame:
         return self.symbols.shape[0]
 
 
+def receive(own_bits, signals, gains=None, noise_var=0.0, seed=None):
+    """The one slot-level channel: a receiver's record of the (J, M) rows
+    `signals`, with its own on-slots (`own_bits`) erased and zeroed.
+
+    Without `gains` it is the noiseless OR channel, the OR of the rows.
+    With (J,) power `gains` it is sum_j sqrt(gains_j) * signals_j, each slot
+    adding its nonzero terms in row order (np.bincount keeps index order; no
+    BLAS sum), plus Normal(0, noise_var) noise from default_rng(seed).
+    """
+    if not 0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
+    erased = np.asarray(own_bits).astype(bool)
+    m = erased.shape[0]
+    signals = np.asarray(signals)
+    if signals.shape[1:] != erased.shape:
+        raise ValueError(f"signals of shape {signals.shape} are not rows of {erased.shape}")
+    if gains is None:
+        values = np.bitwise_or.reduce(signals, axis=0)
+    else:
+        flat = np.flatnonzero(signals != 0)
+        rows, slots = np.divmod(flat, m)
+        terms = np.sqrt(gains)[rows] * signals.ravel()[flat]
+        values = np.bincount(slots, terms, m).astype(np.float64, copy=False)
+        if noise_var > 0:
+            if seed is None:
+                raise ValueError("a noisy channel needs a seed")
+            values += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
+    values[erased] = 0
+    record = OrFrameObservation if gains is None else RealFrameObservation
+    return record(values=values, erased=erased)
+
+
 def or_channel(receiver_mask, peers):
     """Inclusive-or channel with erasure at the receiver's on-slots.
 
@@ -71,15 +104,13 @@ def or_channel(receiver_mask, peers):
     output at every non-erased slot is the OR over all peers.
     """
     m = receiver_mask.length
-    acc = np.zeros(m, dtype=np.uint8)
+    rows = []
     for peer_mask, bits in peers:
         bits = np.asarray(bits, dtype=np.uint8)
         if peer_mask.length != m or bits.shape[0] != m:
             raise ValueError("peer frame length differs from the receiver's")
-        acc |= peer_mask.bits & bits
-    erased = receiver_mask.bits.astype(bool)
-    acc[erased] = 0
-    return OrFrameObservation(values=acc, erased=erased)
+        rows.append(peer_mask.bits & bits)
+    return receive(receiver_mask.bits, np.array(rows, dtype=np.uint8).reshape(-1, m))
 
 
 def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
@@ -93,27 +124,18 @@ def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
     are summed; out-of-neighborhood interference is then part of
     noise_var, which is how callers should model it.
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
     if frames[receiver] is None:
         raise ValueError("the receiver needs a frame: its mask defines the erasures")
     m = frames[receiver].length
-    total = np.zeros(m, dtype=np.float64)
     for j, frame in enumerate(frames):
-        if j == receiver or frame is None:
-            continue
-        if frame.length != m:
+        if frame is not None and frame.length != m:
             raise ValueError(f"frame of node {j} has length {frame.length}, expected {m}")
-        gain = gains.gamma[receiver, j]
-        if neighbor_threshold is not None and gain < neighbor_threshold:
-            continue
-        total += np.sqrt(gain) * frame.mask.bits * frame.symbols
-    if noise_var > 0:
-        rng = np.random.default_rng(seed)
-        total = total + rng.normal(0.0, np.sqrt(noise_var), size=m)
-    erased = frames[receiver].mask.bits.astype(bool)
-    total[erased] = 0.0
-    return RealFrameObservation(values=total, erased=erased)
+    gain = gains.gamma[receiver]
+    heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None
+             and (neighbor_threshold is None or gain[j] >= neighbor_threshold)]
+    rows = [frames[j].mask.bits * frames[j].symbols for j in heard]
+    return receive(frames[receiver].mask.bits, np.reshape(rows, (-1, m)), gain[heard],
+                   noise_var, seed)
 
 
 def dump_observation(obs):

@@ -32,13 +32,15 @@ def parse_grid(text):
             start, stop, step = (float(tok) for tok in text.split(":"))
             if step <= 0:
                 raise UsageError(f"grid step must be positive in {text!r}")
-            if stop < start:
-                raise UsageError(f"empty grid {text!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(count)]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+            grid = [start + i * step for i in range(count)]
+        else:
+            grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse grid {text!r}: {exc}") from None
+    if not grid:
+        raise UsageError(f"empty grid {text!r}")
+    return grid
 
 
 def parse_int_list(text):
@@ -50,8 +52,6 @@ def parse_int_list(text):
 
 def parse_q_grid(text):
     grid = parse_grid(text)
-    if not grid:
-        raise UsageError(f"empty q grid {text!r}")
     if any(not (0.0 < q < 1.0) for q in grid):
         raise UsageError("q grid must lie strictly inside (0,1)")
     return grid
@@ -249,8 +249,6 @@ def _cmd_discover(args):
     receivers = None if args.receivers is None else np.arange(
         min(args.receivers, topo.num_nodes))
     if args.threshold_sweep is not None:
-        if mode != discovery.ENERGY:
-            raise UsageError("--threshold-sweep needs --mode energy")
         lines = ["threshold,mean_miss_rate,mean_false_alarm_rate,mean_accuracy"]
         for thr in parse_grid(args.threshold_sweep):
             rep = discovery.run_discovery_experiment(

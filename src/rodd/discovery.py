@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import model, signatures
-from .channels import OrFrameObservation, RealFrameObservation
+from .channels import OrFrameObservation, receive
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
@@ -45,44 +45,23 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
 
     Node i's signature is book[book.nias[i]]; the true neighbors are the
     nodes whose gain at the receiver meets `neighbor_threshold`.  Returns
-    _reading() over all M slots, as run_discovery_experiment sees it, in
-    the channel's record (OrFrameObservation, or RealFrameObservation of
-    energy-mode amplitudes) with the receiver's own on-slots erased.
+    the channels.receive() record that run_discovery_experiment sees, with
+    energy-mode noise from the same (seed, receiver) stream.
     """
     if len(book) != gains.num_nodes:
         raise ValueError("book must cover every node in the gain matrix")
-    erased = book.bits[receiver].astype(bool)
+    if mode not in (OR_NOISELESS, ENERGY):
+        raise ValueError(f"unknown discovery mode {mode!r}")
     nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
                     dtype=np.int64)
-    reading = _reading(book.bits, receiver, nbrs, gains.gamma[receiver, nbrs],
-                       mode, noise_var, seed)
-    reading[erased] = 0
-    record = OrFrameObservation if mode == OR_NOISELESS else RealFrameObservation
-    return record(values=reading, erased=erased)
+    return receive(book.bits[receiver], book.bits[nbrs],
+                   gains.gamma[receiver, nbrs] if mode == ENERGY else None,
+                   noise_var, _noise_seed(seed, receiver))
 
 
-def _reading(masks, receiver, nbrs, gains, mode, noise_var, seed):
-    """The one observation stage: what `receiver` reads in each of the M
-    slots while the nodes `nbrs` send their rows of the (N, M) `masks`.
-
-    OR mode reads the uint8 OR of those rows.  Energy mode reads the
-    amplitude sum_j sqrt(gains_j) * mask_j + w per slot (unit per-node
-    amplitudes, noncoherent energy detection), w ~ Normal(0, noise_var)
-    drawn over the whole frame from the (seed, receiver) stream.
-    """
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
-    if mode == OR_NOISELESS:
-        return np.bitwise_or.reduce(masks[nbrs], axis=0)
-    if mode != ENERGY:
-        raise ValueError(f"unknown discovery mode {mode!r}")
-    amp = np.sqrt(gains) @ masks[nbrs]
-    if noise_var > 0:
-        if seed is None:
-            raise ValueError("energy mode with noise needs a seed")
-        rng = np.random.default_rng((seed, _NOISE_SALT, int(receiver)))
-        amp = amp + rng.normal(0.0, math.sqrt(noise_var), size=masks.shape[1])
-    return amp
+def _noise_seed(seed, receiver):
+    """The energy-mode noise stream of `receiver`, None without a seed."""
+    return None if seed is None else (seed, _NOISE_SALT, int(receiver))
 
 
 def survivors(masks, quiet):
@@ -100,18 +79,14 @@ def survivors(masks, quiet):
     return masks.astype(np.float32, copy=False) @ np.asarray(quiet, np.float32).T == 0
 
 
-def quiet_slots(listening, reading, mode, threshold=0.0):
-    """The quiet-slot rule, as a bool array: a slot the receiver listened
-    in is quiet when it reads 0 (OR mode) or reading**2 < `threshold` (energy).
-    """
-    empty = reading == 0 if mode == OR_NOISELESS else reading**2 < threshold
-    return listening & empty
-
-
 def observed_quiet(observation, threshold=0.0):
-    """(1, M) quiet row of a channel observation: OR bits or real amplitudes."""
-    mode = OR_NOISELESS if isinstance(observation, OrFrameObservation) else ENERGY
-    return quiet_slots(~observation.erased, observation.values, mode, threshold)[None]
+    """The quiet-slot rule, as a (1, M) bool row: a listened slot of the
+    channel record is quiet if its bit is 0 or its amplitude**2 < `threshold`."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    v = observation.values
+    empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
+    return (~observation.erased & empty)[None]
 
 
 def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
@@ -123,8 +98,6 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     whole book is screened (the full-NIA-enumeration premise); pass
     `candidates` to restrict the scan.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
     masks = book.bits[[book.row(nia) for nia in nias]]
@@ -260,6 +233,10 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
     at `snr_db` above unit noise, which makes the neighbor threshold the
     linear SNR 10**(snr_db/10).
     """
+    for name, value in (("expected_nodes", expected_nodes),
+                        ("mean_neighbors", mean_neighbors), ("area_side", area_side)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     density = expected_nodes / area_side**2
     radius = math.sqrt(mean_neighbors / (math.pi * density))
     if radius > area_side / 2:
@@ -283,23 +260,27 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
 
     Fading is off: neighborhood membership is then purely geometric and
     the neighbor lists come from a radius query instead of a dense gain
-    matrix.  Each receiver's reading comes from _reading(), as in
-    observe_discovery.  Elimination calls survivors() once per block of
+    matrix.  Each receiver's record comes from channels.receive() and
+    its quiet slots from observed_quiet(), as in observe_discovery and
+    eliminate.  Elimination calls survivors() once per block of
     receivers; its float32 hit counts are exact.
 
-    `threshold` (energy mode) defaults to a quarter of the
-    boundary-neighbor energy, the tuned operating point for 20 dB; that
-    scales with noise_var, so a noiseless energy run must set it.
+    `threshold` is an energy-mode setting and defaults to a quarter of
+    the boundary-neighbor energy, the tuned operating point for 20 dB;
+    that scales with noise_var, so a noiseless energy run must set it.
     Returns an ExperimentReport.
     """
     if topology.fading_model != "none":
         raise ValueError("the vectorized experiment assumes fading off")
     n = topology.num_nodes
-    snr_linear = topology.neighbor_threshold
+    if mode not in (OR_NOISELESS, ENERGY):
+        raise ValueError(f"unknown discovery mode {mode!r}")
+    if mode == OR_NOISELESS and threshold is not None:
+        raise ValueError("a threshold applies to energy mode only")
     if threshold is None:
         if mode == ENERGY and noise_var == 0:
             raise ValueError("a noiseless energy run needs an explicit threshold")
-        threshold = snr_linear * noise_var / 4.0 if mode == ENERGY else 0.0
+        threshold = topology.neighbor_threshold * noise_var / 4.0 if mode == ENERGY else 0.0
 
     nbr_lists = neighbor_lists(topology, radius)
     book = signatures.reconstruct_book(range(n), q, num_slots,
@@ -319,8 +300,8 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
             if mode == ENERGY:
                 dist = topology._distance(topology.positions[nbrs], topology.positions[k])
                 gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
-            reading = _reading(masks, k, nbrs, gains, mode, noise_var, seed)
-            quiet[row] = quiet_slots(masks[k] == 0, reading, mode, threshold)
+            record = receive(masks[k], masks[nbrs], gains, noise_var, _noise_seed(seed, k))
+            quiet[row] = observed_quiet(record, threshold)[0]
         alive = survivors(masks_f, quiet)
         for row, k in enumerate(chunk):
             nbrs = nbr_lists[k]

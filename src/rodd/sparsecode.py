@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discovery, signatures
+from .channels import receive
 
 DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
@@ -127,9 +128,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         sent = all_masks[np.arange(num_nodes) * mu + msgs]
         quiet = np.zeros((num_nodes, num_slots), dtype=np.float32)
         for k in range(num_nodes):
-            busy = discovery._reading(sent, k, others[k], None, discovery.OR_NOISELESS,
-                                      0.0, None)
-            quiet[k] = discovery.quiet_slots(sent[k] == 0, busy, discovery.OR_NOISELESS)
+            quiet[k] = discovery.observed_quiet(receive(sent[k], sent[others[k]]))[0]
         alive = discovery.survivors(all_masks_f, quiet).reshape(num_nodes, mu, num_nodes)
         for k in range(num_nodes):
             for j in range(num_nodes):

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rodd import channels, model, signatures
 
@@ -146,3 +151,55 @@ def test_masked_slots_do_not_count_against_power():
 def test_dump_format():
     obs = channels.or_channel(_mask([1, 0]), [(_mask([0, 1], owner=1), [0, 1])])
     assert channels.dump_observation(obs) == "0 E\n1 1\n"
+
+
+def test_noisy_channel_needs_a_seed():
+    # unseeded noise would differ between two identical calls
+    m = 16
+    f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=signatures.derive_mask(0, 0.5, m))
+    with pytest.raises(ValueError, match="seed"):
+        channels.gaussian_mac(0, _unit_gains(2), [f0, None], noise_var=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        channels.receive(np.zeros(m), np.ones((1, m)), np.ones(1), noise_var=1.0)
+
+
+def test_receive_refuses_a_noise_variance_that_is_not_finite():
+    # NaN would skip the noise draw, infinity would swamp every slot
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="noise_var"):
+            channels.receive(np.zeros(4), np.ones((1, 4)), np.ones(1), bad, seed=1)
+
+
+def test_receive_refuses_rows_of_another_length():
+    # a (J, 1) block would otherwise broadcast over the frame
+    with pytest.raises(ValueError, match="shape"):
+        channels.receive(np.zeros(3), np.ones((2, 1)), np.ones(2))
+    with pytest.raises(ValueError, match="shape"):
+        channels.receive(np.zeros(3), np.ones(3, dtype=np.uint8))
+
+
+@st.composite
+def _linear_frames(draw):
+    rows, m = draw(st.integers(0, 14)), draw(st.integers(1, 12))
+    signals = draw(arrays(np.float64, (rows, m), elements=st.floats(-1e12, 1e12)))
+    gains = draw(arrays(np.float64, rows, elements=st.floats(0.0, 1e6)))
+    own = draw(arrays(np.uint8, m, elements=st.integers(0, 1)))
+    return own, signals, gains
+
+
+@settings(max_examples=80, deadline=None)
+@given(frame=_linear_frames())
+# one slot, 12 rows: numpy's pairwise sum gathers the small terms before
+# adding them to the large one, a left fold absorbs each in turn
+@example(frame=(np.zeros(1, np.uint8), np.array([[1.0]] + [[1e-16]] * 11), np.ones(12)))
+def test_receive_sums_rows_as_a_left_fold(frame):
+    own, signals, gains = frame
+    obs = channels.receive(own, signals, gains)
+    expect = [0.0] * own.shape[0]
+    for g, row in zip(gains.tolist(), signals.tolist()):
+        for m, x in enumerate(row):
+            expect[m] += math.sqrt(g) * x
+    expect = [0.0 if on else v for on, v in zip(own, expect)]
+    assert isinstance(obs, channels.RealFrameObservation)
+    assert np.array_equal(obs.erased, own.astype(bool))
+    assert obs.values.tobytes() == np.array(expect).tobytes()

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,8 @@ def test_parse_grid_rejects_garbage():
         cli.parse_grid("a:b:c")
     with pytest.raises(cli.UsageError):
         cli.parse_q_grid("0:0.9:0.1")
+    with pytest.raises(cli.UsageError, match="empty grid"):
+        cli.parse_grid(",")
 
 
 def test_fig2_row_count_and_determinism(tmp_path):
@@ -148,6 +154,43 @@ def test_noiseless_energy_discovery_needs_a_threshold(tmp_path, capsys):
     assert run(*argv, "--threshold", "1") == 0
     aggregate = out.read_text().strip().split("\n")[-1].split(",")
     assert aggregate[4:] == ["0", "1"]     # no false alarm, accuracy 1
+
+
+def test_discover_rejects_thresholds_the_quiet_rule_cannot_use(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    net = ["discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
+           "--area", "300", "--seed", "1", "--receivers", "3", "--out", str(out)]
+    for flags, message in ((["--mode", "energy", "--threshold", "-1"], "nonnegative"),
+                           (["--mode", "energy", "--threshold-sweep", "10,nan"],
+                            "nonnegative"),
+                           (["--mode", "energy", "--threshold-sweep", ","], "empty grid"),
+                           (["--mode", "or", "--threshold", "5"], "energy mode")):
+        assert run(*net, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,name", [(["--n", "0"], "expected_nodes"),
+                                        (["--n", "-5"], "expected_nodes"),
+                                        (["--neighbors", "-1"], "mean_neighbors"),
+                                        (["--area", "0"], "area_side")])
+def test_discover_rejects_nonpositive_network_sizes(tmp_path, capsys, flags, name):
+    assert run("discover", "--seed", "1", *flags, "--out", str(tmp_path / "x")) == 2
+    assert f"{name} must be positive" in capsys.readouterr().err
+
+
+def test_energy_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # amplitudes are summed in row order, not by BLAS, so a one-thread
+    # run reproduces the golden digest of the energy threshold sweep
+    from test_golden import GOLDEN
+    argv, expected = next((a, h) for name, a, h in GOLDEN if name == "discover-sweep")
+    out = tmp_path / "sweep.csv"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "rodd.cli", *argv, "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    assert digest(out) == expected
 
 
 def test_out_dash_writes_the_csv_to_stdout_and_the_summary_to_stderr(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodd import channels, discovery, model, signatures
+from rodd import channels, discovery, model, signatures, sparsecode
 from rodd.model import LinkGains
 
 
@@ -32,7 +32,7 @@ def test_single_neighbor_observation_is_its_signature():
     book = _book(3)
     obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
     assert np.array_equal(obs.values[~obs.erased], book[1].bits[~obs.erased])
-    # energy mode records the linear channel's amplitude; quiet_slots squares it
+    # energy mode records the linear channel's amplitude; observed_quiet squares it
     amp = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
                                       neighbor_threshold=1.0, noise_var=0.0)
     assert isinstance(amp, channels.RealFrameObservation)
@@ -170,6 +170,66 @@ def test_eliminate_reads_either_channel_record():
         got = discovery.eliminate(real_obs, book[k], book, threshold=1e-6)
         assert got.estimated == discovery.eliminate(or_obs, book[k], book).estimated
         assert got.slots_used == m
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), q=st.floats(0.02, 0.6),
+       m=st.integers(1, 150), noise_var=st.sampled_from([0.0, 0.5, 10.0]))
+def test_energy_observation_is_gaussian_mac_with_unit_symbols(seed, n, q, m, noise_var):
+    # the op-level record equals the Gaussian channel's, noise stream included;
+    # unequal gains make the summation order visible in the last bits
+    _, book = _random_instance(seed, n, q, m)
+    gamma = np.random.default_rng(seed).uniform(0.5, 50.0, (n, n))
+    np.fill_diagonal(gamma, 0.0)
+    gains = LinkGains(gamma=gamma)
+    frames = [channels.TransmitFrame(symbols=np.ones(m), mask=book[j]) for j in range(n)]
+    for k in range(n):
+        got = discovery.observe_discovery(k, gains, book, discovery.ENERGY,
+                                          neighbor_threshold=1.0, noise_var=noise_var,
+                                          seed=seed)
+        ref = channels.gaussian_mac(k, gains, frames, noise_var,
+                                    seed=(seed, discovery._NOISE_SALT, k),
+                                    neighbor_threshold=1.0)
+        assert isinstance(got, channels.RealFrameObservation)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert np.array_equal(got.erased, ref.erased)
+
+
+def test_quiet_rule_refuses_a_negative_or_nan_threshold():
+    # one check in observed_quiet guards eliminate, decode and the experiment
+    gains, book = _random_instance(2, n=6, m=80)
+    obs = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
+                                      neighbor_threshold=1.0, noise_var=0.5, seed=4)
+    topo, radius = discovery.poisson_discovery_topology(
+        200, 6.0, seed=1, area_side=300.0, torus=True)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            discovery.observed_quiet(obs, bad)
+        with pytest.raises(ValueError, match="threshold"):
+            discovery.eliminate(obs, book[0], book, threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            sparsecode.decode(obs, book, [1], threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            discovery.run_discovery_experiment(topo, radius, 300, 0.1, discovery.ENERGY,
+                                               threshold=bad, seed=1, receivers=[0])
+
+
+def test_threshold_is_an_energy_mode_setting():
+    # the OR quiet rule never reads a threshold, so setting one is an error
+    topo, radius = discovery.poisson_discovery_topology(
+        200, 6.0, seed=1, area_side=300.0, torus=True)
+    with pytest.raises(ValueError, match="energy mode"):
+        discovery.run_discovery_experiment(topo, radius, 300, 0.1, discovery.OR_NOISELESS,
+                                           threshold=5.0, seed=1, receivers=[0])
+
+
+@pytest.mark.parametrize("name", ["expected_nodes", "mean_neighbors", "area_side"])
+@pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
+def test_topology_sizes_must_be_positive(name, bad):
+    args = dict(expected_nodes=200, mean_neighbors=6.0, area_side=300.0, seed=1)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        discovery.poisson_discovery_topology(**args)
 
 
 def test_threshold_sweep_trades_misses_for_false_alarms():
