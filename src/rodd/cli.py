@@ -30,13 +30,15 @@ def parse_grid(text):
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise UsageError(f"grid bounds and step must be finite in {text!r}")
             if step <= 0:
                 raise UsageError(f"grid step must be positive in {text!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             grid = [start + i * step for i in range(count)]
         else:
             grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"cannot parse grid {text!r}: {exc}") from None
     if not grid:
         raise UsageError(f"empty grid {text!r}")

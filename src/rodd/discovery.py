@@ -14,6 +14,7 @@ frame and a frame is received iff exactly one neighbor transmitted.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,7 +26,7 @@ OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
-_EXACT_SLOTS = 1 << 24
+_WORD_BITS = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -64,19 +65,61 @@ def _noise_seed(seed, receiver):
     return None if seed is None else (seed, _NOISE_SALT, int(receiver))
 
 
-def survivors(masks, quiet):
-    """The elimination kernel (COMP): (R, B) bool, True iff row r of the
-    (R, M) `masks` has no on-bit in a quiet slot of row b of (B, M) `quiet`.
+class OnSlots(NamedTuple):
+    """CSR index of the on-bits of an (R, M) 0/1 matrix: the on-slots of
+    row r are slots[starts[r]:starts[r + 1]], in ascending order."""
 
-    Hits are counted in one float32 product (float32 masks are not
-    copied); the counts are exact only while M < 2**24, so longer frames
-    are refused.
+    starts: np.ndarray   # (R + 1,) int64
+    slots: np.ndarray    # (number of on-bits,) int64
+    num_slots: int       # M
+
+
+def on_slots(masks):
+    """The OnSlots index of the (R, M) 0/1 matrix `masks`."""
+    masks = np.asarray(masks, dtype=np.uint8)
+    if masks.ndim != 2:
+        raise ValueError(f"masks must be a matrix, got shape {masks.shape}")
+    # a uint8 book read as bool: no temporary of the book's size
+    rows, slots = np.divmod(np.flatnonzero(masks.view(bool)), masks.shape[1])
+    starts = np.zeros(masks.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=masks.shape[0]), out=starts[1:])
+    return OnSlots(starts, slots, masks.shape[1])
+
+
+def survivors(index, quiet):
+    """The elimination kernel (COMP): (R, B) bool, True iff row r of the
+    matrix behind the on_slots() `index` has no on-bit in a quiet slot of
+    row b of the (B, M) bool `quiet`.
+
+    Receivers are packed 64 to a word: bit j of word m of a group is
+    quiet[64 * group + j, m].  A row's hits for the group are the OR of
+    the words at its on-slots, one np.bitwise_or.reduceat over the index,
+    and the row survives for receiver j iff bit j of that OR is 0.  Rows
+    without an on-bit always survive.  Integer ORs are exact at any frame
+    length, and the working set is one word per on-bit.
     """
-    masks = np.asarray(masks)
-    if masks.shape[-1] >= _EXACT_SLOTS:
-        raise ValueError(f"frames of {masks.shape[-1]} slots exceed the "
-                         f"{_EXACT_SLOTS}-slot exactness bound of float32 counts")
-    return masks.astype(np.float32, copy=False) @ np.asarray(quiet, np.float32).T == 0
+    starts, slots, num_slots = index
+    quiet = np.asarray(quiet, dtype=bool)
+    if quiet.ndim != 2 or quiet.shape[1] != num_slots:
+        raise ValueError(f"quiet rows of shape {quiet.shape} do not match "
+                         f"{num_slots}-slot masks")
+    b = quiet.shape[0]
+    alive = np.ones((len(starts) - 1, b), dtype=bool)
+    # reduceat would give an empty segment the next segment's first word
+    lit = np.flatnonzero(np.diff(starts))
+    if lit.size == 0 or b == 0:
+        return alive
+    segments = starts[lit]
+    groups = range(0, b, _WORD_BITS)
+    hits = np.empty((lit.size, len(groups)), dtype="<u8")
+    for g, first in enumerate(groups):
+        packed = np.packbits(quiet[first:first + _WORD_BITS], axis=0, bitorder="little")
+        word = np.zeros((num_slots, _WORD_BITS // 8), dtype=np.uint8)
+        word[:, :len(packed)] = packed.T
+        hits[:, g] = np.bitwise_or.reduceat(word.view("<u8")[:, 0][slots], segments)
+    alive[lit] = np.unpackbits(hits.view(np.uint8), axis=1, count=b,
+                               bitorder="little") == 0
+    return alive
 
 
 def observed_quiet(observation, threshold=0.0):
@@ -101,7 +144,7 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
     masks = book.bits[[book.row(nia) for nia in nias]]
-    alive = survivors(masks, observed_quiet(observation, threshold))[:, 0]
+    alive = survivors(on_slots(masks), observed_quiet(observation, threshold))[:, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
                            slots_used=observation.length)
@@ -219,8 +262,9 @@ def neighbor_lists(topology, radius):
     """
     tree = cKDTree(topology.positions,
                    boxsize=topology.area_side if topology.torus else None)
-    raw = tree.query_ball_point(topology.positions, radius)
-    return [np.array(sorted(set(l) - {k}), dtype=np.int64) for k, l in enumerate(raw)]
+    raw = tree.query_ball_point(topology.positions, radius, return_sorted=True)
+    lists = [np.array(l, dtype=np.int64) for l in raw]
+    return [l[l != k] for k, l in enumerate(lists)]
 
 
 def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
@@ -237,6 +281,8 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
                         ("mean_neighbors", mean_neighbors), ("area_side", area_side)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     density = expected_nodes / area_side**2
     radius = math.sqrt(mean_neighbors / (math.pi * density))
     if radius > area_side / 2:
@@ -262,8 +308,9 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     the neighbor lists come from a radius query instead of a dense gain
     matrix.  Each receiver's record comes from channels.receive() and
     its quiet slots from observed_quiet(), as in observe_discovery and
-    eliminate.  Elimination calls survivors() once per block of
-    receivers; its float32 hit counts are exact.
+    eliminate.  The on_slots() index of the book is built once; elimination
+    calls survivors() on it once per `block` of receivers, and each block's
+    records are counted from its (N, block) survivor matrix.
 
     `threshold` is an energy-mode setting and defaults to a quarter of
     the boundary-neighbor energy, the tuned operating point for 20 dB;
@@ -286,7 +333,7 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
     book = signatures.reconstruct_book(range(n), q, num_slots,
                                        signatures.DISCOVERY_TAG)
     masks = book.matrix()                      # (N, M) uint8
-    masks_f = masks.astype(np.float32)
+    index = on_slots(masks)
 
     receivers = np.arange(n) if receivers is None else np.asarray(receivers, np.int64)
 
@@ -294,7 +341,7 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
                               threshold=threshold)
     for start in range(0, len(receivers), block):
         chunk = receivers[start:start + block]
-        quiet = np.zeros((len(chunk), num_slots), dtype=np.float32)
+        quiet = np.zeros((len(chunk), num_slots), dtype=bool)
         for row, k in enumerate(chunk):
             nbrs, gains = nbr_lists[k], None
             if mode == ENERGY:
@@ -302,16 +349,16 @@ def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, 
                 gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
             record = receive(masks[k], masks[nbrs], gains, noise_var, _noise_seed(seed, k))
             quiet[row] = observed_quiet(record, threshold)[0]
-        alive = survivors(masks_f, quiet)
-        for row, k in enumerate(chunk):
-            nbrs = nbr_lists[k]
-            survive = alive[:, row]
-            est_count = int(survive.sum()) - 1          # own mask always survives
-            misses = int(nbrs.size - survive[nbrs].sum())
-            fa = est_count - (nbrs.size - misses)
-            if nbrs.size:
-                acc = max(0.0, 1.0 - (misses + fa) / nbrs.size)
-            else:
-                acc = None
-            report.records.append((int(k), int(nbrs.size), est_count, misses, fa, acc))
+        alive = survivors(index, quiet)
+        # each receiver's neighbors, flattened, with the column of their receiver
+        sizes = np.array([nbr_lists[k].size for k in chunk], dtype=np.int64)
+        column = np.repeat(np.arange(len(chunk)), sizes)
+        nbrs = np.concatenate([nbr_lists[k] for k in chunk])
+        found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
+        est = alive.sum(axis=0) - 1                  # own mask always survives
+        for k, size, est_count, hit in zip(chunk.tolist(), sizes.tolist(),
+                                           est.tolist(), found.tolist()):
+            misses, fa = size - hit, est_count - hit
+            acc = max(0.0, 1.0 - (misses + fa) / size) if size else None
+            report.records.append((k, size, est_count, misses, fa, acc))
     return report

@@ -23,6 +23,9 @@ DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
 ELIMINATED_ALL = "eliminated_all"
 
+# Trials are batched so that one survivors() call screens about this many receivers.
+_RECEIVERS_PER_CALL = 256
+
 
 # The message book is the one signature book with mu > 1.
 MessageBook = signatures.SignatureBook
@@ -59,7 +62,8 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     ELIMINATED_ALL rather than papered over.
     """
     quiet = discovery.observed_quiet(observation, threshold)
-    return {nia: _outcome(discovery.survivors(book.node_matrix(nia), quiet)[:, 0])
+    return {nia: _outcome(discovery.survivors(discovery.on_slots(book.node_matrix(nia)),
+                                              quiet)[:, 0])
             for nia in neighbor_list}
 
 
@@ -111,34 +115,49 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     One signature book per run (NIAs disjoint across seeds); each trial
     draws fresh uniform messages and decodes every (receiver, neighbor)
     pair.  Each receiver hears every other node, so its busy slots are
-    the OR of the other sent masks; elimination screens all mu*K
-    candidates against all K receivers in one survivors() call.
+    the OR of the other sent masks.  The on_slots() index of the book is
+    built once; one survivors() call screens all mu*K candidates against
+    the K receivers of a batch of trials, and every pair's outcome follows
+    from its survivor count and first survivor, as in _outcome.
     """
     nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots)
     all_masks = book.matrix()                     # (K*mu, M) uint8
-    all_masks_f = all_masks.astype(np.float32)
-    others = [np.delete(np.arange(num_nodes), k) for k in range(num_nodes)]
+    index = discovery.on_slots(all_masks)
+    ids = np.arange(num_nodes)
+    others = [np.delete(ids, k) for k in ids]
+    # the (receiver k, neighbor j) pairs in record order, k != j
+    pairs = ~np.eye(num_nodes, dtype=bool)
+    ks, js = (a.tolist() for a in np.nonzero(pairs))
+    by_count = np.array([ELIMINATED_ALL, DECODED, AMBIGUOUS], dtype=object)
+    batch = max(1, _RECEIVERS_PER_CALL // num_nodes)
 
     rng = np.random.default_rng((seed, 0x5C0DE))
     report = SparseCodeReport()
     s = report.summary
-    for t in range(trials):
-        msgs = rng.integers(0, mu, size=num_nodes)
-        sent = all_masks[np.arange(num_nodes) * mu + msgs]
-        quiet = np.zeros((num_nodes, num_slots), dtype=np.float32)
-        for k in range(num_nodes):
-            quiet[k] = discovery.observed_quiet(receive(sent[k], sent[others[k]]))[0]
-        alive = discovery.survivors(all_masks_f, quiet).reshape(num_nodes, mu, num_nodes)
-        for k in range(num_nodes):
-            for j in range(num_nodes):
-                if j == k:
-                    continue
-                out, true_msg = _outcome(alive[j, :, k]), int(msgs[j])
-                s.pairs += 1
-                s.miss_violations += true_msg not in out.candidates
-                s.eliminated_all += out.status == ELIMINATED_ALL
-                s.ambiguous += out.status == AMBIGUOUS
-                s.decoded_correct += out.message == true_msg
-                report.records.append((t, k, j, out.status, true_msg, out.message))
+    for start in range(0, trials, batch):
+        ts = np.arange(start, min(start + batch, trials))
+        msgs = np.array([rng.integers(0, mu, size=num_nodes) for _ in ts])
+        quiet = np.zeros((len(ts), num_nodes, num_slots), dtype=bool)
+        for i, sent in enumerate(all_masks[ids * mu + msgs]):
+            for k in ids:
+                quiet[i, k] = discovery.observed_quiet(receive(sent[k], sent[others[k]]))[0]
+        # alive[j, m, i, k]: message m of node j survives at receiver k in trial ts[i]
+        alive = discovery.survivors(index, quiet.reshape(-1, num_slots)).reshape(
+            num_nodes, mu, len(ts), num_nodes)
+        # per (trial, pair) arrays, pairs in record order
+        count = alive.sum(axis=1).transpose(1, 2, 0)[:, pairs]
+        first = alive.argmax(axis=1).transpose(1, 2, 0)[:, pairs]
+        kept = alive[ids, msgs, np.arange(len(ts))[:, None]].transpose(0, 2, 1)[:, pairs]
+        true_msg = msgs[:, js]
+        decoded = count == 1
+        s.pairs += count.size
+        s.miss_violations += int(np.count_nonzero(~kept))
+        s.eliminated_all += int(np.count_nonzero(count == 0))
+        s.ambiguous += int(np.count_nonzero(count > 1))
+        s.decoded_correct += int(np.count_nonzero(decoded & (first == true_msg)))
+        report.records.extend(zip(
+            np.repeat(ts, len(ks)).tolist(), ks * len(ts), js * len(ts),
+            by_count[np.minimum(count, 2)].ravel().tolist(), true_msg.ravel().tolist(),
+            np.where(decoded, first, None).ravel().tolist()))
     return report

@@ -65,6 +65,20 @@ def test_fig2_empty_grid_is_usage_error(tmp_path):
     assert run("fig2", "--q", "0.9:0.1:0.1", "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("grid", ["0.1:inf:0.1", "-inf:0.5:0.1", "0.1:0.5:inf",
+                                  "0.1:nan:0.1"])
+def test_fig2_non_finite_grid_is_usage_error(tmp_path, capsys, grid):
+    assert run("fig2", f"--q={grid}", "--out", str(tmp_path / "x")) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_discover_nan_snr_is_usage_error(tmp_path, capsys):
+    assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
+               "--area", "300", "--seed", "1", "--receivers", "3", "--snr-db", "nan",
+               "--out", str(tmp_path / "x")) == 2
+    assert "snr_db" in capsys.readouterr().err
+
+
 def test_fig3_writes_gamma_column(tmp_path):
     out = tmp_path / "fig3.csv"
     assert run("fig3", "--gamma-db", "20", "--K", "3,5", "--q", "0.1:0.9:0.2",

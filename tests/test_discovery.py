@@ -78,22 +78,31 @@ def _reference_survivors(masks, quiet):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(0, 12), receivers=st.integers(0, 5), m=st.integers(1, 60),
-       density=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
-def test_survivors_matches_reference(rows, receivers, m, density, seed):
+@given(rows=st.integers(0, 12), receivers=st.integers(0, 130), m=st.integers(1, 60),
+       density=st.floats(0.0, 1.0), blank=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_survivors_matches_reference(rows, receivers, m, density, blank, seed):
+    # receivers span several 64-bit words, the last one ragged; a `blank`
+    # share of the rows have no on-bit and must survive everywhere
     rng = np.random.default_rng(seed)
     masks = (rng.random((rows, m)) < density).astype(np.uint8)
+    masks[rng.random(rows) < blank] = 0
     quiet = rng.random((receivers, m)) < density
-    got = discovery.survivors(masks, quiet)
+    got = discovery.survivors(discovery.on_slots(masks), quiet)
     assert got.dtype == bool
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
 
-def test_survivors_refuses_frames_past_float32_exactness():
-    # zero rows: the check fires before anything of size 2**24 is allocated
-    masks = np.zeros((0, 2**24), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        discovery.survivors(masks, masks)
+def test_survivors_is_exact_past_2_to_the_24_slots():
+    m = 2**24 + 1
+    masks = np.zeros((2, m), dtype=np.uint8)
+    masks[0, [3, m - 1]] = 1
+    masks[1, [5, m - 2]] = 1
+    quiet = np.zeros((1, m), dtype=bool)
+    quiet[0, m - 1] = True
+    got = discovery.survivors(discovery.on_slots(masks), quiet)
+    assert np.array_equal(got, _reference_survivors(masks, quiet))
+    assert got.tolist() == [[False], [True]]
 
 
 def _random_instance(seed, n=12, q=0.15, m=150, p_neighbor=0.3):
@@ -232,6 +241,13 @@ def test_topology_sizes_must_be_positive(name, bad):
         discovery.poisson_discovery_topology(**args)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_topology_snr_must_be_finite(bad):
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        discovery.poisson_discovery_topology(200, 6.0, seed=1, area_side=300.0,
+                                             snr_db=bad)
+
+
 def test_threshold_sweep_trades_misses_for_false_alarms():
     gains, book = _random_instance(2, n=10, m=200)
     k = 0
@@ -332,6 +348,10 @@ def _assert_experiment_matches_op_level_path(mode, noise_var):
         60, 6.0, seed=5, area_side=100.0, snr_db=20.0, torus=True)
     rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
                                              noise_var=noise_var, seed=5)
+    # the receiver blocks only group the work: ragged blocks give the same records
+    assert discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
+                                              noise_var=noise_var, seed=5,
+                                              block=7).records == rep.records
     gains = model.link_gains(topo)
     book = signatures.reconstruct_book(range(topo.num_nodes), 0.1, 300)
     tau = topo.neighbor_threshold

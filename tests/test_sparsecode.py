@@ -134,14 +134,23 @@ def test_longer_frames_only_help():
 
 
 def test_experiment_matches_op_level_decode():
-    num_nodes, mu, q, m, seed = 4, 8, 0.15, 150, 6
-    rep = sparsecode.run_sparsecode_experiment(num_nodes, mu, q, m, trials=3,
+    # 70 trials of 4 receivers span a full batch of survivors() and a ragged
+    # one; at M = 40 about 1 pair in 8 is ambiguous
+    for m in (150, 40):
+        _assert_experiment_matches_decode(m)
+
+
+def _assert_experiment_matches_decode(m):
+    num_nodes, mu, q, seed, trials = 4, 8, 0.15, 6, 70
+    rep = sparsecode.run_sparsecode_experiment(num_nodes, mu, q, m, trials=trials,
                                                seed=seed)
+    records = {r[:3]: r for r in rep.records}
+    assert len(records) == len(rep.records) == trials * num_nodes * (num_nodes - 1)
     # replay with the op-level path: same NIAs, same message stream
     nias = [seed * (1 << 32) + i for i in range(num_nodes)]
     book = sparsecode.build_message_book(nias, mu, q, m)
     rng = np.random.default_rng((seed, 0x5C0DE))
-    for trial in range(3):
+    for trial in range(trials):
         msgs = rng.integers(0, mu, size=num_nodes)
         sent = {i: sparsecode.encode(book, nias[i], int(msgs[i]))
                 for i in range(num_nodes)}
@@ -150,11 +159,10 @@ def test_experiment_matches_op_level_decode():
             obs = _or_observation(sent[k], [sent[i] for i in nbr_idx])
             out = sparsecode.decode(obs, book, [nias[i] for i in nbr_idx])
             for i in nbr_idx:
-                rec = next(r for r in rep.records
-                           if r[0] == trial and r[1] == k and r[2] == i)
+                rec = records[trial, k, i]
+                assert rec[4] == msgs[i]
                 assert rec[3] == out[nias[i]].status
-                if rec[3] == sparsecode.DECODED:
-                    assert rec[5] == out[nias[i]].message
+                assert rec[5] == out[nias[i]].message       # None unless decoded
 
 
 def test_experiment_summary_and_csv():
