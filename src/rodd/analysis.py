@@ -295,6 +295,8 @@ def asymmetric_rate_bound(gains, q, k):
     """
     q = np.asarray(q, dtype=np.float64)
     K = gains.num_nodes
+    if K < 2:
+        raise ValueError(f"the bound needs a listener besides node k: K={K} < 2")
     if q.shape != (K,):
         raise ValueError(f"need one q per node, got shape {q.shape} for K={K}")
     if np.any((q <= 0) | (q >= 1)):

@@ -110,16 +110,18 @@ class LinkGains:
     """Dense per-pair SNR matrix; gamma[k][j] is the gain from j at receiver k.
 
     Diagonal entries are meaningless and left at zero; no consumer reads
-    them.
+    them.  Off-diagonal gains must be finite and nonnegative.
     """
 
-    gamma: np.ndarray  # (K, K), nonnegative
+    gamma: np.ndarray  # (K, K), finite and nonnegative off the diagonal
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         if self.gamma.ndim != 2 or self.gamma.shape[0] != self.gamma.shape[1]:
             raise ValueError("gamma must be a square matrix")
         off_diag = self.gamma[~np.eye(self.gamma.shape[0], dtype=bool)]
+        if not np.all(np.isfinite(off_diag)):
+            raise ValueError("link gains must be finite")
         if np.any(off_diag < 0):
             raise ValueError("link gains must be nonnegative")
 

@@ -12,6 +12,7 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 64-bit Philox output for that key.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,15 @@ MESSAGE_TAG_BASE = 1
 
 
 def _mask_key(nia, domain_tag):
-    if not (0 <= nia < _MAX_KEY_PART):
-        raise ValueError(f"nia must be an unsigned 64-bit integer, got {nia}")
-    if not (0 <= domain_tag < _MAX_KEY_PART):
-        raise ValueError(f"domain_tag must be an unsigned 64-bit integer, got {domain_tag}")
-    return (domain_tag << 64) | nia
+    """Philox key words [nia, domain_tag]: the 128-bit key (domain_tag << 64) | nia."""
+    for name, part in (("nia", nia), ("domain_tag", domain_tag)):
+        try:
+            ok = 0 <= operator.index(part) < _MAX_KEY_PART
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {part!r}")
+    return np.array([nia, domain_tag], dtype=np.uint64)
 
 
 def _seeded_nias(seed, count):
@@ -84,14 +89,10 @@ def derive_mask(nia, q, num_slots, domain_tag=DISCOVERY_TAG):
     """Derive the on-off mask of `nia` for a frame of `num_slots` slots.
 
     Deterministic: the same (nia, q, num_slots, domain_tag) yields a
-    bit-identical mask on every platform and in every process.
+    bit-identical mask on every platform and in every process.  The mask
+    is the row of a one-NIA book.
     """
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
-    thr = _on_threshold(q)
-    words = Philox(key=_mask_key(nia, domain_tag)).random_raw(num_slots)
-    bits = (words < np.uint64(thr)).astype(np.uint8)
-    return DuplexMask(bits=bits, owner=nia, q=q)
+    return _derive_book([nia], q, num_slots, domain_tag, mu=1)[nia]
 
 
 def derive_bit(nia, q, slot, domain_tag=DISCOVERY_TAG):
@@ -172,12 +173,24 @@ class SignatureBook:
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):
-    """Book of `mu` masks per NIA; message m of every NIA uses tag tag_base + m."""
+    """Book of `mu` masks per NIA; message m of every NIA uses tag tag_base + m.
+
+    The only code that turns keys into mask bits.  One Philox is re-keyed
+    per mask: counter 0 and an empty buffer, the state Philox(key=k)
+    starts in, so each row is written in place without a new generator.
+    """
+    thr = np.uint64(_on_threshold(q))
+    if num_slots < 1:
+        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
     nias = list(nias)
     bits = np.empty((len(nias) * mu, num_slots), dtype=np.uint8)
+    gen = Philox(key=0)
+    fresh = gen.state
     for i, nia in enumerate(nias):
         for m in range(mu):
-            bits[i * mu + m] = derive_mask(nia, q, num_slots, tag_base + m).bits
+            fresh["state"]["key"] = _mask_key(nia, tag_base + m)
+            gen.state = fresh
+            np.less(gen.random_raw(num_slots), thr, out=bits[i * mu + m].view(bool))
     return SignatureBook(nias=nias, q=q, bits=bits, mu=mu)
 
 

@@ -120,6 +120,11 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     the K receivers of a batch of trials, and every pair's outcome follows
     from its survivor count and first survivor, as in _outcome.
     """
+    if num_nodes < 2:
+        raise ValueError(f"num_nodes must be >= 2 (a receiver and a neighbor), "
+                         f"got {num_nodes}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots)
     all_masks = book.matrix()                     # (K*mu, M) uint8

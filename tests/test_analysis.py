@@ -259,6 +259,12 @@ def test_asym_bound_vanishes_when_a_listener_never_listens():
     assert analysis.asymmetric_rate_bound(gains, q, 0) < 1e-7
 
 
+def test_asym_bound_needs_a_listener():
+    gains = LinkGains(gamma=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="K=1"):
+        analysis.asymmetric_rate_bound(gains, np.array([0.3]), 0)
+
+
 def test_asym_bound_node_cap():
     K = 26
     gains = LinkGains(gamma=np.ones((K, K)) - np.eye(K))

@@ -233,6 +233,20 @@ def test_sparsecode_determinism(tmp_path):
     assert out.read_text().startswith("trial,receiver,neighbor,outcome")
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--K", "0", "num_nodes"), ("--K", "1", "num_nodes"),
+    ("--trials", "0", "trials"), ("--trials", "-2", "trials"),
+])
+def test_sparsecode_without_pairs_is_usage_error(tmp_path, capsys, flag, value, name):
+    flags = {"--K": "4", "--mu": "4", "--q": "0.2", "--M": "64", "--trials": "2",
+             "--seed": "1", flag: value}
+    out = tmp_path / "s.csv"
+    argv = [tok for item in flags.items() for tok in item]
+    assert run("sparsecode", *argv, "--out", str(out)) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_check_exit_codes(tmp_path):
     out = tmp_path / "v.csv"
     assert run("validate", "--seed", "3", "--M", "20000", "--check",
@@ -259,6 +273,20 @@ def test_asym_rejects_ragged_matrix(tmp_path):
     gains.write_text("0 1\n1\n", encoding="utf-8")
     assert run("asym", "--gains-file", str(gains), "--out",
                str(tmp_path / "x")) == 2
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ("0\n", "K=1"),                   # one node: no listener to bound against
+    ("0 nan\n1 0\n", "finite"),
+    ("0 inf\n1 0\n", "finite"),
+])
+def test_asym_refuses_gains_it_cannot_bound(tmp_path, capsys, matrix, message):
+    gains = tmp_path / "gains.txt"
+    gains.write_text(matrix, encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert run("asym", "--gains-file", str(gains), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_asym_q_count_mismatch(tmp_path):

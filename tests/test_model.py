@@ -101,6 +101,14 @@ def test_neighbor_relation_may_be_non_reciprocal():
     assert 0 not in model.neighbors(g, 1, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_link_gains_must_be_finite_off_the_diagonal(bad):
+    with pytest.raises(ValueError, match="finite"):
+        model.LinkGains(gamma=np.array([[0.0, bad], [1.0, 0.0]]))
+    # the diagonal is never read, so it is not checked
+    assert model.LinkGains(gamma=np.array([[bad, 1.0], [1.0, 0.0]])).num_nodes == 2
+
+
 def test_neighbors_never_contain_owner():
     g = model.LinkGains(gamma=np.ones((4, 4)))
     for k in range(4):

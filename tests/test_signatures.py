@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 
-from rodd import signatures
+from rodd import signatures, sparsecode
 
 
 def test_derive_mask_deterministic():
@@ -31,6 +32,39 @@ def test_q_must_be_interior(q):
 def test_bad_slot_count():
     with pytest.raises(ValueError):
         signatures.derive_mask(1, 0.5, 0)
+
+
+@pytest.mark.parametrize("q, m, mu, match", [
+    (1.5, 10, 1, "on-probability"),
+    (0.5, 0, 1, "num_slots"),
+    (0.5, -3, 1, "num_slots"),
+    (2.0, 0, 4, "on-probability"),
+    (0.5, 0, 4, "num_slots"),
+])
+def test_degenerate_books_are_refused(q, m, mu, match):
+    # checked before anything is derived, so an empty NIA list is no way round
+    with pytest.raises(ValueError, match=match):
+        if mu == 1:
+            signatures.reconstruct_book([], q, m)
+        else:
+            sparsecode.build_message_book([], mu, q, m)
+
+
+@pytest.mark.parametrize("nia, tag, name", [
+    (1.5, 0, "nia"),
+    (np.float64(2.0), 0, "nia"),
+    (-1, 0, "nia"),
+    (2**64, 0, "nia"),
+    (3, 0.5, "domain_tag"),
+    (3, 2**64, "domain_tag"),
+])
+def test_keys_must_be_unsigned_64_bit_integers(nia, tag, name):
+    derivations = (lambda: signatures.derive_mask(nia, 0.3, 8, tag),
+                   lambda: signatures.derive_bit(nia, 0.3, 3, tag),
+                   lambda: signatures.reconstruct_book([nia], 0.3, 8, tag))
+    for derive in derivations:
+        with pytest.raises(ValueError, match=f"^{name} must be an unsigned 64-bit"):
+            derive()
 
 
 def test_on_fraction_concentrates():
@@ -64,6 +98,32 @@ def test_single_bit_access_matches_full_derivation(nia, tag, q, m):
     mask = signatures.derive_mask(nia, q, m, domain_tag=tag)
     got = [signatures.derive_bit(nia, q, s, domain_tag=tag) for s in range(m)]
     assert np.array_equal(mask.bits, np.array(got, dtype=np.uint8))
+
+
+def _convention_mask(nia, tag, q, m):
+    """The README convention, written out: Philox-4x64 keyed by
+    (domain_tag << 64) | nia, slot m ON iff word_m < floor(q * 2**64)."""
+    words = Philox(key=(tag << 64) | nia).random_raw(m)
+    return (words < np.uint64(int(q * 2**64))).astype(np.uint8)
+
+
+@settings(max_examples=30, deadline=None)
+@example(nias=[2**64 - 1], tag=2**64 - 1, q=0.5, m=1, mu=1, slot=0)
+@example(nias=[0, 2**64 - 1], tag=2**64 - 1, q=0.09, m=300, mu=4, slot=299)
+@given(nias=st.lists(_KEY_PART, min_size=1, max_size=4, unique=True), tag=_KEY_PART,
+       q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       m=st.integers(1, 300), mu=st.integers(1, 4), slot=st.integers(0, 299))
+def test_derivation_matches_the_written_out_convention(nias, tag, q, m, mu, slot):
+    tag_base = min(tag, 2**64 - mu)      # every tag_base + message stays a 64-bit word
+    book = signatures._derive_book(nias, q, m, tag_base, mu)
+    for i, nia in enumerate(nias):
+        for msg in range(mu):
+            expected = _convention_mask(nia, tag_base + msg, q, m)
+            assert np.array_equal(book.bits[i * mu + msg], expected)
+            mask = signatures.derive_mask(nia, q, m, tag_base + msg)
+            assert np.array_equal(mask.bits, expected)
+            for s in {0, slot % m, m - 1}:
+                assert signatures.derive_bit(nia, q, s, tag_base + msg) == expected[s]
 
 
 def test_on_off_slot_partition():

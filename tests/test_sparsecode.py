@@ -37,6 +37,14 @@ def test_message_tags_do_not_collide_with_discovery():
         assert not np.array_equal(book[(nia, msg)].bits, discovery_mask.bits)
 
 
+@pytest.mark.parametrize("num_nodes, trials, name", [
+    (0, 2, "num_nodes"), (1, 2, "num_nodes"), (4, 0, "trials"), (4, -2, "trials"),
+])
+def test_experiment_refuses_runs_without_pairs(num_nodes, trials, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sparsecode.run_sparsecode_experiment(num_nodes, 4, 0.2, 64, trials, seed=1)
+
+
 def test_decode_constructed_pair():
     bits = [
         [1, 0, 0, 0],   # (1, 0)
