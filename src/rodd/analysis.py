@@ -35,6 +35,9 @@ from scipy.special import gammaln
 GOLDEN_TOL = 1e-9
 WATER_RESIDUAL_REL = 1e-9
 SUBSET_ENUM_MAX_NODES = 25
+# Largest (points x terms) block an objective evaluates at once: memory
+# stays bounded at large K, and each 256 KiB temporary stays in cache.
+_BLOCK_ELEMENTS = 2**15
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,7 +91,7 @@ class SweepTable:
 def h2(p):
     """Binary entropy in bits, with 0*log0 = 0.  Accepts scalars or arrays."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("h2 argument must lie in [0, 1]")
     out = np.zeros_like(p)
     inner = (p > 0) & (p < 1)
@@ -100,17 +103,27 @@ def h2(p):
 def g(x):
     """Gaussian-channel rate function 0.5*log2(1+x), x = SNR (linear)."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("g argument must be nonnegative")
     out = 0.5 * np.log2(1.0 + x)
     return float(out) if out.ndim == 0 else out
 
 
 def _check_kq(K, q):
+    """Refuse a K that is not an integer >= 2 or a q outside (0,1); return K
+    as a Python int, so numpy integer types cannot wrap in later arithmetic."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValueError(f"K must be an integer node count, got {K!r}")
     if K < 2:
         raise ValueError(f"need at least 2 nodes, got K={K}")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly inside (0,1), got {q}")
+    return int(K)
+
+
+def _check_gamma(gamma):
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 def _binomial_weights(top, n, K, q):
@@ -151,44 +164,59 @@ def _golden_section_max(f, lo, hi, tol):
 def _maximize_on_unit_interval(f, tol=GOLDEN_TOL, grid_points=1001):
     """Maximize f over [0,1]: coarse grid to locate the mode, golden refine.
 
+    f takes a scalar or an array of points; the grid is one array call.
     The grid also guards against non-unimodal objectives: refinement is
     confined to a bracket around the global grid maximum, so a spurious
     local mode elsewhere cannot capture the search.
     """
     xs = np.linspace(0.0, 1.0, grid_points)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, grid_points - 1)]
     return _golden_section_max(f, lo, hi, tol)
 
 
+def _or_objective(K, q):
+    """p -> sum_{n=1..K-1} w[n] H2(p^n), at a scalar p or per point of an array.
+
+    A scalar gives a float; an array gives one sum per point, evaluated in
+    blocks of at most _BLOCK_ELEMENTS terms.  Each point's sum is the same
+    float either way.
+    """
+    w = _pattern_weights(K, q)[1:]
+    n = np.arange(1, K)
+    rows = max(1, _BLOCK_ELEMENTS // (K - 1))
+
+    def objective(p):
+        if np.ndim(p) == 0:
+            return float(np.sum(w * h2(p**n)))
+        out = np.empty(len(p))
+        for s in range(0, len(p), rows):
+            out[s:s + rows] = np.sum(w * h2(p[s:s + rows, None] ** n), axis=1)
+        return out
+
+    return objective
+
+
 def or_rate_at_p(K, q, p):
     """Un-maximized OR-channel symmetric rate at silence probability p."""
-    _check_kq(K, q)
+    K = _check_kq(K, q)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
-    w = _pattern_weights(K, q)
-    n = np.arange(1, K)
-    return float(np.sum(w[1:] * h2(p**n)) / (K - 1))
+    return _or_objective(K, q)(p) / (K - 1)
 
 
 def or_symmetric_rate(K, q):
     """Symmetric rate of the OR-channel (signature-independent codes)."""
-    _check_kq(K, q)
-    w = _pattern_weights(K, q)
-    n = np.arange(1, K)
-
-    def objective(p):
-        return float(np.sum(w[1:] * h2(p**n)))
-
-    p_star, best, width = _maximize_on_unit_interval(objective)
+    K = _check_kq(K, q)
+    p_star, best, width = _maximize_on_unit_interval(_or_objective(K, q))
     return RateResult(rate=best / (K - 1), p_star=p_star, residual=width)
 
 
 def or_symmetric_capacity(K, q):
     """Symmetric capacity of the OR-channel (signature-dependent codes)."""
-    _check_kq(K, q)
+    K = _check_kq(K, q)
     c = ((1.0 - q) - (1.0 - q) ** K) / (K - 1)
     return RateResult(rate=c)
 
@@ -210,16 +238,14 @@ def or_aloha_throughput(K, q):
 
 def gauss_aloha_throughput(K, q, gamma):
     """ALOHA sum throughput over the Gaussian channel: winner gets g(gamma/q)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     return or_aloha_throughput(K, q) * g(gamma / q)
 
 
 def gauss_symmetric_rate(K, q, gamma):
     """Symmetric rate of the Gaussian channel (signature-independent codes)."""
-    _check_kq(K, q)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    K = _check_kq(K, q)
+    _check_gamma(gamma)
     w = _pattern_weights(K, q)
     m = np.arange(1, K)
     rate = float(np.sum(w[1:] * g(m * gamma / q)) / (K - 1))
@@ -231,10 +257,15 @@ def _power_levels(K, v):
     return np.maximum((K - m) / (K - 1) * v - 1.0, 0.0)
 
 
+def _waterfill(K, q):
+    """v -> waterfill_lhs(K, q, v), with the binomial weights computed once."""
+    w_full = _binomial_weights(K, np.arange(1, K), K, q)
+    return lambda v: float(np.sum(w_full * _power_levels(K, v)) / K)
+
+
 def waterfill_lhs(K, q, v):
     """Average allocated power at water level v (left side of the constraint)."""
-    w_full = _binomial_weights(K, np.arange(1, K), K, q)
-    return float(np.sum(w_full * _power_levels(K, v)) / K)
+    return _waterfill(K, q)(v)
 
 
 def solve_water_level(K, q, gamma):
@@ -244,23 +275,23 @@ def solve_water_level(K, q, gamma):
     beyond, so a bracketed bisection from v = 1 with geometric upper
     growth always converges.  Residual tolerance is relative to gamma.
     """
-    _check_kq(K, q)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    K = _check_kq(K, q)
+    _check_gamma(gamma)
+    lhs = _waterfill(K, q)
     lo, hi = 1.0, 2.0
     for _ in range(200):
-        if waterfill_lhs(K, q, hi) >= gamma:
+        if lhs(hi) >= gamma:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise WaterLevelBracketError(
             f"no bracket for K={K} q={q} gamma={gamma}: lhs({hi:g}) = "
-            f"{waterfill_lhs(K, q, hi):g} still below gamma"
+            f"{lhs(hi):g} still below gamma"
         )
     target = WATER_RESIDUAL_REL * gamma
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = waterfill_lhs(K, q, mid)
+        val = lhs(mid)
         if abs(val - gamma) <= target:
             return mid
         if val < gamma:
@@ -276,6 +307,7 @@ def gauss_symmetric_capacity(K, q, gamma):
     Codebook power adapts to the per-slot pattern weight; the weight-m
     level w_m comes from the shared water level.
     """
+    K = _check_kq(K, q)
     v = solve_water_level(K, q, gamma)
     w = _pattern_weights(K, q)
     levels = _power_levels(K, v)
@@ -310,17 +342,24 @@ def asymmetric_rate_bound(gains, q, k):
         raise ValueError(f"node index {k} out of range")
 
     best = math.inf
+    # The 2^(K-2) subsets of one listener, reused by the next.
+    h = np.empty(2 ** (K - 2))
+    prob = np.empty(2 ** (K - 2))
     for i in range(K):
         if i == k:
             continue
         rest = [j for j in range(K) if j != i and j != k]
         # All subsets A of {everyone but i} with k in A: start from {k} and
-        # double over the remaining members.
-        h = np.array([gains.gamma[i, k] / q[k]])
-        prob = np.array([q[k]])
+        # double over the remaining members; the new half is the old one
+        # with j added.
+        h[0] = gains.gamma[i, k] / q[k]
+        prob[0] = q[k]
+        s = 1
         for j in rest:
-            h = np.concatenate([h, h + gains.gamma[i, j] / q[j]])
-            prob = np.concatenate([prob * (1.0 - q[j]), prob * q[j]])
+            np.add(h[:s], gains.gamma[i, j] / q[j], out=h[s:2 * s])
+            np.multiply(prob[:s], q[j], out=prob[s:2 * s])
+            prob[:s] *= 1.0 - q[j]
+            s *= 2
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(h > 0, gains.gamma[i, k] / (q[k] * h) * g(h) * prob, 0.0)
         rate_i = (1.0 - q[i]) * float(np.sum(terms))

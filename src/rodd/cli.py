@@ -25,6 +25,16 @@ class CheckFailure(Exception):
     pass
 
 
+def _entries(text, what):
+    """The comma-separated entries of text; a blank entry is refused."""
+    entries = text.split(",")
+    if not any(tok.strip() for tok in entries):
+        raise UsageError(f"empty {what} {text!r}")
+    if not all(tok.strip() for tok in entries):
+        raise UsageError(f"empty entry in {what} {text!r}")
+    return entries
+
+
 def parse_grid(text):
     """`start:stop:step` inclusive grid, or a comma-separated list."""
     try:
@@ -37,7 +47,7 @@ def parse_grid(text):
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             grid = [start + i * step for i in range(count)]
         else:
-            grid = [float(tok) for tok in text.split(",") if tok.strip()]
+            grid = [float(tok) for tok in _entries(text, "grid")]
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"cannot parse grid {text!r}: {exc}") from None
     if not grid:
@@ -47,7 +57,7 @@ def parse_grid(text):
 
 def parse_int_list(text):
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in _entries(text, "integer list")]
     except ValueError as exc:
         raise UsageError(f"cannot parse integer list {text!r}: {exc}") from None
 
@@ -219,8 +229,6 @@ def _cmd_sweep(args):
     """fig2 (OR channel) or fig3 (Gaussian channel at --gamma-db)."""
     Ks = parse_int_list(args.K)
     grid = parse_q_grid(args.q)
-    if not Ks:
-        raise UsageError("empty K list")
     if args.command == "fig2":
         table, note = analysis.sweep_or(Ks, grid), ""
     else:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from rodd import analysis
 from rodd.model import LinkGains
@@ -56,6 +58,78 @@ def asym_bound_direct(gamma, q, k):
     return best
 
 
+# The closed-form code as it stood when each objective call took one p and
+# the asymmetric bound grew its subset arrays with np.concatenate.  The
+# array code must reproduce these floats exactly, not approximately.
+
+def h2_scalar_grid_code(p):
+    out = np.zeros_like(p)
+    inner = (p > 0) & (p < 1)
+    pi = p[inner]
+    out[inner] = -pi * np.log2(pi) - (1 - pi) * np.log2(1 - pi)
+    return out
+
+
+def or_objective_scalar_code(K, q):
+    n = np.arange(K)
+    log_binom = gammaln(K) - gammaln(n + 1) - gammaln(K - 1 - n + 1)
+    w = np.exp(log_binom + n * math.log(q) + (K - n) * math.log1p(-q))
+    n = np.arange(1, K)
+
+    def objective(p):
+        return float(np.sum(w[1:] * h2_scalar_grid_code(p**n)))
+
+    return objective
+
+
+def golden_section_scalar_code(f, lo, hi, tol):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x), b - a
+
+
+def or_symmetric_rate_scalar_code(K, q):
+    f = or_objective_scalar_code(K, q)
+    xs = np.linspace(0.0, 1.0, 1001)
+    vals = np.array([f(x) for x in xs])
+    i = int(np.argmax(vals))
+    p_star, best, width = golden_section_scalar_code(
+        f, xs[max(i - 1, 0)], xs[min(i + 1, 1000)], 1e-9)
+    return best / (K - 1), p_star, width
+
+
+def asym_bound_concatenate_code(gamma, q, k):
+    K = len(q)
+    best = math.inf
+    for i in range(K):
+        if i == k:
+            continue
+        rest = [j for j in range(K) if j != i and j != k]
+        h = np.array([gamma[i, k] / q[k]])
+        prob = np.array([q[k]])
+        for j in rest:
+            h = np.concatenate([h, h + gamma[i, j] / q[j]])
+            prob = np.concatenate([prob * (1.0 - q[j]), prob * q[j]])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(h > 0, gamma[i, k] / (q[k] * h) * (0.5 * np.log2(1.0 + h))
+                             * prob, 0.0)
+        best = min(best, (1.0 - q[i]) * float(np.sum(terms)))
+    return best
+
+
 # ------------------------------------------------------------- entropy, g
 
 def test_h2_milestones():
@@ -72,6 +146,18 @@ def test_h2_rejects_outside_unit_interval():
         analysis.h2(-0.01)
     with pytest.raises(ValueError):
         analysis.h2(1.01)
+
+
+@pytest.mark.parametrize("p", [math.nan, np.array([0.5, math.nan])])
+def test_h2_refuses_nan(p):
+    with pytest.raises(ValueError, match="h2"):
+        analysis.h2(p)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
+def test_g_refuses_nan(x):
+    with pytest.raises(ValueError, match="g argument"):
+        analysis.g(x)
 
 
 def test_g_milestones():
@@ -135,6 +221,58 @@ def test_or_validation_errors():
         analysis.or_symmetric_rate(1, 0.5)
     with pytest.raises(ValueError):
         analysis.or_symmetric_rate(3, 0.0)
+
+
+@pytest.mark.parametrize("K", [2.5, 3.0, True, np.bool_(True), "3", None])
+def test_node_count_must_be_an_integer(K):
+    for call in (analysis.or_symmetric_rate, analysis.or_symmetric_capacity,
+                 lambda K, q: analysis.or_rate_at_p(K, q, 0.5),
+                 lambda K, q: analysis.gauss_symmetric_rate(K, q, 10.0),
+                 lambda K, q: analysis.gauss_symmetric_capacity(K, q, 10.0)):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            call(K, 0.3)
+
+
+def test_numpy_integer_node_counts_are_accepted():
+    for K in (np.int64(5), np.int32(5), np.uint8(5)):
+        assert analysis.or_symmetric_rate(K, 0.3) == analysis.or_symmetric_rate(5, 0.3)
+        assert analysis.gauss_symmetric_capacity(K, 0.3, 10.0) == \
+            analysis.gauss_symmetric_capacity(5, 0.3, 10.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.integers(2, 300), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(K=2, q=0.5)
+@example(K=300, q=1e-300)
+def test_array_objective_equals_the_scalar_code_at_every_grid_point(K, q):
+    xs = np.linspace(0.0, 1.0, 1001)
+    scalar = or_objective_scalar_code(K, q)
+    expected = [scalar(x) for x in xs]
+    objective = analysis._or_objective(K, q)
+    assert objective(xs).tolist() == expected
+    assert [objective(x) for x in xs[::50]] == expected[::50]
+    assert analysis.or_rate_at_p(K, q, 0.3) == scalar(0.3) / (K - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.integers(2, 300), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(K=2, q=0.5)
+@example(K=3, q=0.02)
+def test_or_rate_equals_the_per_point_grid_maximizer(K, q):
+    res = analysis.or_symmetric_rate(K, q)
+    assert (res.rate, res.p_star, res.residual) == or_symmetric_rate_scalar_code(K, q)
+
+
+def test_or_rate_grid_memory_is_bounded_at_large_k():
+    tracemalloc.start()
+    try:
+        res = analysis.or_symmetric_rate(20000, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # frozen from or_symmetric_rate_scalar_code(20000, 0.3)
+    assert res.rate == 3.500033465761407e-05
+    assert peak <= 16 * 2**20
 
 
 # ------------------------------------------------------------------ ALOHA
@@ -229,6 +367,17 @@ def test_gauss_capacity_dominates_rate_over_q_sweep():
         assert c >= r - 1e-9
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_gamma_must_be_finite(gamma):
+    calls = (lambda: analysis.gauss_symmetric_rate(5, 0.3, gamma),
+             lambda: analysis.gauss_symmetric_capacity(5, 0.3, gamma),
+             lambda: analysis.gauss_aloha_throughput(5, 0.3, gamma),
+             lambda: analysis.solve_water_level(5, 0.3, gamma))
+    for call in calls:
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            call()
+
+
 # ------------------------------------------------------- asymmetric bound
 
 def test_asym_bound_collapses_to_symmetric():
@@ -250,6 +399,23 @@ def test_asym_bound_matches_itertools_oracle():
     for k in range(K):
         assert analysis.asymmetric_rate_bound(LinkGains(gamma=gamma), q, k) == \
             pytest.approx(asym_bound_direct(gamma.tolist(), q.tolist(), k), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+@example(K=2, seed=0, zero_share=0.0)
+@example(K=2, seed=1, zero_share=1.0)
+def test_asym_bound_equals_the_concatenate_code(K, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    gamma = 10.0 ** rng.uniform(-2.0, 4.0, size=(K, K))
+    gamma[rng.random((K, K)) < zero_share] = 0.0
+    np.fill_diagonal(gamma, 0.0)
+    q = rng.uniform(0.01, 0.99, size=K)
+    gains = LinkGains(gamma=gamma)
+    for k in range(K):
+        assert analysis.asymmetric_rate_bound(gains, q, k) == \
+            asym_bound_concatenate_code(gamma, q, k)
 
 
 def test_asym_bound_vanishes_when_a_listener_never_listens():

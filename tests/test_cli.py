@@ -72,6 +72,15 @@ def test_fig2_non_finite_grid_is_usage_error(tmp_path, capsys, grid):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K,q", [("3,,5", "0.1"), ("3,", "0.1"), (",3", "0.1"),
+                                 ("3", "0.1,,0.2"), ("3", "0.1, ")])
+def test_fig2_empty_list_entry_is_usage_error(tmp_path, capsys, K, q):
+    out = tmp_path / "x"
+    assert run("fig2", f"--K={K}", f"--q={q}", "--out", str(out)) == 2
+    assert "empty entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discover_nan_snr_is_usage_error(tmp_path, capsys):
     assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
                "--area", "300", "--seed", "1", "--receivers", "3", "--snr-db", "nan",
