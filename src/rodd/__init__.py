@@ -40,6 +40,7 @@ from .discovery import (
     observe_discovery,
     random_access_baseline,
     run_discovery_experiment,
+    run_threshold_sweep,
 )
 from .model import (
     LinkGains,

@@ -109,14 +109,14 @@ def g(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_kq(K, q):
-    """Refuse a K that is not an integer >= 2 or a q outside (0,1); return K
-    as a Python int, so numpy integer types cannot wrap in later arithmetic."""
+def _check_kq(K, q=None, least=2):
+    """Refuse a K that is not an integer >= least or a q (unless None) outside
+    (0,1); return K as a Python int, so numpy integers cannot wrap later."""
     if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
         raise ValueError(f"K must be an integer node count, got {K!r}")
-    if K < 2:
-        raise ValueError(f"need at least 2 nodes, got K={K}")
-    if not (0.0 < q < 1.0):
+    if K < least:
+        raise ValueError(f"need at least {least} node(s), got K={K}")
+    if q is not None and not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly inside (0,1), got {q}")
     return int(K)
 
@@ -227,8 +227,7 @@ def or_aloha_throughput(K, q):
     K*q*(1-q)^(K-1): a node's frame goes through iff nobody else
     transmits in the contention period.  Vectorized over q.
     """
-    if K < 1:
-        raise ValueError(f"need at least 1 node, got K={K}")
+    K = _check_kq(K, least=1)
     q = np.asarray(q, dtype=np.float64)
     if np.any((q < 0) | (q > 1)):
         raise ValueError("q must lie in [0,1]")
@@ -265,6 +264,9 @@ def _waterfill(K, q):
 
 def waterfill_lhs(K, q, v):
     """Average allocated power at water level v (left side of the constraint)."""
+    K = _check_kq(K, q)
+    if not math.isfinite(v):
+        raise ValueError(f"water level v must be finite, got {v}")
     return _waterfill(K, q)(v)
 
 

@@ -16,10 +16,10 @@ _POWER_TOL = 1e-9
 
 
 @dataclass
-class OrFrameObservation:
-    """Per-slot {erased, 0, 1} observation of the inclusive-or channel."""
+class _FrameObservation:
+    """A receiver's full-frame record: per-slot values and its erasures."""
 
-    values: np.ndarray  # uint8, meaningful only where not erased
+    values: np.ndarray  # meaningful only where not erased
     erased: np.ndarray  # bool, True at the receiver's own on-slots
 
     @property
@@ -27,16 +27,12 @@ class OrFrameObservation:
         return self.values.shape[0]
 
 
-@dataclass
-class RealFrameObservation:
-    """Per-slot {erased, real value} observation of the linear channel."""
+class OrFrameObservation(_FrameObservation):
+    """Per-slot {erased, 0, 1} observation of the inclusive-or channel (uint8)."""
 
-    values: np.ndarray  # float64
-    erased: np.ndarray  # bool
 
-    @property
-    def length(self):
-        return self.values.shape[0]
+class RealFrameObservation(_FrameObservation):
+    """Per-slot {erased, real value} observation of the linear channel (float64)."""
 
 
 @dataclass

@@ -258,21 +258,20 @@ def _cmd_discover(args):
         alpha=args.alpha, snr_db=args.snr_db, torus=not args.no_torus)
     receivers = None if args.receivers is None else np.arange(
         min(args.receivers, topo.num_nodes))
+    run = dict(noise_var=args.noise_var, seed=args.seed, receivers=receivers)
     if args.threshold_sweep is not None:
+        reports = discovery.run_threshold_sweep(
+            topo, radius, args.M, args.q, parse_grid(args.threshold_sweep), mode, **run)
         lines = ["threshold,mean_miss_rate,mean_false_alarm_rate,mean_accuracy"]
-        for thr in parse_grid(args.threshold_sweep):
-            rep = discovery.run_discovery_experiment(
-                topo, radius, args.M, args.q, mode, noise_var=args.noise_var,
-                threshold=thr, seed=args.seed, receivers=receivers)
-            lines.append(f"{thr:.12g},{rep.mean_miss_rate:.12g},"
+        for rep in reports:
+            lines.append(f"{rep.threshold:.12g},{rep.mean_miss_rate:.12g},"
                          f"{rep.mean_false_alarm_rate:.12g},{rep.mean_accuracy:.12g}")
-            _say(args, f"discover: threshold {thr:g} -> accuracy "
+            _say(args, f"discover: threshold {rep.threshold:g} -> accuracy "
                        f"{rep.mean_accuracy:.6f}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return 0
-    rep = discovery.run_discovery_experiment(
-        topo, radius, args.M, args.q, mode, noise_var=args.noise_var,
-        threshold=args.threshold, seed=args.seed, receivers=receivers)
+    rep = discovery.run_discovery_experiment(topo, radius, args.M, args.q, mode,
+                                             threshold=args.threshold, **run)
     _write_text(args.out, rep.to_csv())
     _say(args, f"discover: {topo.num_nodes} nodes, {args.M} slots, mode={args.mode}, "
                f"mean accuracy {rep.mean_accuracy:.6f}, "
@@ -322,13 +321,11 @@ def _read_gains_file(path):
 def _cmd_asym(args):
     gains = _read_gains_file(args.gains_file)
     K = gains.num_nodes
-    qs = parse_grid(args.q)
+    qs = parse_q_grid(args.q)
     if len(qs) == 1:
         qs = qs * K
     if len(qs) != K:
         raise UsageError(f"need 1 or {K} q values, got {len(qs)}")
-    if any(not (0.0 < q < 1.0) for q in qs):
-        raise UsageError("q values must lie strictly inside (0,1)")
     q = np.array(qs)
     lines = ["node,q,rate_bound"]
     for k in range(K):

@@ -122,11 +122,16 @@ def survivors(index, quiet):
     return alive
 
 
+def _check_threshold(threshold):
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    return threshold
+
+
 def observed_quiet(observation, threshold=0.0):
     """The quiet-slot rule, as a (1, M) bool row: a listened slot of the
     channel record is quiet if its bit is 0 or its amplitude**2 < `threshold`."""
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _check_threshold(threshold)
     v = observation.values
     empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
     return (~observation.erased & empty)[None]
@@ -150,19 +155,23 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
                            slots_used=observation.length)
 
 
+def _accuracy(misses, false_alarms, size):
+    """1 - (misses + false_alarms) / size, floored at 0: the one accuracy rule."""
+    return max(0.0, 1.0 - (misses + false_alarms) / size)
+
+
 def discovery_metrics(true_set, result):
     """(miss_rate, false_alarm_rate, accuracy) against the true neighbor set.
 
-    Both error rates are normalized by the true neighbor count and the
-    accuracy 1 - miss_rate - false_alarm_rate is floored at 0.
+    Both error rates are normalized by the true neighbor count; the
+    accuracy is _accuracy's, as in the experiment records.
     """
     est = result.estimated if isinstance(result, DiscoveryResult) else set(result)
     true_set = set(true_set)
     if not true_set:
         raise ValueError("metrics are undefined for an empty true neighbor set")
-    miss = len(true_set - est) / len(true_set)
-    fa = len(est - true_set) / len(true_set)
-    return miss, fa, max(0.0, 1.0 - miss - fa)
+    misses, fa, size = len(true_set - est), len(est - true_set), len(true_set)
+    return misses / size, fa / size, _accuracy(misses, fa, size)
 
 
 def random_access_baseline(neighbor_sets, frame_bits, tx_prob, target_accuracy,
@@ -263,8 +272,7 @@ def neighbor_lists(topology, radius):
     tree = cKDTree(topology.positions,
                    boxsize=topology.area_side if topology.torus else None)
     raw = tree.query_ball_point(topology.positions, radius, return_sorted=True)
-    lists = [np.array(l, dtype=np.int64) for l in raw]
-    return [l[l != k] for k, l in enumerate(lists)]
+    return [l[l != k] for k, l in enumerate(np.array(r, dtype=np.int64) for r in raw)]
 
 
 def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
@@ -299,66 +307,72 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
     return topo, radius
 
 
-def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, *,
-                             noise_var=1.0, threshold=None, seed=0,
-                             receivers=None, block=256):
-    """Full-network discovery round, vectorized for 10^4-node networks.
+def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOISELESS,
+                        *, noise_var=1.0, seed=0, receivers=None, block=256):
+    """One discovery round of the whole network, scored at each threshold:
+    one ExperimentReport per entry of the sequence `thresholds`, in order.
 
-    Fading is off: neighborhood membership is then purely geometric and
-    the neighbor lists come from a radius query instead of a dense gain
-    matrix.  Each receiver's record comes from channels.receive() and
-    its quiet slots from observed_quiet(), as in observe_discovery and
-    eliminate.  The on_slots() index of the book is built once; elimination
-    calls survivors() on it once per `block` of receivers, and each block's
-    records are counted from its (N, block) survivor matrix.
-
-    `threshold` is an energy-mode setting and defaults to a quarter of
-    the boundary-neighbor energy, the tuned operating point for 20 dB;
-    that scales with noise_var, so a noiseless energy run must set it.
-    Returns an ExperimentReport.
+    Fading is off, so the neighbor lists come from one radius query.  The
+    book, its on_slots() index and each receiver's channels.receive()
+    record are made once; observed_quiet() gives the record's quiet row at
+    every threshold.  Per threshold, survivors() screens each `block` of
+    receivers, whose records are counted from its (N, block) survivors.
+    A threshold applies to energy mode only; None is a quarter of the
+    boundary-neighbor energy (tuned for 20 dB), which scales with
+    noise_var, so a noiseless energy run must set it.
     """
     if topology.fading_model != "none":
         raise ValueError("the vectorized experiment assumes fading off")
-    n = topology.num_nodes
     if mode not in (OR_NOISELESS, ENERGY):
         raise ValueError(f"unknown discovery mode {mode!r}")
-    if mode == OR_NOISELESS and threshold is not None:
+    if not len(thresholds):
+        raise ValueError("need at least one threshold")
+    if mode == OR_NOISELESS and any(t is not None for t in thresholds):
         raise ValueError("a threshold applies to energy mode only")
-    if threshold is None:
-        if mode == ENERGY and noise_var == 0:
-            raise ValueError("a noiseless energy run needs an explicit threshold")
-        threshold = topology.neighbor_threshold * noise_var / 4.0 if mode == ENERGY else 0.0
+    if mode == ENERGY and noise_var == 0 and None in thresholds:
+        raise ValueError("a noiseless energy run needs an explicit threshold")
+    tuned = topology.neighbor_threshold * noise_var / 4.0 if mode == ENERGY else 0.0
+    thresholds = [tuned if t is None else _check_threshold(t) for t in thresholds]
 
+    n = topology.num_nodes
     nbr_lists = neighbor_lists(topology, radius)
-    book = signatures.reconstruct_book(range(n), q, num_slots,
-                                       signatures.DISCOVERY_TAG)
-    masks = book.matrix()                      # (N, M) uint8
+    masks = signatures.reconstruct_book(range(n), q, num_slots).matrix()   # (N, M) uint8
     index = on_slots(masks)
-
     receivers = np.arange(n) if receivers is None else np.asarray(receivers, np.int64)
 
-    report = ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
-                              threshold=threshold)
+    reports = [ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
+                                threshold=t) for t in thresholds]
     for start in range(0, len(receivers), block):
         chunk = receivers[start:start + block]
-        quiet = np.zeros((len(chunk), num_slots), dtype=bool)
+        quiet = np.zeros((len(thresholds), len(chunk), num_slots), dtype=bool)
         for row, k in enumerate(chunk):
             nbrs, gains = nbr_lists[k], None
             if mode == ENERGY:
                 dist = topology._distance(topology.positions[nbrs], topology.positions[k])
                 gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
             record = receive(masks[k], masks[nbrs], gains, noise_var, _noise_seed(seed, k))
-            quiet[row] = observed_quiet(record, threshold)[0]
-        alive = survivors(index, quiet)
+            for t, threshold in enumerate(thresholds):
+                quiet[t, row] = observed_quiet(record, threshold)[0]
         # each receiver's neighbors, flattened, with the column of their receiver
         sizes = np.array([nbr_lists[k].size for k in chunk], dtype=np.int64)
         column = np.repeat(np.arange(len(chunk)), sizes)
         nbrs = np.concatenate([nbr_lists[k] for k in chunk])
-        found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
-        est = alive.sum(axis=0) - 1                  # own mask always survives
-        for k, size, est_count, hit in zip(chunk.tolist(), sizes.tolist(),
-                                           est.tolist(), found.tolist()):
-            misses, fa = size - hit, est_count - hit
-            acc = max(0.0, 1.0 - (misses + fa) / size) if size else None
-            report.records.append((k, size, est_count, misses, fa, acc))
-    return report
+        for report, rows in zip(reports, quiet):
+            alive = survivors(index, rows)
+            found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
+            est = alive.sum(axis=0) - 1              # own mask always survives
+            for k, size, est_count, hit in zip(chunk.tolist(), sizes.tolist(),
+                                               est.tolist(), found.tolist()):
+                misses, fa = size - hit, est_count - hit
+                acc = _accuracy(misses, fa, size) if size else None
+                report.records.append((k, size, est_count, misses, fa, acc))
+    return reports
+
+
+def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, *,
+                             noise_var=1.0, threshold=None, seed=0,
+                             receivers=None, block=256):
+    """run_threshold_sweep at the one `threshold`: a single ExperimentReport."""
+    return run_threshold_sweep(topology, radius, num_slots, q, [threshold], mode,
+                               noise_var=noise_var, seed=seed, receivers=receivers,
+                               block=block)[0]

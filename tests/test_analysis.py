@@ -295,6 +295,22 @@ def test_aloha_maximizer_near_one_over_k():
         assert abs(best - 1 / K) <= 1e-4 + 1e-12
 
 
+@pytest.mark.parametrize("K", [2.5, 3.0, True, "3", None])
+def test_aloha_node_count_must_be_an_integer(K):
+    for call in (lambda K: analysis.or_aloha_throughput(K, 0.3),
+                 lambda K: analysis.gauss_aloha_throughput(K, 0.3, 10.0)):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            call(K)
+
+
+def test_aloha_allows_one_node_and_refuses_none():
+    # a lone node always gets through when it transmits
+    assert analysis.or_aloha_throughput(1, 0.3) == 0.3
+    assert analysis.or_aloha_throughput(np.int64(1), [0.2, 0.3]).tolist() == [0.2, 0.3]
+    with pytest.raises(ValueError, match="at least 1 node"):
+        analysis.or_aloha_throughput(0, 0.3)
+
+
 def test_gauss_aloha():
     assert analysis.gauss_aloha_throughput(2, 0.5, 200.0) == pytest.approx(
         0.5 * analysis.g(400.0), rel=1e-12)
@@ -349,6 +365,19 @@ def test_waterfill_lhs_monotone():
     for v in (1.5, 3.0, 10.0):
         assert analysis.waterfill_lhs(6, 0.4, v + 1e-3) >= analysis.waterfill_lhs(
             6, 0.4, v)
+
+
+@pytest.mark.parametrize("K,q,v,message", [
+    (5, 0.3, math.nan, "water level v must be finite"),
+    (5, 0.3, math.inf, "water level v must be finite"),
+    (2.5, 0.3, 3.0, "K must be an integer"),
+    (True, 0.3, 3.0, "K must be an integer"),
+    (1, 0.3, 3.0, "at least 2 node"),
+    (5, 1.0, 3.0, "q must lie strictly inside"),
+])
+def test_waterfill_lhs_refuses_what_the_solver_refuses(K, q, v, message):
+    with pytest.raises(ValueError, match=message):
+        analysis.waterfill_lhs(K, q, v)
 
 
 def test_gauss_capacity_hand_point():

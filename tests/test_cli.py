@@ -228,6 +228,36 @@ def test_out_dash_writes_the_csv_to_stdout_and_the_summary_to_stderr(tmp_path, c
     assert captured.err == summary
 
 
+def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch):
+    # the sweep scores one discovery round: one book, one neighbor query,
+    # one on-slot index and one channel record per receiver, at any
+    # number of thresholds
+    from rodd import discovery, signatures
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(signatures, "reconstruct_book")
+    for name in ("neighbor_lists", "on_slots", "receive"):
+        counted(discovery, name)
+    for sweep, rows in (("10:40:10", 4), ("5", 1)):
+        calls.clear()
+        out = tmp_path / "sweep.csv"
+        assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300",
+                   "--q", "0.1", "--area", "300", "--mode", "energy",
+                   "--receivers", "30", "--threshold-sweep", sweep, "--seed", "3",
+                   "--out", str(out)) == 0
+        assert len(out.read_text().strip().split("\n")) == rows + 1
+        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "on_slots": 1,
+                         "receive": 30}
+
+
 def test_threshold_sweep_requires_energy_mode(tmp_path):
     assert run("discover", "--n", "20", "--neighbors", "4", "--seed", "1",
                "--threshold-sweep", "1:2:1", "--out", str(tmp_path / "x")) == 2
@@ -303,6 +333,16 @@ def test_asym_q_count_mismatch(tmp_path):
     gains.write_text("0 1 1\n1 0 1\n1 1 0\n", encoding="utf-8")
     assert run("asym", "--gains-file", str(gains), "--q", "0.2,0.3",
                "--out", str(tmp_path / "x")) == 2
+
+
+@pytest.mark.parametrize("q", ["0", "0.2,1.5,0.3", "0.2,0.3,-0.1", "1"])
+def test_asym_q_outside_the_unit_interval(tmp_path, capsys, q):
+    gains = tmp_path / "gains.txt"
+    gains.write_text("0 1 1\n1 0 1\n1 1 0\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert run("asym", "--gains-file", str(gains), "--q", q, "--out", str(out)) == 2
+    assert "strictly inside (0,1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -275,6 +275,13 @@ def test_metrics_values():
     assert discovery.discovery_metrics(set(range(50)), res) == (1.0, 0.0, 0.0)
 
 
+def test_metrics_accuracy_is_the_experiment_rule():
+    # 1 - (misses + false_alarms) / size, as the experiment records compute
+    # it; 1 - miss/size - fa/size differs in the last bit here
+    _, _, acc = discovery.discovery_metrics({0, 1, 2}, {0, 1, 5})
+    assert acc == 1.0 - (1 + 1) / 3 == 0.33333333333333337
+
+
 def test_metrics_empty_true_set_undefined():
     res = discovery.DiscoveryResult(estimated=set(), eliminated_count=0, slots_used=1)
     with pytest.raises(ValueError):
@@ -340,12 +347,16 @@ def test_compressed_discovery_beats_random_access():
     assert slots >= 2 * m
 
 
+def _sixty_nodes():
+    return discovery.poisson_discovery_topology(60, 6.0, seed=5, area_side=100.0,
+                                                snr_db=20.0, torus=True)
+
+
 def _assert_experiment_matches_op_level_path(mode, noise_var):
     # the vectorized driver must agree receiver by receiver with the
     # observe/eliminate operations on a dense-gains instance; in energy
     # mode both read the same noise, so every count matches
-    topo, radius = discovery.poisson_discovery_topology(
-        60, 6.0, seed=5, area_side=100.0, snr_db=20.0, torus=True)
+    topo, radius = _sixty_nodes()
     rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
                                              noise_var=noise_var, seed=5)
     # the receiver blocks only group the work: ragged blocks give the same records
@@ -366,6 +377,7 @@ def _assert_experiment_matches_op_level_path(mode, noise_var):
         assert len(est.estimated) == est_count
         assert len(true - est.estimated) == misses
         assert len(est.estimated - true) == fa
+        assert acc == (discovery.discovery_metrics(true, est)[2] if true else None)
 
 
 def test_experiment_matches_op_level_path():
@@ -374,6 +386,48 @@ def test_experiment_matches_op_level_path():
 
 def test_experiment_matches_op_level_path_energy():
     _assert_experiment_matches_op_level_path(discovery.ENERGY, 10.0)
+
+
+@pytest.mark.parametrize("mode,thresholds,run", [
+    (discovery.OR_NOISELESS, [None], {}),
+    (discovery.OR_NOISELESS, [None], dict(block=7, receivers=[5, 0, 17, 3])),
+    (discovery.ENERGY, [None], dict(noise_var=10.0)),
+    (discovery.ENERGY, [1.0, None, 25.0, 400.0, 25.0], dict(noise_var=10.0)),
+    (discovery.ENERGY, [0.0, 30.0, 1e4], dict(noise_var=10.0, block=7)),
+    (discovery.ENERGY, [5.0, 50.0], dict(noise_var=2.0, receivers=range(11, 40, 3))),
+    (discovery.ENERGY, [0.5, 2.0], dict(noise_var=0.0, block=7)),
+])
+def test_threshold_sweep_equals_one_run_per_threshold(mode, thresholds, run):
+    topo, radius = _sixty_nodes()
+    reports = discovery.run_threshold_sweep(topo, radius, 300, 0.1, thresholds, mode,
+                                            seed=5, **run)
+    assert len(reports) == len(thresholds)
+    for threshold, rep in zip(thresholds, reports):
+        single = discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
+                                                    threshold=threshold, seed=5, **run)
+        assert rep.records == single.records
+        assert rep.threshold == single.threshold
+        assert (rep.num_nodes, rep.num_slots, rep.mode) == \
+            (single.num_nodes, single.num_slots, single.mode)
+
+
+@pytest.mark.parametrize("mode,thresholds,run,message", [
+    (discovery.ENERGY, [10.0, 20.0, -1.0], {}, "nonnegative"),
+    (discovery.ENERGY, [math.nan, 20.0], {}, "nonnegative"),
+    (discovery.ENERGY, [], {}, "at least one threshold"),
+    (discovery.ENERGY, [10.0, None], dict(noise_var=0.0), "explicit threshold"),
+    (discovery.OR_NOISELESS, [None, 5.0], {}, "energy mode"),
+    ("loud", [None], {}, "unknown discovery mode"),
+])
+def test_threshold_sweep_refuses_before_deriving(monkeypatch, mode, thresholds, run,
+                                                 message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the book was derived before the arguments were checked")
+    monkeypatch.setattr(signatures, "reconstruct_book", refuse)
+    topo, radius = _sixty_nodes()
+    with pytest.raises(ValueError, match=message):
+        discovery.run_threshold_sweep(topo, radius, 300, 0.1, thresholds, mode,
+                                      seed=5, **run)
 
 
 def test_observation_rejects_negative_noise_variance():
