@@ -1,6 +1,8 @@
 """Slot-level multiaccess channel simulators with receiver-side erasure.
 
-`receive` is the one channel, behind `or_channel` and `gaussian_mac`.
+`receive_block` is the one channel: it records a block of receivers at
+once from the on-slot index of what they hear.  `receive` is its
+one-receiver view, behind `or_channel` and `gaussian_mac`.
 Whatever a node transmits, its own observation in every slot where its
 mask is ON is erased.  Erasures are marked explicitly instead of being
 folded into a 0 value; the receiver knows its own mask, so the mark is
@@ -12,19 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signatures import on_slots
+
 _POWER_TOL = 1e-9
+_GROUP = 64     # receivers per gather of receive_block
 
 
 @dataclass
 class _FrameObservation:
-    """A receiver's full-frame record: per-slot values and its erasures."""
+    """Full-frame records: per-slot values and erasures, shape (M,) for one
+    receiver or (B, M) for a block."""
 
     values: np.ndarray  # meaningful only where not erased
     erased: np.ndarray  # bool, True at the receiver's own on-slots
 
     @property
     def length(self):
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 class OrFrameObservation(_FrameObservation):
@@ -60,36 +66,86 @@ class TransmitFrame:
         return self.symbols.shape[0]
 
 
-def receive(own_bits, signals, gains=None, noise_var=0.0, seed=None):
-    """The one slot-level channel: a receiver's record of the (J, M) rows
-    `signals`, with its own on-slots (`own_bits`) erased and zeroed.
+def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=None,
+                  values=None):
+    """The one slot-level channel: the records of a block of B receivers.
 
-    Without `gains` it is the noiseless OR channel, the OR of the rows.
-    With (J,) power `gains` it is sum_j sqrt(gains_j) * signals_j, each slot
-    adding its nonzero terms in row order (np.bincount keeps index order; no
-    BLAS sum), plus Normal(0, noise_var) noise from default_rng(seed).
+    The transmitted rows are given by their on_slots() `index`, whose
+    on-bits carry `values` (aligned with index.slots; None means 1).
+    Receiver b hears the next sizes[b] rows of `heard` and erases the slots
+    of its row of the (B, M) bool `erased`.  Without `gains` it is the
+    noiseless OR channel: a slot reads 1 iff a heard row is on there.  With
+    power `gains`, one per entry of `heard`, a slot reads the sum of
+    sqrt(gain) * value over its heard rows, added in the order of `heard`
+    (one np.bincount over receiver * M + slot keys, no BLAS sum), plus
+    Normal(0, noise_var) noise from default_rng(seeds[b]).  Erased slots
+    read 0.  Receivers are gathered _GROUP at a time, which bounds the
+    working set at one key per on-bit heard by a group.
     """
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
+    erased = np.array(erased, dtype=bool)
+    starts, slots, m = index
+    if erased.ndim != 2 or erased.shape[1] != m:
+        raise ValueError(f"erasures of shape {erased.shape} do not match {m}-slot rows")
+    heard, sizes = np.asarray(heard, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    if sizes.shape != erased.shape[:1] or sizes.sum() != heard.size:
+        raise ValueError(f"sizes must split the {heard.size} heard rows among "
+                         f"{len(erased)} receivers")
+    if gains is not None:
+        root = np.sqrt(gains)
+        if root.shape != heard.shape:
+            raise ValueError(f"need one gain per heard row, got shape {root.shape}")
+        if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
+                              or any(s is None for s in seeds)):
+            raise ValueError("a noisy channel needs a seed per receiver")
+    out = np.zeros(erased.shape, dtype=np.uint8 if gains is None else np.float64)
+    scale = np.sqrt(noise_var)
+    ends = np.cumsum(sizes)
+    for first in range(0, len(erased), _GROUP):
+        group = out[first:first + _GROUP]
+        b = len(group)
+        lo, hi = ends[first] - sizes[first], ends[first + b - 1]
+        rows = heard[lo:hi]
+        lens = starts[rows + 1] - starts[rows]
+        # term t of the gather is on-bit t - ahead[p] of the row of its pair p
+        ahead = np.cumsum(lens) - lens
+        at = np.repeat(starts[rows] - ahead, lens) + np.arange(lens.sum())
+        owner = np.repeat(np.arange(b) * m, sizes[first:first + b])
+        keys = np.repeat(owner, lens) + slots[at]
+        if gains is None:
+            group.reshape(-1)[keys] = 1
+            continue
+        terms = np.repeat(root[lo:hi], lens)
+        if values is not None:
+            terms = terms * values[at]
+        group[:] = np.bincount(keys, terms, group.size).reshape(group.shape)
+        if noise_var > 0:
+            for row, seed in zip(group, seeds[first:first + b]):
+                row += np.random.default_rng(seed).normal(0.0, scale, m)
+    out[erased] = 0
+    record = OrFrameObservation if gains is None else RealFrameObservation
+    return record(values=out, erased=erased)
+
+
+def receive(own_bits, signals, gains=None, noise_var=0.0, seed=None):
+    """One receiver's record of the (J, M) rows `signals`, with its own
+    on-slots (`own_bits`) erased: receive_block of a block of one, fed the
+    nonzero entries of the rows.
+
+    Without `gains` it is the noiseless OR channel, the OR of the rows.
+    With (J,) power `gains` it is sum_j sqrt(gains_j) * signals_j, each slot
+    adding its terms in row order, plus Normal(0, noise_var) noise from
+    default_rng(seed).
+    """
     erased = np.asarray(own_bits).astype(bool)
-    m = erased.shape[0]
     signals = np.asarray(signals)
     if signals.shape[1:] != erased.shape:
         raise ValueError(f"signals of shape {signals.shape} are not rows of {erased.shape}")
-    if gains is None:
-        values = np.bitwise_or.reduce(signals, axis=0)
-    else:
-        flat = np.flatnonzero(signals != 0)
-        rows, slots = np.divmod(flat, m)
-        terms = np.sqrt(gains)[rows] * signals.ravel()[flat]
-        values = np.bincount(slots, terms, m).astype(np.float64, copy=False)
-        if noise_var > 0:
-            if seed is None:
-                raise ValueError("a noisy channel needs a seed")
-            values += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
-    values[erased] = 0
-    record = OrFrameObservation if gains is None else RealFrameObservation
-    return record(values=values, erased=erased)
+    lit = signals != 0
+    block = receive_block(erased[None], on_slots(lit), np.arange(len(signals)),
+                          [len(signals)], gains, noise_var, [seed], signals[lit])
+    return type(block)(values=block.values[0], erased=block.erased[0])
 
 
 def or_channel(receiver_mask, peers):

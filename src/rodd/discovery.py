@@ -14,13 +14,13 @@ frame and a frame is received iff exactly one neighbor transmitted.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import model, signatures
-from .channels import OrFrameObservation, receive
+from .channels import OrFrameObservation, receive, receive_block
+from .signatures import on_slots
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
@@ -63,27 +63,6 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
 def _noise_seed(seed, receiver):
     """The energy-mode noise stream of `receiver`, None without a seed."""
     return None if seed is None else (seed, _NOISE_SALT, int(receiver))
-
-
-class OnSlots(NamedTuple):
-    """CSR index of the on-bits of an (R, M) 0/1 matrix: the on-slots of
-    row r are slots[starts[r]:starts[r + 1]], in ascending order."""
-
-    starts: np.ndarray   # (R + 1,) int64
-    slots: np.ndarray    # (number of on-bits,) int64
-    num_slots: int       # M
-
-
-def on_slots(masks):
-    """The OnSlots index of the (R, M) 0/1 matrix `masks`."""
-    masks = np.asarray(masks, dtype=np.uint8)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be a matrix, got shape {masks.shape}")
-    # a uint8 book read as bool: no temporary of the book's size
-    rows, slots = np.divmod(np.flatnonzero(masks.view(bool)), masks.shape[1])
-    starts = np.zeros(masks.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=masks.shape[0]), out=starts[1:])
-    return OnSlots(starts, slots, masks.shape[1])
 
 
 def survivors(index, quiet):
@@ -129,12 +108,13 @@ def _check_threshold(threshold):
 
 
 def observed_quiet(observation, threshold=0.0):
-    """The quiet-slot rule, as a (1, M) bool row: a listened slot of the
-    channel record is quiet if its bit is 0 or its amplitude**2 < `threshold`."""
+    """The quiet-slot rule, as (B, M) bool rows of a B-receiver channel
+    record (one row for a one-receiver record): a listened slot is quiet if
+    its bit is 0 or its amplitude**2 < `threshold`."""
     _check_threshold(threshold)
     v = observation.values
     empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
-    return (~observation.erased & empty)[None]
+    return (~observation.erased & empty).reshape(-1, observation.length)
 
 
 def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
@@ -263,16 +243,21 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def neighbor_lists(topology, radius):
-    """Geometric neighbor lists (fading off) from one radius query.
+def neighbor_lists(topology, radius, receivers=None):
+    """Geometric neighbor lists (fading off) from one radius query at the
+    points of `receivers` (default: every node).
 
-    Entry k is the sorted int64 array of the nodes within `radius` of k,
-    k excluded, with minimum-image distances on a torus.
+    Entry i is the sorted int64 array of the nodes within `radius` of
+    receivers[i], the receiver excluded, with minimum-image distances on a
+    torus.
     """
+    receivers = (np.arange(topology.num_nodes) if receivers is None
+                 else np.asarray(receivers, dtype=np.int64))
     tree = cKDTree(topology.positions,
                    boxsize=topology.area_side if topology.torus else None)
-    raw = tree.query_ball_point(topology.positions, radius, return_sorted=True)
-    return [l[l != k] for k, l in enumerate(np.array(r, dtype=np.int64) for r in raw)]
+    raw = tree.query_ball_point(topology.positions[receivers], radius, return_sorted=True)
+    return [l[l != k] for k, l in zip(receivers.tolist(),
+                                      (np.array(r, dtype=np.int64) for r in raw))]
 
 
 def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
@@ -308,15 +293,16 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
 
 
 def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOISELESS,
-                        *, noise_var=1.0, seed=0, receivers=None, block=256):
+                        *, noise_var=1.0, seed=0, receivers=None, block=64):
     """One discovery round of the whole network, scored at each threshold:
     one ExperimentReport per entry of the sequence `thresholds`, in order.
 
-    Fading is off, so the neighbor lists come from one radius query.  The
-    book, its on_slots() index and each receiver's channels.receive()
-    record are made once; observed_quiet() gives the record's quiet row at
-    every threshold.  Per threshold, survivors() screens each `block` of
-    receivers, whose records are counted from its (N, block) survivors.
+    Fading is off, so the neighbor lists come from one radius query at the
+    `receivers` (node indices, default all).  The book and its on_slots()
+    index are made once.  Each `block` of receivers is recorded by one
+    channels.receive_block() call, and observed_quiet() gives the record's
+    quiet rows at every threshold.  Per threshold, survivors() screens the
+    block, whose records are counted from its (N, block) survivors.
     A threshold applies to energy mode only; None is a quarter of the
     boundary-neighbor energy (tuned for 20 dB), which scales with
     noise_var, so a noiseless energy run must set it.
@@ -335,30 +321,33 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     thresholds = [tuned if t is None else _check_threshold(t) for t in thresholds]
 
     n = topology.num_nodes
-    nbr_lists = neighbor_lists(topology, radius)
+    receivers = np.arange(n) if receivers is None else np.asarray(receivers)
+    if receivers.size and not (receivers.ndim == 1 and receivers.dtype.kind in "iu"
+                               and 0 <= receivers.min() and receivers.max() < n):
+        raise ValueError(f"receivers must be a list of node indices in [0, {n})")
+    receivers = receivers.astype(np.int64)
+
+    nbr_lists = neighbor_lists(topology, radius, receivers)
     masks = signatures.reconstruct_book(range(n), q, num_slots).matrix()   # (N, M) uint8
     index = on_slots(masks)
-    receivers = np.arange(n) if receivers is None else np.asarray(receivers, np.int64)
-
     reports = [ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
                                 threshold=t) for t in thresholds]
     for start in range(0, len(receivers), block):
         chunk = receivers[start:start + block]
-        quiet = np.zeros((len(thresholds), len(chunk), num_slots), dtype=bool)
-        for row, k in enumerate(chunk):
-            nbrs, gains = nbr_lists[k], None
-            if mode == ENERGY:
-                dist = topology._distance(topology.positions[nbrs], topology.positions[k])
-                gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
-            record = receive(masks[k], masks[nbrs], gains, noise_var, _noise_seed(seed, k))
-            for t, threshold in enumerate(thresholds):
-                quiet[t, row] = observed_quiet(record, threshold)[0]
+        lists = nbr_lists[start:start + block]
         # each receiver's neighbors, flattened, with the column of their receiver
-        sizes = np.array([nbr_lists[k].size for k in chunk], dtype=np.int64)
+        sizes = np.array([nbrs.size for nbrs in lists], dtype=np.int64)
         column = np.repeat(np.arange(len(chunk)), sizes)
-        nbrs = np.concatenate([nbr_lists[k] for k in chunk])
-        for report, rows in zip(reports, quiet):
-            alive = survivors(index, rows)
+        nbrs = np.concatenate(lists)
+        gains = None
+        if mode == ENERGY:
+            dist = topology._distance(topology.positions[nbrs],
+                                      topology.positions[chunk[column]])
+            gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
+        record = receive_block(masks[chunk].view(bool), index, nbrs, sizes, gains,
+                               noise_var, [_noise_seed(seed, k) for k in chunk])
+        for report, threshold in zip(reports, thresholds):
+            alive = survivors(index, observed_quiet(record, threshold))
             found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
             est = alive.sum(axis=0) - 1              # own mask always survives
             for k, size, est_count, hit in zip(chunk.tolist(), sizes.tolist(),
@@ -371,7 +360,7 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
 
 def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, *,
                              noise_var=1.0, threshold=None, seed=0,
-                             receivers=None, block=256):
+                             receivers=None, block=64):
     """run_threshold_sweep at the one `threshold`: a single ExperimentReport."""
     return run_threshold_sweep(topology, radius, num_slots, q, [threshold], mode,
                                noise_var=noise_var, seed=seed, receivers=receivers,

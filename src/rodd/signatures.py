@@ -14,6 +14,7 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -170,6 +171,27 @@ class SignatureBook:
         packed = packed.reshape(len(self.nias), self.mu * packed.shape[1])
         return "".join(f"{nia} {row.tobytes().hex()}\n"
                        for nia, row in zip(self.nias, packed))
+
+
+class OnSlots(NamedTuple):
+    """CSR index of the on-bits of an (R, M) 0/1 matrix: the on-slots of
+    row r are slots[starts[r]:starts[r + 1]], in ascending order."""
+
+    starts: np.ndarray   # (R + 1,) int64
+    slots: np.ndarray    # (number of on-bits,) int64
+    num_slots: int       # M
+
+
+def on_slots(masks):
+    """The OnSlots index of the (R, M) 0/1 matrix `masks`."""
+    masks = np.asarray(masks, dtype=np.uint8)
+    if masks.ndim != 2:
+        raise ValueError(f"masks must be a matrix, got shape {masks.shape}")
+    # a uint8 book read as bool: no temporary of the book's size
+    rows, slots = np.divmod(np.flatnonzero(masks.view(bool)), masks.shape[1])
+    starts = np.zeros(masks.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=masks.shape[0]), out=starts[1:])
+    return OnSlots(starts, slots, masks.shape[1])
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discovery, signatures
-from .channels import receive
+from .channels import receive_block
 
 DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
@@ -62,7 +62,7 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     ELIMINATED_ALL rather than papered over.
     """
     quiet = discovery.observed_quiet(observation, threshold)
-    return {nia: _outcome(discovery.survivors(discovery.on_slots(book.node_matrix(nia)),
+    return {nia: _outcome(discovery.survivors(signatures.on_slots(book.node_matrix(nia)),
                                               quiet)[:, 0])
             for nia in neighbor_list}
 
@@ -116,9 +116,11 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     draws fresh uniform messages and decodes every (receiver, neighbor)
     pair.  Each receiver hears every other node, so its busy slots are
     the OR of the other sent masks.  The on_slots() index of the book is
-    built once; one survivors() call screens all mu*K candidates against
-    the K receivers of a batch of trials, and every pair's outcome follows
-    from its survivor count and first survivor, as in _outcome.
+    built once; per batch of trials, one channels.receive_block() call
+    records the K receivers of every trial from that index, one
+    survivors() call screens all mu*K candidates against them, and every
+    pair's outcome follows from its survivor count and first survivor, as
+    in _outcome.
     """
     if num_nodes < 2:
         raise ValueError(f"num_nodes must be >= 2 (a receiver and a neighbor), "
@@ -128,9 +130,8 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots)
     all_masks = book.matrix()                     # (K*mu, M) uint8
-    index = discovery.on_slots(all_masks)
+    index = signatures.on_slots(all_masks)
     ids = np.arange(num_nodes)
-    others = [np.delete(ids, k) for k in ids]
     # the (receiver k, neighbor j) pairs in record order, k != j
     pairs = ~np.eye(num_nodes, dtype=bool)
     ks, js = (a.tolist() for a in np.nonzero(pairs))
@@ -143,12 +144,13 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     for start in range(0, trials, batch):
         ts = np.arange(start, min(start + batch, trials))
         msgs = np.array([rng.integers(0, mu, size=num_nodes) for _ in ts])
-        quiet = np.zeros((len(ts), num_nodes, num_slots), dtype=bool)
-        for i, sent in enumerate(all_masks[ids * mu + msgs]):
-            for k in ids:
-                quiet[i, k] = discovery.observed_quiet(receive(sent[k], sent[others[k]]))[0]
+        # receiver k of trial ts[i] erases its sent row and hears the others'
+        sent = ids * mu + msgs
+        heard = np.broadcast_to(sent[:, None], (len(ts), num_nodes, num_nodes))[:, pairs]
+        record = receive_block(all_masks[sent.ravel()].view(bool), index, heard.ravel(),
+                               np.full(sent.size, num_nodes - 1))
         # alive[j, m, i, k]: message m of node j survives at receiver k in trial ts[i]
-        alive = discovery.survivors(index, quiet.reshape(-1, num_slots)).reshape(
+        alive = discovery.survivors(index, discovery.observed_quiet(record)).reshape(
             num_nodes, mu, len(ts), num_nodes)
         # per (trial, pair) arrays, pairs in record order
         count = alive.sum(axis=1).transpose(1, 2, 0)[:, pairs]

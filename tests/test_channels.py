@@ -203,3 +203,50 @@ def test_receive_sums_rows_as_a_left_fold(frame):
     assert isinstance(obs, channels.RealFrameObservation)
     assert np.array_equal(obs.erased, own.astype(bool))
     assert obs.values.tobytes() == np.array(expect).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 10), m=st.integers(1, 30), receivers=st.integers(0, 150),
+       energy=st.booleans(), noise_var=st.sampled_from([0.0, 0.5]),
+       blank=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy,
+                                                      noise_var, blank, seed):
+    # blocks of any size (64-receiver groups, the last one ragged), rows
+    # with no on-bit, receivers that hear nothing and repeated rows: the
+    # block's rows are the one-receiver records byte for byte
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, m)) < 0.3).astype(np.uint8)
+    masks[rng.random(rows) < blank] = 0
+    erased = rng.random((receivers, m)) < 0.3
+    heard = [rng.integers(0, rows, rng.integers(0, 6)) if rows else
+             np.zeros(0, np.int64) for _ in range(receivers)]
+    gains = [10.0 ** rng.uniform(-8, 8, len(h)) for h in heard] if energy else None
+    seeds = [(seed, b) for b in range(receivers)]
+    block = channels.receive_block(
+        erased, signatures.on_slots(masks), np.concatenate(heard + [np.zeros(0, int)]),
+        [len(h) for h in heard], None if gains is None else np.concatenate(gains + [[]]),
+        noise_var, seeds)
+    kind = channels.RealFrameObservation if energy else channels.OrFrameObservation
+    assert type(block) is kind
+    assert block.values.shape == block.erased.shape == (receivers, m)
+    for b, h in enumerate(heard):
+        one = channels.receive(erased[b], masks[h], None if gains is None else gains[b],
+                               noise_var, seeds[b])
+        assert type(one) is kind
+        assert block.values[b].tobytes() == one.values.tobytes()
+        assert np.array_equal(block.erased[b], one.erased)
+
+
+def test_receive_block_refuses_inconsistent_blocks():
+    index = signatures.on_slots(np.eye(3, dtype=np.uint8))
+    erased = np.zeros((2, 3), dtype=bool)
+    with pytest.raises(ValueError, match="sizes"):
+        channels.receive_block(erased, index, [0, 1, 2], [1, 1])
+    with pytest.raises(ValueError, match="gain"):
+        channels.receive_block(erased, index, [0, 1], [1, 1], np.ones(3))
+    with pytest.raises(ValueError, match="erasures"):
+        channels.receive_block(np.zeros((2, 4), dtype=bool), index, [0, 1], [1, 1])
+    with pytest.raises(ValueError, match="seed"):
+        channels.receive_block(erased, index, [0, 1], [1, 1], np.ones(2), 1.0, [1, None])
+    with pytest.raises(ValueError, match="seed"):
+        channels.receive_block(erased, index, [0, 1], [1, 1], np.ones(2), 1.0, [1])

@@ -230,10 +230,12 @@ def test_out_dash_writes_the_csv_to_stdout_and_the_summary_to_stderr(tmp_path, c
 
 def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch):
     # the sweep scores one discovery round: one book, one neighbor query,
-    # one on-slot index and one channel record per receiver, at any
-    # number of thresholds
+    # one on-slot index, and each receiver observed once through the block
+    # channel (no per-receiver `receive` call), at any number of thresholds
+    import inspect
+
     from rodd import discovery, signatures
-    calls = {}
+    calls, observed = {}, []
 
     def counted(module, name):
         original = getattr(module, name)
@@ -246,16 +248,25 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
     counted(signatures, "reconstruct_book")
     for name in ("neighbor_lists", "on_slots", "receive"):
         counted(discovery, name)
+    block = discovery.receive_block
+
+    def observe(*args, **kwargs):
+        # an energy receiver's noise seed is (seed, salt, receiver)
+        seeds = inspect.signature(block).bind(*args, **kwargs).arguments["seeds"]
+        observed.extend(seed[2] for seed in seeds)
+        return block(*args, **kwargs)
+    monkeypatch.setattr(discovery, "receive_block", observe)
     for sweep, rows in (("10:40:10", 4), ("5", 1)):
         calls.clear()
+        observed.clear()
         out = tmp_path / "sweep.csv"
         assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300",
                    "--q", "0.1", "--area", "300", "--mode", "energy",
                    "--receivers", "30", "--threshold-sweep", sweep, "--seed", "3",
                    "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == rows + 1
-        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "on_slots": 1,
-                         "receive": 30}
+        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "on_slots": 1}
+        assert sorted(observed) == list(range(30))
 
 
 def test_threshold_sweep_requires_energy_mode(tmp_path):

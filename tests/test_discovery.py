@@ -430,6 +430,38 @@ def test_threshold_sweep_refuses_before_deriving(monkeypatch, mode, thresholds, 
                                       seed=5, **run)
 
 
+@pytest.mark.parametrize("pick", [
+    lambda n: [-1], lambda n: [n], lambda n: [0, 3, n + 5], lambda n: [2.0],
+    lambda n: [True], lambda n: [[0, 1]], lambda n: 3,
+])
+def test_threshold_sweep_refuses_receivers_outside_the_network(monkeypatch, pick):
+    # [-1] used to score the last node under the label -1, [n] to fail
+    # with a bare IndexError after the book was built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the receivers were checked")
+    monkeypatch.setattr(signatures, "reconstruct_book", refuse)
+    monkeypatch.setattr(discovery, "neighbor_lists", refuse)
+    topo, radius = _sixty_nodes()
+    with pytest.raises(ValueError, match="receivers"):
+        discovery.run_threshold_sweep(topo, radius, 300, 0.1, [None], seed=5,
+                                      receivers=pick(topo.num_nodes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), picks=st.lists(st.integers(0, 10**6), max_size=30),
+       torus=st.booleans())
+def test_neighbor_query_at_receivers_equals_the_full_query(seed, picks, torus):
+    topo, radius = discovery.poisson_discovery_topology(80, 6.0, seed=seed,
+                                                        area_side=100.0, torus=torus)
+    receivers = [p % topo.num_nodes for p in picks]
+    full = discovery.neighbor_lists(topo, radius)
+    got = discovery.neighbor_lists(topo, radius, receivers)
+    assert len(got) == len(receivers)
+    for k, nbrs in zip(receivers, got):
+        assert nbrs.dtype == np.int64
+        assert np.array_equal(nbrs, full[k])
+
+
 def test_observation_rejects_negative_noise_variance():
     # OR mode never reads noise_var, but a negative one is still an error
     gains = _clique_gains(4)
