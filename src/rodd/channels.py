@@ -17,7 +17,6 @@ import numpy as np
 from .signatures import on_slots
 
 _POWER_TOL = 1e-9
-_GROUP = 64     # receivers per gather of receive_block
 
 
 @dataclass
@@ -79,8 +78,8 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     sqrt(gain) * value over its heard rows, added in the order of `heard`
     (one np.bincount over receiver * M + slot keys, no BLAS sum), plus
     Normal(0, noise_var) noise from default_rng(seeds[b]).  Erased slots
-    read 0.  Receivers are gathered _GROUP at a time, which bounds the
-    working set at one key per on-bit heard by a group.
+    read 0.  The whole block is one gather, so the caller's block bounds
+    the working set at one key per on-bit its receivers hear.
     """
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
@@ -99,30 +98,23 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
         if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
                               or any(s is None for s in seeds)):
             raise ValueError("a noisy channel needs a seed per receiver")
+    lens = starts[heard + 1] - starts[heard]
+    # term t of the gather is on-bit t - ahead[p] of the row of its pair p
+    ahead = np.cumsum(lens) - lens
+    at = np.repeat(starts[heard] - ahead, lens) + np.arange(lens.sum())
+    owner = np.repeat(np.arange(len(erased)) * m, sizes)
+    keys = np.repeat(owner, lens) + slots[at]
     out = np.zeros(erased.shape, dtype=np.uint8 if gains is None else np.float64)
-    scale = np.sqrt(noise_var)
-    ends = np.cumsum(sizes)
-    for first in range(0, len(erased), _GROUP):
-        group = out[first:first + _GROUP]
-        b = len(group)
-        lo, hi = ends[first] - sizes[first], ends[first + b - 1]
-        rows = heard[lo:hi]
-        lens = starts[rows + 1] - starts[rows]
-        # term t of the gather is on-bit t - ahead[p] of the row of its pair p
-        ahead = np.cumsum(lens) - lens
-        at = np.repeat(starts[rows] - ahead, lens) + np.arange(lens.sum())
-        owner = np.repeat(np.arange(b) * m, sizes[first:first + b])
-        keys = np.repeat(owner, lens) + slots[at]
-        if gains is None:
-            group.reshape(-1)[keys] = 1
-            continue
-        terms = np.repeat(root[lo:hi], lens)
+    if gains is None:
+        out.reshape(-1)[keys] = 1
+    else:
+        terms = np.repeat(root, lens)
         if values is not None:
             terms = terms * values[at]
-        group[:] = np.bincount(keys, terms, group.size).reshape(group.shape)
+        out.reshape(-1)[:] = np.bincount(keys, terms, out.size)
         if noise_var > 0:
-            for row, seed in zip(group, seeds[first:first + b]):
-                row += np.random.default_rng(seed).normal(0.0, scale, m)
+            for row, seed in zip(out, seeds):
+                row += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
     out[erased] = 0
     record = OrFrameObservation if gains is None else RealFrameObservation
     return record(values=out, erased=erased)
@@ -153,11 +145,14 @@ def or_channel(receiver_mask, peers):
 
     peers is a sequence of (mask, bits) pairs; a peer contributes 1 to
     slot m iff its mask is on there and its transmitted bit is 1.  The
-    output at every non-erased slot is the OR over all peers.
+    output at every non-erased slot is the OR over all peers.  Bits
+    outside {0, 1} are refused, naming the peer's position in `peers`.
     """
     m = receiver_mask.length
     rows = []
-    for peer_mask, bits in peers:
+    for p, (peer_mask, bits) in enumerate(peers):
+        if not np.isin(bits, (0, 1)).all():
+            raise ValueError(f"peer {p} transmits bits outside {{0, 1}}")
         bits = np.asarray(bits, dtype=np.uint8)
         if peer_mask.length != m or bits.shape[0] != m:
             raise ValueError("peer frame length differs from the receiver's")

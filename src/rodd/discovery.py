@@ -313,6 +313,8 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
         raise ValueError(f"unknown discovery mode {mode!r}")
     if not len(thresholds):
         raise ValueError("need at least one threshold")
+    if isinstance(block, bool) or not isinstance(block, (int, np.integer)) or block < 1:
+        raise ValueError(f"block must be an integer >= 1, got {block!r}")
     if mode == OR_NOISELESS and any(t is not None for t in thresholds):
         raise ValueError("a threshold applies to energy mode only")
     if mode == ENERGY and noise_var == 0 and None in thresholds:

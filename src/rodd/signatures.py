@@ -73,12 +73,6 @@ class DuplexMask:
     def length(self):
         return self.bits.shape[0]
 
-    def on_slots(self):
-        return np.flatnonzero(self.bits == 1)
-
-    def off_slots(self):
-        return np.flatnonzero(self.bits == 0)
-
     def __eq__(self, other):
         if not isinstance(other, DuplexMask):
             return NotImplemented
@@ -147,17 +141,9 @@ class SignatureBook:
     def __len__(self):
         return len(self.nias)
 
-    def __contains__(self, nia):
-        return nia in self._index
-
     def matrix(self):
         """The stored bit matrix itself (not a copy), shape (N*mu, M) uint8."""
         return self.bits
-
-    def node_matrix(self, nia):
-        """View of the mu rows of one node, shape (mu, M) uint8."""
-        start = self.row(nia)
-        return self.bits[start:start + self.mu]
 
     def export_text(self):
         """One `nia hex-packed-bits` line per NIA.

@@ -22,6 +22,8 @@ from .channels import receive_block
 DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
 ELIMINATED_ALL = "eliminated_all"
+# decode status of a neighbor, indexed by min(its survivor count, 2)
+_STATUS = np.array([ELIMINATED_ALL, DECODED, AMBIGUOUS], dtype=object)
 
 # Trials are batched so that one survivors() call screens about this many receivers.
 _RECEIVERS_PER_CALL = 256
@@ -55,27 +57,28 @@ class NeighborDecode:
 def decode(observation, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
-    Neighbors are decoded independently, so the outcome for one neighbor
+    One survivors() call screens the mu signatures of every listed
+    neighbor; each row is screened alone, so the outcome for one neighbor
     does not depend on the order or content of the rest of the list.  An
     empty candidate set means the channel contradicted every signature
     of that neighbor (impossible without noise) and is reported as
     ELIMINATED_ALL rather than papered over.
     """
     quiet = discovery.observed_quiet(observation, threshold)
-    return {nia: _outcome(discovery.survivors(signatures.on_slots(book.node_matrix(nia)),
-                                              quiet)[:, 0])
-            for nia in neighbor_list}
+    starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
+    rows = (starts[:, None] + np.arange(book.mu)).ravel()
+    alive = discovery.survivors(signatures.on_slots(book.bits[rows]), quiet).reshape(
+        len(neighbor_list), book.mu)
+    return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive)}
 
 
 def _outcome(alive):
     """Decode status of one neighbor from its mu-long survivor vector."""
-    survivors = frozenset(int(m) for m in np.flatnonzero(alive))
-    if len(survivors) == 1:
-        return NeighborDecode(status=DECODED, message=next(iter(survivors)),
-                              candidates=survivors)
-    if survivors:
-        return NeighborDecode(status=AMBIGUOUS, candidates=survivors)
-    return NeighborDecode(status=ELIMINATED_ALL)
+    survivors = np.flatnonzero(alive)
+    status = _STATUS[min(len(survivors), 2)]
+    return NeighborDecode(status=status,
+                          message=int(survivors[0]) if status == DECODED else None,
+                          candidates=frozenset(survivors.tolist()))
 
 
 @dataclass
@@ -119,8 +122,8 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     built once; per batch of trials, one channels.receive_block() call
     records the K receivers of every trial from that index, one
     survivors() call screens all mu*K candidates against them, and every
-    pair's outcome follows from its survivor count and first survivor, as
-    in _outcome.
+    pair's outcome follows from its survivor count and first survivor
+    through _STATUS, as in _outcome.
     """
     if num_nodes < 2:
         raise ValueError(f"num_nodes must be >= 2 (a receiver and a neighbor), "
@@ -135,7 +138,6 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     # the (receiver k, neighbor j) pairs in record order, k != j
     pairs = ~np.eye(num_nodes, dtype=bool)
     ks, js = (a.tolist() for a in np.nonzero(pairs))
-    by_count = np.array([ELIMINATED_ALL, DECODED, AMBIGUOUS], dtype=object)
     batch = max(1, _RECEIVERS_PER_CALL // num_nodes)
 
     rng = np.random.default_rng((seed, 0x5C0DE))
@@ -165,6 +167,6 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         s.decoded_correct += int(np.count_nonzero(decoded & (first == true_msg)))
         report.records.extend(zip(
             np.repeat(ts, len(ks)).tolist(), ks * len(ts), js * len(ts),
-            by_count[np.minimum(count, 2)].ravel().tolist(), true_msg.ravel().tolist(),
+            _STATUS[np.minimum(count, 2)].ravel().tolist(), true_msg.ravel().tolist(),
             np.where(decoded, first, None).ravel().tolist()))
     return report

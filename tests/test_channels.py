@@ -51,6 +51,22 @@ def test_or_channel_length_mismatch():
         channels.or_channel(_mask([1, 0]), [(_mask([1, 0, 1]), [1, 1, 1])])
 
 
+@pytest.mark.parametrize("bad", [2, 0.7, 3.0, -1])
+def test_or_channel_refuses_non_binary_bits(bad):
+    # 2 and 0.7 used to read as 0, 3.0 as 1, and -1 raised a bare OverflowError
+    peers = [(_mask([1, 0, 1]), [1, 0, 1]), (_mask([1, 1, 0]), [0, bad, 0])]
+    with pytest.raises(ValueError, match="^peer 1 transmits bits outside"):
+        channels.or_channel(_mask([0, 0, 0]), peers)
+
+
+def test_or_channel_accepts_bool_and_float_bits():
+    receiver, peer = _mask([0, 0, 1, 0]), _mask([1, 1, 1, 0])
+    ints = channels.or_channel(receiver, [(peer, [1, 0, 1, 1])])
+    for bits in ([True, False, True, True], [1.0, 0.0, 1.0, 1.0]):
+        obs = channels.or_channel(receiver, [(peer, bits)])
+        assert obs.values.tobytes() == ints.values.tobytes()
+
+
 def test_or_output_monotone_in_peers():
     receiver = signatures.derive_mask(0, 0.3, 200)
     peers = [(signatures.derive_mask(j, 0.3, 200), np.ones(200, dtype=np.uint8))
@@ -131,7 +147,7 @@ def test_erased_slots_are_exactly_the_on_slots():
     m = 500
     rmask = signatures.derive_mask(9, 0.35, m)
     obs = channels.or_channel(rmask, [])
-    assert np.array_equal(np.flatnonzero(obs.erased), rmask.on_slots())
+    assert np.array_equal(np.flatnonzero(obs.erased), np.flatnonzero(rmask.bits == 1))
 
 
 def test_power_constraint_enforced():
@@ -211,9 +227,9 @@ def test_receive_sums_rows_as_a_left_fold(frame):
        blank=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy,
                                                       noise_var, blank, seed):
-    # blocks of any size (64-receiver groups, the last one ragged), rows
-    # with no on-bit, receivers that hear nothing and repeated rows: the
-    # block's rows are the one-receiver records byte for byte
+    # blocks of any size, rows with no on-bit, receivers that hear nothing
+    # and repeated rows: the block's rows are the one-receiver records
+    # byte for byte
     rng = np.random.default_rng(seed)
     masks = (rng.random((rows, m)) < 0.3).astype(np.uint8)
     masks[rng.random(rows) < blank] = 0

@@ -387,6 +387,29 @@ def test_config_unknown_key_rejected(tmp_path):
                "--out", str(tmp_path / "x")) == 2
 
 
+def test_config_boolean_turns_on_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("check = yes\nK = 3\nq = 0.1:0.9:0.4\n", encoding="utf-8")
+    assert run("fig2", "--config", str(cfg), "--out", str(tmp_path / "a.csv")) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("fig2", "check = maybe", "boolean expected for 'check'"),
+    ("sparsecode", "trials = 2.5", "bad value for 'trials'"),
+    ("discover", "mode = loud", "'mode' must be one of"),
+    ("sparsecode", "help = 1", "unknown option 'help'"),
+    ("sparsecode", "config = other.cfg", "unknown option 'config'"),
+])
+def test_config_bad_entries_exit_2(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_or_mode(tmp_path):
     out = tmp_path / "t.txt"
     assert run("trace", "--n", "4", "--M", "50", "--seed", "12",

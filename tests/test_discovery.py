@@ -22,7 +22,7 @@ def test_observation_with_no_neighbors_is_silent():
     book = _book(3)
     obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
     assert np.all(obs.values == 0)
-    assert np.array_equal(np.flatnonzero(~obs.erased), book[0].off_slots())
+    assert np.array_equal(np.flatnonzero(~obs.erased), np.flatnonzero(book[0].bits == 0))
 
 
 def test_single_neighbor_observation_is_its_signature():
@@ -428,6 +428,23 @@ def test_threshold_sweep_refuses_before_deriving(monkeypatch, mode, thresholds, 
     with pytest.raises(ValueError, match=message):
         discovery.run_threshold_sweep(topo, radius, 300, 0.1, thresholds, mode,
                                       seed=5, **run)
+
+
+@pytest.mark.parametrize("block", [0, -1, 2.5, True])
+@pytest.mark.parametrize("single", [False, True])
+def test_experiment_refuses_a_bad_block(monkeypatch, block, single):
+    # -1 used to give empty reports with a nan accuracy, 0 a bare range() error
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the block was checked")
+    monkeypatch.setattr(signatures, "reconstruct_book", refuse)
+    monkeypatch.setattr(discovery, "neighbor_lists", refuse)
+    topo, radius = _sixty_nodes()
+    with pytest.raises(ValueError, match="^block must be"):
+        if single:
+            discovery.run_discovery_experiment(topo, radius, 300, 0.1, seed=5, block=block)
+        else:
+            discovery.run_threshold_sweep(topo, radius, 300, 0.1, [None], seed=5,
+                                          block=block)
 
 
 @pytest.mark.parametrize("pick", [

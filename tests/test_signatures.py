@@ -126,13 +126,6 @@ def test_derivation_matches_the_written_out_convention(nias, tag, q, m, mu, slot
                 assert signatures.derive_bit(nia, q, s, tag_base + msg) == expected[s]
 
 
-def test_on_off_slot_partition():
-    mask = signatures.derive_mask(5, 0.4, 300)
-    on, off = mask.on_slots(), mask.off_slots()
-    assert len(on) + len(off) == 300
-    assert np.all(mask.bits[on] == 1) and np.all(mask.bits[off] == 0)
-
-
 def test_reconstruct_book_is_rederivable():
     book = signatures.reconstruct_book([10, 20, 30], 0.3, 64, domain_tag=2)
     assert len(book) == 3

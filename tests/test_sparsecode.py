@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rodd import channels, signatures, sparsecode
+from rodd import channels, discovery, signatures, sparsecode
 
 
 def _or_observation(receiver_mask, transmitted_masks):
@@ -85,6 +87,48 @@ def test_decode_constructed_contradiction():
     obs = _or_observation(book[(1, 0)], [])
     out = sparsecode.decode(obs, book, [2])
     assert out[2] == sparsecode.NeighborDecode(status=sparsecode.ELIMINATED_ALL)
+
+
+def test_decode_of_no_neighbors_is_empty():
+    book = _constructed_book([[0, 1, 0, 0], [1, 0, 0, 0]])
+    obs = _or_observation(book[(1, 0)], [book[(2, 0)]])
+    assert sparsecode.decode(obs, book, []) == {}
+
+
+def test_decode_repeated_neighbor_gives_the_same_entry():
+    book = _constructed_book([[0, 1, 0, 0], [0, 0, 1, 0]])
+    obs = _or_observation(book[(1, 0)], [book[(2, 0)]])
+    assert sparsecode.decode(obs, book, [2, 1, 2]) == sparsecode.decode(obs, book, [1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=st.integers(1, 6), mu=st.integers(1, 9), m=st.integers(1, 40),
+       real=st.booleans(), threshold=st.floats(0.0, 2.0),
+       picks=st.lists(st.integers(0, 5), max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_decode_equals_one_survivors_call_per_neighbor(nodes, mu, m, real, threshold,
+                                                       picks, seed):
+    rng = np.random.default_rng(seed)
+    nias = [int(x) for x in rng.choice(1000, nodes, replace=False)]
+    bits = (rng.random((nodes * mu, m)) < rng.uniform(0, 0.6)).astype(np.uint8)
+    book = sparsecode.MessageBook(nias=nias, mu=mu, q=0.5, bits=bits)
+    erased = rng.random(m) < 0.3
+    if real:
+        obs = channels.RealFrameObservation(values=rng.normal(0, 1, m), erased=erased)
+    else:
+        obs = channels.OrFrameObservation(values=rng.integers(0, 2, m, dtype=np.uint8),
+                                          erased=erased)
+    neighbor_list = [nias[p % nodes] for p in picks]
+    quiet = discovery.observed_quiet(obs, threshold)
+    expect = {}
+    for nia in neighbor_list:
+        row = book.row(nia)
+        alive = discovery.survivors(signatures.on_slots(book.bits[row:row + mu]), quiet)
+        kept = frozenset(np.flatnonzero(alive[:, 0]).tolist())
+        status = {0: sparsecode.ELIMINATED_ALL, 1: sparsecode.DECODED}.get(
+            len(kept), sparsecode.AMBIGUOUS)
+        message = min(kept) if status == sparsecode.DECODED else None
+        expect[nia] = sparsecode.NeighborDecode(status, message, kept)
+    assert sparsecode.decode(obs, book, neighbor_list, threshold) == expect
 
 
 def _decode_trial(seed, num_nodes=5, mu=8, q=0.12, m=250):
