@@ -27,6 +27,8 @@ ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
 _WORD_BITS = 64
+# Index rows whose words one survivors() gather holds at a time.
+_GATHER_ROWS = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -55,7 +57,7 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
         raise ValueError(f"unknown discovery mode {mode!r}")
     nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
                     dtype=np.int64)
-    return receive(book.bits[receiver], book.bits[nbrs],
+    return receive(book.unpacked(receiver), book.unpacked(nbrs),
                    gains.gamma[receiver, nbrs] if mode == ENERGY else None,
                    noise_var, _noise_seed(seed, receiver))
 
@@ -75,7 +77,7 @@ def survivors(index, quiet):
     the words at its on-slots, one np.bitwise_or.reduceat over the index,
     and the row survives for receiver j iff bit j of that OR is 0.  Rows
     without an on-bit always survive.  Integer ORs are exact at any frame
-    length, and the working set is one word per on-bit.
+    length, and the gather holds one word per on-bit of _GATHER_ROWS rows.
     """
     starts, slots, num_slots = index
     quiet = np.asarray(quiet, dtype=bool)
@@ -95,7 +97,12 @@ def survivors(index, quiet):
         packed = np.packbits(quiet[first:first + _WORD_BITS], axis=0, bitorder="little")
         word = np.zeros((num_slots, _WORD_BITS // 8), dtype=np.uint8)
         word[:, :len(packed)] = packed.T
-        hits[:, g] = np.bitwise_or.reduceat(word.view("<u8")[:, 0][slots], segments)
+        word = word.view("<u8")[:, 0]
+        for lo in range(0, lit.size, _GATHER_ROWS):
+            seg = segments[lo:lo + _GATHER_ROWS]
+            end = starts[lit[lo + len(seg) - 1] + 1]
+            hits[lo:lo + len(seg), g] = np.bitwise_or.reduceat(word[slots[seg[0]:end]],
+                                                               seg - seg[0])
     alive[lit] = np.unpackbits(hits.view(np.uint8), axis=1, count=b,
                                bitorder="little") == 0
     return alive
@@ -128,7 +135,7 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     """
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
-    masks = book.bits[[book.row(nia) for nia in nias]]
+    masks = book.unpacked([book.row(nia) for nia in nias])
     alive = survivors(on_slots(masks), observed_quiet(observation, threshold))[:, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
@@ -298,9 +305,10 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     one ExperimentReport per entry of the sequence `thresholds`, in order.
 
     Fading is off, so the neighbor lists come from one radius query at the
-    `receivers` (node indices, default all).  The book and its on_slots()
-    index are made once.  Each `block` of receivers is recorded by one
-    channels.receive_block() call, and observed_quiet() gives the record's
+    `receivers` (node indices, default all).  The packed book and its
+    on_slots index are made once.  Each `block` of receivers is recorded
+    by one channels.receive_block() call, which erases their own rows, the
+    only rows unpacked, and observed_quiet() gives the record's
     quiet rows at every threshold.  Per threshold, survivors() screens the
     block, whose records are counted from its (N, block) survivors.
     A threshold applies to energy mode only; None is a quarter of the
@@ -330,8 +338,8 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     receivers = receivers.astype(np.int64)
 
     nbr_lists = neighbor_lists(topology, radius, receivers)
-    masks = signatures.reconstruct_book(range(n), q, num_slots).matrix()   # (N, M) uint8
-    index = on_slots(masks)
+    book = signatures.reconstruct_book(range(n), q, num_slots)
+    index = book.on_slots
     reports = [ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
                                 threshold=t) for t in thresholds]
     for start in range(0, len(receivers), block):
@@ -346,7 +354,7 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
             dist = topology._distance(topology.positions[nbrs],
                                       topology.positions[chunk[column]])
             gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
-        record = receive_block(masks[chunk].view(bool), index, nbrs, sizes, gains,
+        record = receive_block(book.unpacked(chunk).view(bool), index, nbrs, sizes, gains,
                                noise_var, [_noise_seed(seed, k) for k in chunk])
         for report, threshold in zip(reports, thresholds):
             alive = survivors(index, observed_quiet(record, threshold))

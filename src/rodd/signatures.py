@@ -14,6 +14,7 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,8 @@ from numpy.random import Philox
 _WORD_BITS = 64
 _MAX_KEY_PART = 1 << 64
 _MAX_SEED = 1 << 32
+# Rows derived, and unpacked for the on-slot index, per step.
+_CHUNK_ROWS = 512
 
 # Conventional domain tags.  Discovery signatures and per-message data
 # signatures must never collide, so the message code starts its tags at 1.
@@ -29,16 +32,29 @@ DISCOVERY_TAG = 0
 MESSAGE_TAG_BASE = 1
 
 
-def _mask_key(nia, domain_tag):
-    """Philox key words [nia, domain_tag]: the 128-bit key (domain_tag << 64) | nia."""
-    for name, part in (("nia", nia), ("domain_tag", domain_tag)):
+def _key_words(name, parts):
+    """The uint64 array of the key words `parts`, refusing by `name` any
+    that is not an unsigned 64-bit integer."""
+    words = []
+    for part in parts:
         try:
-            ok = 0 <= operator.index(part) < _MAX_KEY_PART
+            word = operator.index(part)
         except TypeError:
-            ok = False
-        if not ok:
+            word = -1
+        if not 0 <= word < _MAX_KEY_PART:
             raise ValueError(f"{name} must be an unsigned 64-bit integer, got {part!r}")
-    return np.array([nia, domain_tag], dtype=np.uint64)
+        words.append(word)
+    return np.array(words, dtype=np.uint64)
+
+
+def _mask_keys(nias, tags):
+    """Philox key words [nia, tag] of every (nia, tag) pair, nia-major: the
+    (len(nias) * len(tags), 2) uint64 array of keys (tag << 64) | nia."""
+    nia_words, tag_words = _key_words("nia", nias), _key_words("domain_tag", tags)
+    keys = np.empty((nia_words.size, tag_words.size, 2), dtype=np.uint64)
+    keys[..., 0] = nia_words[:, None]
+    keys[..., 1] = tag_words
+    return keys.reshape(-1, 2)
 
 
 def _seeded_nias(seed, count):
@@ -100,50 +116,81 @@ def derive_bit(nia, q, slot, domain_tag=DISCOVERY_TAG):
         raise ValueError("slot must be nonnegative")
     thr = _on_threshold(q)
     block, lane = divmod(slot, 4)
-    words = Philox(key=_mask_key(nia, domain_tag), counter=block).random_raw(lane + 1)
+    key = _mask_keys([nia], [domain_tag])[0]
+    words = Philox(key=key, counter=block).random_raw(lane + 1)
     return int(words[lane] < np.uint64(thr))
 
 
-@dataclass
 class SignatureBook:
-    """Masks of many NIAs as one bit matrix sharing a (q, M) derivation.
+    """Masks of many NIAs sharing a (q, M) derivation, stored packed.
 
-    Row i*mu + m of `bits` is message m of nias[i]; discovery books have
-    mu = 1, so row i is the mask of nias[i].  book[nia] and
-    book[(nia, m)] return a DuplexMask whose bits are a view of that row.
+    Row i*mu + m is message m of nias[i]; discovery books have mu = 1, so
+    row i is the mask of nias[i].  `packed` holds row r's M bits 8 to a
+    byte, MSB-first (np.packbits order, which export_text writes), and
+    `counts[r]` its number of on-bits.  Build a book by hand from the
+    (N*mu, M) 0/1 matrix `bits`; _derive_book passes packed rows instead.
+    book[nia] and book[(nia, m)] return a DuplexMask of an unpacked copy
+    of that row.
     """
 
-    nias: list
-    q: float
-    bits: np.ndarray  # (len(nias) * mu, M) uint8, 1 = on/transmit
-    mu: int = 1
-
-    def __post_init__(self):
-        self.bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+    def __init__(self, nias, q, bits=None, mu=1, *, packed=None, counts=None,
+                 num_slots=None):
+        self.nias, self.q, self.mu = list(nias), q, mu
         self._index = {nia: i for i, nia in enumerate(self.nias)}
         if len(self._index) != len(self.nias):
             raise ValueError("duplicate NIA in book")
-        if self.bits.ndim != 2 or self.bits.shape[0] != len(self.nias) * self.mu:
-            raise ValueError(f"bits must be a matrix of {len(self.nias) * self.mu} rows")
-        if self.bits.size and self.bits.max() > 1:
-            raise ValueError("mask bits must be 0/1")
+        if bits is not None:
+            bits = np.asarray(bits, dtype=np.uint8)
+            if bits.ndim != 2 or bits.shape[0] != len(self.nias) * mu:
+                raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows")
+            if bits.size and bits.max() > 1:
+                raise ValueError("mask bits must be 0/1")
+            packed, counts = np.packbits(bits, axis=1), np.count_nonzero(bits, axis=1)
+            num_slots = bits.shape[1]
+        self.packed, self.counts, self.num_slots = packed, counts, num_slots
 
     def row(self, nia):
-        """Index into `bits` of the first (or only) mask of `nia`."""
+        """Index into the book's rows of the first (or only) mask of `nia`."""
         return self._index[nia] * self.mu
+
+    def unpacked(self, rows):
+        """Rows `rows` (an index, slice or index array) as 0/1 uint8 slots:
+        a fresh copy, (M,) for one row and (R, M) for several."""
+        return np.unpackbits(self.packed[rows], axis=-1, count=self.num_slots)
 
     def __getitem__(self, key):
         nia, message = key if isinstance(key, tuple) else (key, 0)
         if not (0 <= message < self.mu):
             raise KeyError(key)
-        return DuplexMask(bits=self.bits[self.row(nia) + message], owner=nia, q=self.q)
+        return DuplexMask(bits=self.unpacked(self.row(nia) + message), owner=nia, q=self.q)
 
     def __len__(self):
         return len(self.nias)
 
     def matrix(self):
-        """The stored bit matrix itself (not a copy), shape (N*mu, M) uint8."""
-        return self.bits
+        """Every row unpacked, shape (N*mu, M) uint8: a fresh copy that costs
+        O(book) time and memory, for small books and tests."""
+        return self.unpacked(slice(None))
+
+    bits = property(matrix)
+
+    @cached_property
+    def on_slots(self):
+        """The OnSlots index of the book's rows, built on first use and kept.
+
+        The slots array is allocated once at its final size, from
+        `counts`, and filled from _CHUNK_ROWS unpacked rows at a time.
+        """
+        m = self.num_slots
+        starts = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=starts[1:])
+        slots = np.empty(starts[-1], dtype=np.int64)
+        for lo in range(0, len(self.counts), _CHUNK_ROWS):
+            # read as bool: flatnonzero is several times faster than on uint8
+            part = self.unpacked(slice(lo, lo + _CHUNK_ROWS)).view(bool)
+            out = slots[starts[lo]:starts[lo + len(part)]]
+            np.remainder(np.flatnonzero(part), m, out=out)
+        return OnSlots(starts, slots, m)
 
     def export_text(self):
         """One `nia hex-packed-bits` line per NIA.
@@ -153,8 +200,7 @@ class SignatureBook:
         on the right when M is not a multiple of 8.  With mu > 1 a line
         holds the node's mu packed masks in message order.
         """
-        packed = np.packbits(self.bits, axis=1)
-        packed = packed.reshape(len(self.nias), self.mu * packed.shape[1])
+        packed = self.packed.reshape(len(self.nias), self.mu * self.packed.shape[1])
         return "".join(f"{nia} {row.tobytes().hex()}\n"
                        for nia, row in zip(self.nias, packed))
 
@@ -185,21 +231,29 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
 
     The only code that turns keys into mask bits.  One Philox is re-keyed
     per mask: counter 0 and an empty buffer, the state Philox(key=k)
-    starts in, so each row is written in place without a new generator.
+    starts in.  Rows are compared into a reusable (_CHUNK_ROWS, M) bool
+    buffer and stored packed with their on-counts, so the dense book is
+    never held.
     """
     thr = np.uint64(_on_threshold(q))
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
     nias = list(nias)
-    bits = np.empty((len(nias) * mu, num_slots), dtype=np.uint8)
+    keys = _mask_keys(nias, [tag_base + m for m in range(mu)])
+    packed = np.empty((len(keys), -(-num_slots // 8)), dtype=np.uint8)
+    counts = np.empty(len(keys), dtype=np.int64)
+    buf = np.empty((min(len(keys), _CHUNK_ROWS), num_slots), dtype=bool)
     gen = Philox(key=0)
     fresh = gen.state
-    for i, nia in enumerate(nias):
-        for m in range(mu):
-            fresh["state"]["key"] = _mask_key(nia, tag_base + m)
+    for lo in range(0, len(keys), _CHUNK_ROWS):
+        part = buf[:len(keys) - lo]
+        for key, out in zip(keys[lo:], part):
+            fresh["state"]["key"] = key
             gen.state = fresh
-            np.less(gen.random_raw(num_slots), thr, out=bits[i * mu + m].view(bool))
-    return SignatureBook(nias=nias, q=q, bits=bits, mu=mu)
+            np.less(gen.random_raw(num_slots), thr, out=out)
+        packed[lo:lo + len(part)] = np.packbits(part, axis=1)
+        counts[lo:lo + len(part)] = np.count_nonzero(part, axis=1)
+    return SignatureBook(nias, q, mu=mu, packed=packed, counts=counts, num_slots=num_slots)
 
 
 def reconstruct_book(nias, q, num_slots, domain_tag=DISCOVERY_TAG):

@@ -67,7 +67,7 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     quiet = discovery.observed_quiet(observation, threshold)
     starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
     rows = (starts[:, None] + np.arange(book.mu)).ravel()
-    alive = discovery.survivors(signatures.on_slots(book.bits[rows]), quiet).reshape(
+    alive = discovery.survivors(signatures.on_slots(book.unpacked(rows)), quiet).reshape(
         len(neighbor_list), book.mu)
     return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive)}
 
@@ -118,9 +118,10 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     One signature book per run (NIAs disjoint across seeds); each trial
     draws fresh uniform messages and decodes every (receiver, neighbor)
     pair.  Each receiver hears every other node, so its busy slots are
-    the OR of the other sent masks.  The on_slots() index of the book is
-    built once; per batch of trials, one channels.receive_block() call
-    records the K receivers of every trial from that index, one
+    the OR of the other sent masks.  The on_slots index of the packed
+    book is built once; per batch of trials, one channels.receive_block()
+    call records the K receivers of every trial from that index, erasing
+    their sent rows (the only rows unpacked), one
     survivors() call screens all mu*K candidates against them, and every
     pair's outcome follows from its survivor count and first survivor
     through _STATUS, as in _outcome.
@@ -132,8 +133,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         raise ValueError(f"trials must be >= 1, got {trials}")
     nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots)
-    all_masks = book.matrix()                     # (K*mu, M) uint8
-    index = signatures.on_slots(all_masks)
+    index = book.on_slots
     ids = np.arange(num_nodes)
     # the (receiver k, neighbor j) pairs in record order, k != j
     pairs = ~np.eye(num_nodes, dtype=bool)
@@ -149,7 +149,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         # receiver k of trial ts[i] erases its sent row and hears the others'
         sent = ids * mu + msgs
         heard = np.broadcast_to(sent[:, None], (len(ts), num_nodes, num_nodes))[:, pairs]
-        record = receive_block(all_masks[sent.ravel()].view(bool), index, heard.ravel(),
+        record = receive_block(book.unpacked(sent.ravel()).view(bool), index, heard.ravel(),
                                np.full(sent.size, num_nodes - 1))
         # alive[j, m, i, k]: message m of node j survives at receiver k in trial ts[i]
         alive = discovery.survivors(index, discovery.observed_quiet(record)).reshape(

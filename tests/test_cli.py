@@ -232,6 +232,7 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
     # the sweep scores one discovery round: one book, one neighbor query,
     # one on-slot index, and each receiver observed once through the block
     # channel (no per-receiver `receive` call), at any number of thresholds
+    import functools
     import inspect
 
     from rodd import discovery, signatures
@@ -248,6 +249,15 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
     counted(signatures, "reconstruct_book")
     for name in ("neighbor_lists", "on_slots", "receive"):
         counted(discovery, name)
+    # the book's cached index: counted once per build, not per read
+    build = signatures.SignatureBook.on_slots.func
+
+    def build_index(book):
+        calls["book.on_slots"] = calls.get("book.on_slots", 0) + 1
+        return build(book)
+    index = functools.cached_property(build_index)
+    index.__set_name__(signatures.SignatureBook, "on_slots")
+    monkeypatch.setattr(signatures.SignatureBook, "on_slots", index)
     block = discovery.receive_block
 
     def observe(*args, **kwargs):
@@ -265,7 +275,7 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
                    "--receivers", "30", "--threshold-sweep", sweep, "--seed", "3",
                    "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == rows + 1
-        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "on_slots": 1}
+        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "book.on_slots": 1}
         assert sorted(observed) == list(range(30))
 
 

@@ -93,6 +93,17 @@ def test_survivors_matches_reference(rows, receivers, m, density, blank, seed):
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
 
+def test_survivors_across_gather_chunks():
+    # more rows than one gather holds; blank rows at the chunk edges
+    rows, m = 2 * discovery._GATHER_ROWS + 3, 16
+    rng = np.random.default_rng(11)
+    masks = (rng.random((rows, m)) < 0.2).astype(np.uint8)
+    masks[[0, discovery._GATHER_ROWS - 1, discovery._GATHER_ROWS, rows - 1]] = 0
+    quiet = rng.random((70, m)) < 0.3
+    got = discovery.survivors(discovery.on_slots(masks), quiet)
+    assert np.array_equal(got, _reference_survivors(masks, quiet))
+
+
 def test_survivors_is_exact_past_2_to_the_24_slots():
     m = 2**24 + 1
     masks = np.zeros((2, m), dtype=np.uint8)

@@ -177,13 +177,57 @@ def test_export_text_decodes_back_to_the_bits(n, mu, m, seed):
     assert not unpacked[:, m:].any()          # padding bits are zero
 
 
-def test_book_rows_are_views_of_one_matrix():
+def test_book_rows_are_copies_of_the_unpacked_rows():
     book = signatures.reconstruct_book([7, 3], 0.3, 40)
-    assert book.matrix() is book.bits
-    assert np.shares_memory(book[3].bits, book.matrix())
+    assert np.array_equal(book.matrix(), book.bits)
     assert np.array_equal(book[3].bits, book.matrix()[1])
+    assert np.array_equal(book[3].bits, book.unpacked(1))
+    before = book.export_text()
+    mask = book[3]
+    mask.bits ^= 1
+    assert book.export_text() == before
+    assert np.array_equal(book[3].bits, 1 - mask.bits)
     with pytest.raises(KeyError):
         book[(3, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=1, mu=1, m=1, density=1.0, seed=0)
+@example(n=3, mu=4, m=7, density=0.0, seed=0)
+@given(n=st.integers(1, 5), mu=st.integers(1, 4), m=st.integers(1, 250),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
+    m += m % 8 == 0              # never a multiple of 8: every row ends in a padded byte
+    dense = (np.random.default_rng(seed).random((n * mu, m)) < density).astype(np.uint8)
+    nias = list(range(50, 50 + n))
+    book = signatures.SignatureBook(nias=nias, q=0.5, bits=dense, mu=mu)
+    assert np.array_equal(book.bits, dense)
+    for i, nia in enumerate(nias):
+        for msg in range(mu):
+            assert np.array_equal(book[(nia, msg)].bits, dense[i * mu + msg])
+    packed = np.packbits(dense, axis=1).reshape(n, -1)
+    assert book.export_text() == "".join(f"{nia} {row.tobytes().hex()}\n"
+                                          for nia, row in zip(nias, packed))
+    expected = signatures.on_slots(dense)
+    assert np.array_equal(book.on_slots.starts, expected.starts)
+    assert np.array_equal(book.on_slots.slots, expected.slots)
+    assert book.on_slots.num_slots == m
+    assert book.on_slots is book.on_slots         # built once, then kept
+
+
+def test_derived_book_across_chunks_matches_the_convention():
+    # more rows than one derivation chunk, at a frame that pads its last byte
+    q, m, mu, tag_base = 0.3, 13, 2, 7
+    nias = list(range(1000, 1000 + signatures._CHUNK_ROWS // mu + 3))
+    book = signatures._derive_book(nias, q, m, tag_base, mu)
+    dense = np.array([_convention_mask(nia, tag_base + msg, q, m)
+                      for nia in nias for msg in range(mu)])
+    assert len(dense) > signatures._CHUNK_ROWS
+    assert np.array_equal(book.bits, dense)
+    assert np.array_equal(book.counts, dense.sum(axis=1))
+    expected = signatures.on_slots(dense)
+    assert np.array_equal(book.on_slots.starts, expected.starts)
+    assert np.array_equal(book.on_slots.slots, expected.slots)
 
 
 @pytest.mark.parametrize("bits", [
