@@ -73,51 +73,58 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     on-bits carry `values` (aligned with index.slots; None means 1).
     Receiver b hears the next sizes[b] rows of `heard` and erases the slots
     of its row of the (B, M) bool `erased`.  Without `gains` it is the
-    noiseless OR channel: a slot reads 1 iff a heard row is on there.  With
+    noiseless OR channel: a slot reads 1 iff a heard row is on there, one
+    np.bitwise_or.reduceat over the heard rows' packed 64-bit words.  With
     power `gains`, one per entry of `heard`, a slot reads the sum of
     sqrt(gain) * value over its heard rows, added in the order of `heard`
     (one np.bincount over receiver * M + slot keys, no BLAS sum), plus
     Normal(0, noise_var) noise from default_rng(seeds[b]).  Erased slots
     read 0.  The whole block is one gather, so the caller's block bounds
-    the working set at one key per on-bit its receivers hear.
+    the working set at the packed words of each heard row, or one key per
+    on-bit its receivers hear.
     """
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     erased = np.array(erased, dtype=bool)
-    starts, slots, m = index
+    starts, slots, m = index.starts, index.slots, index.num_slots
     if erased.ndim != 2 or erased.shape[1] != m:
         raise ValueError(f"erasures of shape {erased.shape} do not match {m}-slot rows")
     heard, sizes = np.asarray(heard, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
     if sizes.shape != erased.shape[:1] or sizes.sum() != heard.size:
         raise ValueError(f"sizes must split the {heard.size} heard rows among "
                          f"{len(erased)} receivers")
-    if gains is not None:
-        root = np.sqrt(gains)
-        if root.shape != heard.shape:
-            raise ValueError(f"need one gain per heard row, got shape {root.shape}")
-        if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
-                              or any(s is None for s in seeds)):
-            raise ValueError("a noisy channel needs a seed per receiver")
+    if gains is None:
+        words = index.packed.view("<u8")
+        busy = np.zeros((len(erased), words.shape[1]), dtype="<u8")
+        # reduceat would give a receiver that hears nothing the next one's rows
+        hears = sizes > 0
+        if hears.any():
+            busy[hears] = np.bitwise_or.reduceat(words[heard], (np.cumsum(sizes) - sizes)[hears])
+        out = np.unpackbits(busy.view(np.uint8), axis=1, count=m)
+        out[erased] = 0
+        return OrFrameObservation(values=out, erased=erased)
+    root = np.sqrt(gains)
+    if root.shape != heard.shape:
+        raise ValueError(f"need one gain per heard row, got shape {root.shape}")
+    if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
+                          or any(s is None for s in seeds)):
+        raise ValueError("a noisy channel needs a seed per receiver")
     lens = starts[heard + 1] - starts[heard]
     # term t of the gather is on-bit t - ahead[p] of the row of its pair p
     ahead = np.cumsum(lens) - lens
     at = np.repeat(starts[heard] - ahead, lens) + np.arange(lens.sum())
     owner = np.repeat(np.arange(len(erased)) * m, sizes)
     keys = np.repeat(owner, lens) + slots[at]
-    out = np.zeros(erased.shape, dtype=np.uint8 if gains is None else np.float64)
-    if gains is None:
-        out.reshape(-1)[keys] = 1
-    else:
-        terms = np.repeat(root, lens)
-        if values is not None:
-            terms = terms * values[at]
-        out.reshape(-1)[:] = np.bincount(keys, terms, out.size)
-        if noise_var > 0:
-            for row, seed in zip(out, seeds):
-                row += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
+    terms = np.repeat(root, lens)
+    if values is not None:
+        terms = terms * values[at]
+    out = np.zeros(erased.shape)
+    out.reshape(-1)[:] = np.bincount(keys, terms, out.size)
+    if noise_var > 0:
+        for row, seed in zip(out, seeds):
+            row += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
     out[erased] = 0
-    record = OrFrameObservation if gains is None else RealFrameObservation
-    return record(values=out, erased=erased)
+    return RealFrameObservation(values=out, erased=erased)
 
 
 def receive(own_bits, signals, gains=None, noise_var=0.0, seed=None):

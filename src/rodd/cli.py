@@ -347,7 +347,8 @@ def _cmd_trace(args):
     if not (0 <= args.receiver < n):
         raise UsageError(f"receiver {args.receiver} out of range: the Poisson "
                          f"draw produced {n} nodes")
-    gains = model.link_gains(topo, args.seed)
+    if n < 2:
+        raise UsageError("link gains need at least 2 nodes")
     book = signatures.reconstruct_book(range(n), args.q, args.M)
     rng = np.random.default_rng((args.seed, 0x7ACE))
     if args.mode == "or":
@@ -362,7 +363,7 @@ def _cmd_trace(args):
             if power > args.M:
                 symbols *= math.sqrt(args.M / power)
             frames.append(channels.TransmitFrame(symbols=symbols, mask=book[j]))
-        obs = channels.gaussian_mac(args.receiver, gains, frames,
+        obs = channels.gaussian_mac(args.receiver, model.link_gains(topo, args.seed), frames,
                                     args.noise_var, seed=args.seed)
     _write_text(args.out, channels.dump_observation(obs))
     _say(args, f"trace: receiver {args.receiver} of {n} nodes, {args.M} slots, "

@@ -27,6 +27,8 @@ ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
 _WORD_BITS = 64
+# On-slots per row that survivors() ORs before it drops closed rows.
+_HEAD_SLOTS = 16
 # Index rows whose words one survivors() gather holds at a time.
 _GATHER_ROWS = 4096
 
@@ -72,40 +74,55 @@ def survivors(index, quiet):
     matrix behind the on_slots() `index` has no on-bit in a quiet slot of
     row b of the (B, M) bool `quiet`.
 
-    Receivers are packed 64 to a word: bit j of word m of a group is
-    quiet[64 * group + j, m].  A row's hits for the group are the OR of
-    the words at its on-slots, one np.bitwise_or.reduceat over the index,
-    and the row survives for receiver j iff bit j of that OR is 0.  Rows
+    Receivers are packed 64 to a word: bit j of word g of a slot is
+    quiet[64 * g + j, slot].  A row's hits are the OR of the words at its
+    on-slots, and the row survives for receiver j iff bit j of its hits is
+    0.  One quiet on-slot clears a candidate, so the OR stops early: the
+    head stage ORs the words at each row's first _HEAD_SLOTS on-slots
+    (index.head, built once per index), and only the rows that still
+    survive for some receiver OR the rest, one np.bitwise_or.reduceat
+    over the on-slots of at most _GATHER_ROWS rows at a time.  Rows
     without an on-bit always survive.  Integer ORs are exact at any frame
-    length, and the gather holds one word per on-bit of _GATHER_ROWS rows.
+    length.
     """
-    starts, slots, num_slots = index
     quiet = np.asarray(quiet, dtype=bool)
-    if quiet.ndim != 2 or quiet.shape[1] != num_slots:
+    if quiet.ndim != 2 or quiet.shape[1] != index.num_slots:
         raise ValueError(f"quiet rows of shape {quiet.shape} do not match "
-                         f"{num_slots}-slot masks")
+                         f"{index.num_slots}-slot masks")
     b = quiet.shape[0]
-    alive = np.ones((len(starts) - 1, b), dtype=bool)
-    # reduceat would give an empty segment the next segment's first word
-    lit = np.flatnonzero(np.diff(starts))
+    alive = np.zeros((len(index.starts) - 1, b), dtype=bool)
+    alive[index.starts[:-1] == index.starts[1:]] = True
+    lit, head = index.head(_HEAD_SLOTS)
     if lit.size == 0 or b == 0:
         return alive
-    segments = starts[lit]
-    groups = range(0, b, _WORD_BITS)
-    hits = np.empty((lit.size, len(groups)), dtype="<u8")
-    for g, first in enumerate(groups):
-        packed = np.packbits(quiet[first:first + _WORD_BITS], axis=0, bitorder="little")
-        word = np.zeros((num_slots, _WORD_BITS // 8), dtype=np.uint8)
-        word[:, :len(packed)] = packed.T
-        word = word.view("<u8")[:, 0]
-        for lo in range(0, lit.size, _GATHER_ROWS):
-            seg = segments[lo:lo + _GATHER_ROWS]
-            end = starts[lit[lo + len(seg) - 1] + 1]
-            hits[lo:lo + len(seg), g] = np.bitwise_or.reduceat(word[slots[seg[0]:end]],
-                                                               seg - seg[0])
-    alive[lit] = np.unpackbits(hits.view(np.uint8), axis=1, count=b,
-                               bitorder="little") == 0
+    word, full = (_receiver_words(rows) for rows in (quiet, np.ones((b, 1), dtype=bool)))
+    hits = np.zeros((lit.size, word.shape[1]), dtype="<u8")
+    gathered = np.empty_like(hits)
+    for slots in head:
+        hits |= word.take(slots, axis=0, out=gathered)
+    # a row is closed once every receiver bit is set
+    open_ = np.flatnonzero((hits != full).any(axis=1))
+    starts = index.starts[lit[open_]] + len(head)
+    ends = index.starts[lit[open_] + 1]
+    tail = np.flatnonzero(ends > starts)
+    for lo in range(0, tail.size, _GATHER_ROWS):
+        rows = tail[lo:lo + _GATHER_ROWS]
+        lens = ends[rows] - starts[rows]
+        ahead = np.cumsum(lens) - lens
+        # term t of the gather is tail slot t - ahead[i] of its row i
+        at = np.repeat(starts[rows] - ahead, lens) + np.arange(ahead[-1] + lens[-1])
+        hits[open_[rows]] |= np.bitwise_or.reduceat(word.take(index.slots[at], axis=0), ahead)
+    alive[lit[open_]] = np.unpackbits(hits[open_].view(np.uint8), axis=1, count=b,
+                                      bitorder="little") == 0
     return alive
+
+
+def _receiver_words(rows):
+    """The (B, X) bool `rows` packed along receivers: (X, ceil(B / 64))
+    little-endian words, bit j of word g of column x being rows[64g + j, x]."""
+    padded = np.zeros((rows.shape[1], _WORD_BITS * -(-rows.shape[0] // _WORD_BITS)), dtype=bool)
+    padded[:, :rows.shape[0]] = rows.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _check_threshold(threshold):
@@ -306,11 +323,13 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
 
     Fading is off, so the neighbor lists come from one radius query at the
     `receivers` (node indices, default all).  The packed book and its
-    on_slots index are made once.  Each `block` of receivers is recorded
-    by one channels.receive_block() call, which erases their own rows, the
-    only rows unpacked, and observed_quiet() gives the record's
+    on_slots index are made once.  Receivers are taken `block` at a time
+    in serpentine order over cells of side 2 * radius; each block is
+    recorded by one channels.receive_block() call, which erases their own
+    rows, the only rows unpacked, and observed_quiet() gives the record's
     quiet rows at every threshold.  Per threshold, survivors() screens the
-    block, whose records are counted from its (N, block) survivors.
+    block, whose records are counted from its (N, block) survivors and
+    kept in `receivers` order.
     A threshold applies to energy mode only; None is a quarter of the
     boundary-neighbor energy (tuned for 20 dB), which scales with
     noise_var, so a noiseless energy run must set it.
@@ -340,11 +359,12 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     nbr_lists = neighbor_lists(topology, radius, receivers)
     book = signatures.reconstruct_book(range(n), q, num_slots)
     index = book.on_slots
-    reports = [ExperimentReport(num_nodes=n, num_slots=num_slots, mode=mode,
-                                threshold=t) for t in thresholds]
+    records = [[None] * len(receivers) for _ in thresholds]
+    order = _spatial_order(topology.positions[receivers], 2 * radius)
     for start in range(0, len(receivers), block):
-        chunk = receivers[start:start + block]
-        lists = nbr_lists[start:start + block]
+        picks = order[start:start + block]
+        chunk = receivers[picks]
+        lists = [nbr_lists[i] for i in picks]
         # each receiver's neighbors, flattened, with the column of their receiver
         sizes = np.array([nbrs.size for nbrs in lists], dtype=np.int64)
         column = np.repeat(np.arange(len(chunk)), sizes)
@@ -356,16 +376,28 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
             gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
         record = receive_block(book.unpacked(chunk).view(bool), index, nbrs, sizes, gains,
                                noise_var, [_noise_seed(seed, k) for k in chunk])
-        for report, threshold in zip(reports, thresholds):
+        for rows, threshold in zip(records, thresholds):
             alive = survivors(index, observed_quiet(record, threshold))
             found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
             est = alive.sum(axis=0) - 1              # own mask always survives
-            for k, size, est_count, hit in zip(chunk.tolist(), sizes.tolist(),
-                                               est.tolist(), found.tolist()):
+            for i, k, size, est_count, hit in zip(picks.tolist(), chunk.tolist(),
+                                                  sizes.tolist(), est.tolist(),
+                                                  found.tolist()):
                 misses, fa = size - hit, est_count - hit
                 acc = _accuracy(misses, fa, size) if size else None
-                report.records.append((k, size, est_count, misses, fa, acc))
-    return reports
+                rows[i] = (k, size, est_count, misses, fa, acc)
+    return [ExperimentReport(records=rows, num_nodes=n, num_slots=num_slots, mode=mode,
+                             threshold=t) for rows, t in zip(records, thresholds)]
+
+
+def _spatial_order(points, side):
+    """Positions of the (R, 2) `points` in serpentine order over cells of
+    `side`: cell columns left to right, rows upward in even columns and
+    downward in odd ones, input order within a cell.  Receivers close
+    together share neighbors, so a block of them leaves survivors() few
+    open rows.  A side of 0 (no receiver has a neighbor) is one cell."""
+    col, row = np.floor_divide(points, side if side > 0 else np.inf).T
+    return np.lexsort((np.where(col % 2, -row, row), col))
 
 
 def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, *,

@@ -15,7 +15,6 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -126,9 +125,11 @@ class SignatureBook:
 
     Row i*mu + m is message m of nias[i]; discovery books have mu = 1, so
     row i is the mask of nias[i].  `packed` holds row r's M bits 8 to a
-    byte, MSB-first (np.packbits order, which export_text writes), and
-    `counts[r]` its number of on-bits.  Build a book by hand from the
-    (N*mu, M) 0/1 matrix `bits`; _derive_book passes packed rows instead.
+    byte, MSB-first (np.packbits order; export_text writes the first
+    ceil(M/8) bytes), zero-padded to whole 64-bit words so that rows OR
+    word by word, and `counts[r]` its number of on-bits.  Build a book by
+    hand from the (N*mu, M) 0/1 matrix `bits`; _derive_book passes packed
+    rows instead.
     book[nia] and book[(nia, m)] return a DuplexMask of an unpacked copy
     of that row.
     """
@@ -145,7 +146,7 @@ class SignatureBook:
                 raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows")
             if bits.size and bits.max() > 1:
                 raise ValueError("mask bits must be 0/1")
-            packed, counts = np.packbits(bits, axis=1), np.count_nonzero(bits, axis=1)
+            packed, counts = _packed_rows(bits), np.count_nonzero(bits, axis=1)
             num_slots = bits.shape[1]
         self.packed, self.counts, self.num_slots = packed, counts, num_slots
 
@@ -190,7 +191,7 @@ class SignatureBook:
             part = self.unpacked(slice(lo, lo + _CHUNK_ROWS)).view(bool)
             out = slots[starts[lo]:starts[lo + len(part)]]
             np.remainder(np.flatnonzero(part), m, out=out)
-        return OnSlots(starts, slots, m)
+        return OnSlots(starts, slots, m, self.packed)
 
     def export_text(self):
         """One `nia hex-packed-bits` line per NIA.
@@ -200,18 +201,47 @@ class SignatureBook:
         on the right when M is not a multiple of 8.  With mu > 1 a line
         holds the node's mu packed masks in message order.
         """
-        packed = self.packed.reshape(len(self.nias), self.mu * self.packed.shape[1])
+        nbytes = -(-self.num_slots // 8)
+        packed = self.packed[:, :nbytes].reshape(len(self.nias), self.mu * nbytes)
         return "".join(f"{nia} {row.tobytes().hex()}\n"
                        for nia, row in zip(self.nias, packed))
 
 
-class OnSlots(NamedTuple):
-    """CSR index of the on-bits of an (R, M) 0/1 matrix: the on-slots of
-    row r are slots[starts[r]:starts[r + 1]], in ascending order."""
+class OnSlots:
+    """The on-bits of an (R, M) 0/1 matrix, row by row.
 
-    starts: np.ndarray   # (R + 1,) int64
-    slots: np.ndarray    # (number of on-bits,) int64
-    num_slots: int       # M
+    The on-slots of row r are slots[starts[r]:starts[r + 1]], in ascending
+    order, and packed[r] is the row in a book's `packed` layout (whole
+    64-bit words), for the word-parallel OR channel.  head(c) is the
+    elimination kernel's head stage, kept for as long as the index.
+    """
+
+    def __init__(self, starts, slots, num_slots, packed):
+        self.starts = starts        # (R + 1,) int64
+        self.slots = slots          # (number of on-bits,) int64
+        self.num_slots = num_slots  # M
+        self.packed = packed        # (R, 8 * ceil(M / 64)) uint8
+        self._head = None
+
+    def head(self, c):
+        """(lit, first): the rows with an on-bit, and the (c, len(lit))
+        array of their first c on-slots, a shorter row repeating its last.
+        Built on first use and kept for the last c asked."""
+        if self._head is None or self._head[0] != c:
+            lit = np.flatnonzero(np.diff(self.starts))
+            first, last = self.starts[lit], self.starts[lit + 1] - 1
+            head = np.empty((c, lit.size), dtype=self.slots.dtype)
+            for j, row in enumerate(head):      # no (c, rows) temporary
+                self.slots.take(np.minimum(first + j, last), out=row)
+            self._head = c, lit, head
+        return self._head[1:]
+
+
+def _packed_rows(bits):
+    """The (R, M) 0/1 matrix `bits` in a book's `packed` layout."""
+    packed = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // _WORD_BITS)), dtype=np.uint8)
+    packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1)
+    return packed
 
 
 def on_slots(masks):
@@ -223,7 +253,7 @@ def on_slots(masks):
     rows, slots = np.divmod(np.flatnonzero(masks.view(bool)), masks.shape[1])
     starts = np.zeros(masks.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=masks.shape[0]), out=starts[1:])
-    return OnSlots(starts, slots, masks.shape[1])
+    return OnSlots(starts, slots, masks.shape[1], _packed_rows(masks))
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):
@@ -240,7 +270,7 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
     nias = list(nias)
     keys = _mask_keys(nias, [tag_base + m for m in range(mu)])
-    packed = np.empty((len(keys), -(-num_slots // 8)), dtype=np.uint8)
+    packed = np.empty((len(keys), 8 * -(-num_slots // _WORD_BITS)), dtype=np.uint8)
     counts = np.empty(len(keys), dtype=np.int64)
     buf = np.empty((min(len(keys), _CHUNK_ROWS), num_slots), dtype=bool)
     gen = Philox(key=0)
@@ -251,7 +281,7 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
             fresh["state"]["key"] = key
             gen.state = fresh
             np.less(gen.random_raw(num_slots), thr, out=out)
-        packed[lo:lo + len(part)] = np.packbits(part, axis=1)
+        packed[lo:lo + len(part)] = _packed_rows(part)
         counts[lo:lo + len(part)] = np.count_nonzero(part, axis=1)
     return SignatureBook(nias, q, mu=mu, packed=packed, counts=counts, num_slots=num_slots)
 

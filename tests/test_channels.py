@@ -253,6 +253,39 @@ def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy
         assert np.array_equal(block.erased[b], one.erased)
 
 
+@settings(max_examples=60, deadline=None)
+@example(rows=1, m=1, receivers=1, density=1.0, seed=0)
+@example(rows=3, m=65, receivers=4, density=0.5, seed=1)
+@given(rows=st.integers(1, 12), m=st.integers(1, 200), receivers=st.integers(1, 20),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_word_or_channel_and_padded_book_equal_the_dense_rules(rows, m, receivers,
+                                                                density, seed):
+    # M never a multiple of 8 (or of 64): each row ends in padded bits and
+    # padded words; receivers that hear nothing, repeated heard rows, and a
+    # block that hears nothing at all
+    m += m % 8 == 0
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, m)) < density).astype(np.uint8)
+    book = signatures.SignatureBook(nias=range(7, 7 + rows), q=0.5, bits=masks)
+    assert book.packed.shape == (rows, 8 * -(-m // 64))
+    assert np.array_equal(book.unpacked(slice(None)), masks)
+    assert book.export_text() == "".join(
+        f"{7 + i} {row.tobytes().hex()}\n" for i, row in enumerate(np.packbits(masks, axis=1)))
+    erased = rng.random((receivers, m)) < 0.3
+    heard = [rng.integers(0, rows, rng.integers(0, 6)) for _ in range(receivers)]
+    heard[0] = np.repeat(heard[0], 2)
+    for lists in (heard, [np.zeros(0, np.int64)] * receivers):
+        block = channels.receive_block(erased, book.on_slots, np.concatenate(lists),
+                                       [len(h) for h in lists])
+        assert type(block) is channels.OrFrameObservation
+        assert np.array_equal(block.erased, erased)
+        for b, h in enumerate(lists):
+            dense = (masks[h].any(axis=0) & ~erased[b]).astype(np.uint8)
+            assert block.values[b].tobytes() == dense.tobytes()
+            one = channels.receive(erased[b], book.unpacked(h).reshape(-1, m))
+            assert one.values.tobytes() == dense.tobytes()
+
+
 def test_receive_block_refuses_inconsistent_blocks():
     index = signatures.on_slots(np.eye(3, dtype=np.uint8))
     erased = np.zeros((2, 3), dtype=bool)

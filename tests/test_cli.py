@@ -445,6 +445,29 @@ def test_trace_or_mode_rejects_negative_noise_variance(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trace_or_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
+    # the dense K x K gains are read in gauss mode only; at --n 3000 they
+    # took the OR trace to 410 MB
+    from rodd import model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an OR trace built the link gains")
+    monkeypatch.setattr(model, "link_gains", refuse)
+    out = tmp_path / "t.txt"
+    assert run("trace", "--n", "30", "--area", "100", "--M", "40", "--mode", "or",
+               "--seed", "12", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 40
+
+
+@pytest.mark.parametrize("mode", ["or", "gauss"])
+def test_trace_refuses_a_one_node_draw(tmp_path, capsys, mode):
+    out = tmp_path / "t.txt"
+    assert run("trace", "--n", "1", "--area", "10", "--mode", mode, "--seed", "6",
+               "--out", str(out)) == 2
+    assert "link gains need at least 2 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_receiver_out_of_range(tmp_path):
     assert run("trace", "--n", "3", "--receiver", "99", "--seed", "1",
                "--out", str(tmp_path / "x")) == 2

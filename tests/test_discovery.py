@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodd import channels, discovery, model, signatures, sparsecode
@@ -114,6 +115,34 @@ def test_survivors_is_exact_past_2_to_the_24_slots():
     got = discovery.survivors(discovery.on_slots(masks), quiet)
     assert np.array_equal(got, _reference_survivors(masks, quiet))
     assert got.tolist() == [[False], [True]]
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=3, receivers=1, m=5, density=0.0, blank=0.0, loud=0.5, gather=1, seed=0)
+@example(rows=30, receivers=130, m=40, density=0.9, blank=0.3, loud=0.05, gather=2,
+         seed=1)
+@given(rows=st.integers(0, 30), receivers=st.integers(1, 130), m=st.integers(1, 40),
+       density=st.floats(0.0, 1.0), blank=st.floats(0.0, 1.0), loud=st.floats(0.0, 1.0),
+       gather=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_two_stage_survivors_matches_reference_at_every_head_length(
+        rows, receivers, m, density, blank, loud, gather, seed):
+    # head lengths from 0 (tail only) to past the longest row (head only),
+    # so rows shorter than the head and blank rows occur; ragged receiver
+    # groups in any order; tails split over gathers of a few rows; one
+    # index reused across head lengths
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, m)) < density).astype(np.uint8)
+    masks[rng.random(rows) < blank] = 0
+    quiet = rng.random((receivers, m)) < loud
+    expected = _reference_survivors(masks, quiet)
+    order = rng.permutation(receivers)
+    index = discovery.on_slots(masks)
+    with mock.patch.object(discovery, "_GATHER_ROWS", gather):
+        for c in range(int(masks.sum(axis=1).max(initial=0)) + 2):
+            with mock.patch.object(discovery, "_HEAD_SLOTS", c):
+                assert np.array_equal(discovery.survivors(index, quiet), expected)
+                assert np.array_equal(discovery.survivors(index, quiet[order]),
+                                      expected[:, order])
 
 
 def _random_instance(seed, n=12, q=0.15, m=150, p_neighbor=0.3):
@@ -535,3 +564,35 @@ def test_experiment_report_csv_shape():
     assert lines[0] == "receiver,true_count,est_count,misses,false_alarms,accuracy"
     assert lines[-1].startswith("aggregate,")
     assert len(lines) == topo.num_nodes + 2
+
+
+@pytest.mark.parametrize("mode,thresholds", [
+    (discovery.OR_NOISELESS, [None, None]),
+    (discovery.ENERGY, [20.0, None, 20.0]),
+])
+def test_block_order_is_invisible_in_the_records(mode, thresholds):
+    # receivers are scored in serpentine order over cells of side 2r, on a
+    # torus whose last cell wraps; the records still follow `receivers`,
+    # whatever the block size or the order of that list, and equal
+    # thresholds give equal reports
+    topo, radius = discovery.poisson_discovery_topology(300, 6.0, seed=9, area_side=150.0,
+                                                        torus=True)
+    assert topo.area_side % (2 * radius) > 0
+    shuffled = np.random.default_rng(4).permutation(topo.num_nodes)[:120]
+    cells = {tuple(c) for c in (topo.positions[shuffled] // (2 * radius)).tolist()}
+    assert len(cells) > 20
+    by_receiver = None
+    for receivers in (np.sort(shuffled), shuffled):
+        runs = [discovery.run_threshold_sweep(topo, radius, 300, 0.1, thresholds, mode,
+                                              noise_var=10.0, seed=3, receivers=receivers,
+                                              block=block) for block in (1, 7, 64)]
+        for reports in runs:
+            assert [r.records for r in reports] == [r.records for r in runs[0]]
+            assert [r.mean_accuracy.hex() for r in reports] == \
+                [r.mean_accuracy.hex() for r in runs[0]]
+        first = runs[0][0].records
+        assert [rec[0] for rec in first] == receivers.tolist()
+        assert runs[0][-1].records == first
+        if by_receiver is None:
+            by_receiver = {rec[0]: rec for rec in first}
+        assert first == [by_receiver[k] for k in receivers.tolist()]

@@ -35,3 +35,24 @@ def test_sparsecode_run_stays_below_the_dense_book():
     peak = _traced_peak(lambda: sparsecode.run_sparsecode_experiment(
         k, mu, 0.02, m, trials=2, seed=5))
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
+
+
+def test_kernel_head_does_not_outlive_its_index():
+    # survivors() keeps its head (the first _HEAD_SLOTS on-slots of every
+    # row) on the book's index, so once a run and its book are gone none of
+    # it may stay held.  One head here is 16 * 4,061 * 8 B = 520 KB; what a
+    # run leaves behind without one (interpreter free lists, numpy's
+    # allocation caches) is a few KB and does not grow by a head per run.
+    topo, radius = discovery.poisson_discovery_topology(4000, 50, 5)
+    head = discovery._HEAD_SLOTS * topo.num_nodes * 8
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):                  # each run derives a fresh book
+            discovery.run_discovery_experiment(topo, radius, 2500, 0.02,
+                                               receivers=np.arange(4), seed=5)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[0] < head // 8, f"{held[0]} B held after one run, a head is {head} B"
+    assert held[1] - held[0] < head // 64, f"held {held} B after each run"
