@@ -1,8 +1,8 @@
 """Slot-level multiaccess channel simulators with receiver-side erasure.
 
 `receive_block` is the one channel: it records a block of receivers at
-once from the on-slot index of what they hear.  `receive` is its
-one-receiver view, behind `or_channel` and `gaussian_mac`.
+once from the on-slot index of what they hear.  `receive` is its block
+of one, behind `or_channel`, `gaussian_mac` and `observe_discovery`.
 Whatever a node transmits, its own observation in every slot where its
 mask is ON is erased.  Erasures are marked explicitly instead of being
 folded into a 0 value; the receiver knows its own mask, so the mark is
@@ -55,6 +55,8 @@ class TransmitFrame:
         self.symbols = np.asarray(self.symbols, dtype=np.float64)
         if self.symbols.shape != self.mask.bits.shape:
             raise ValueError("symbols and mask must have equal length")
+        if not np.isfinite(self.symbols).all():
+            raise ValueError("symbols must be finite")
         m = self.symbols.shape[0]
         power = float(np.sum(self.mask.bits * self.symbols**2))
         if power > m * (1.0 + _POWER_TOL):
@@ -75,13 +77,13 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     of its row of the (B, M) bool `erased`.  Without `gains` it is the
     noiseless OR channel: a slot reads 1 iff a heard row is on there, one
     np.bitwise_or.reduceat over the heard rows' packed 64-bit words.  With
-    power `gains`, one per entry of `heard`, a slot reads the sum of
-    sqrt(gain) * value over its heard rows, added in the order of `heard`
-    (one np.bincount over receiver * M + slot keys, no BLAS sum), plus
-    Normal(0, noise_var) noise from default_rng(seeds[b]).  Erased slots
-    read 0.  The whole block is one gather, so the caller's block bounds
-    the working set at the packed words of each heard row, or one key per
-    on-bit its receivers hear.
+    power `gains`, one nonnegative finite gain per entry of `heard`, a slot
+    reads the sum of sqrt(gain) * value over its heard rows, added in the
+    order of `heard` (one np.bincount over receiver * M + slot keys, no
+    BLAS sum), plus Normal(0, noise_var) noise from default_rng(seeds[b]).
+    Erased slots read 0.  The whole block is one gather, so the caller's
+    block bounds the working set at the packed words of each heard row, or
+    one key per on-bit its receivers hear.
     """
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
@@ -103,6 +105,8 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
         out = np.unpackbits(busy.view(np.uint8), axis=1, count=m)
         out[erased] = 0
         return OrFrameObservation(values=out, erased=erased)
+    if not np.all(np.isfinite(gains) & (np.asarray(gains) >= 0)):
+        raise ValueError("gains must be nonnegative and finite")
     root = np.sqrt(gains)
     if root.shape != heard.shape:
         raise ValueError(f"need one gain per heard row, got shape {root.shape}")
@@ -127,23 +131,11 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     return RealFrameObservation(values=out, erased=erased)
 
 
-def receive(own_bits, signals, gains=None, noise_var=0.0, seed=None):
-    """One receiver's record of the (J, M) rows `signals`, with its own
-    on-slots (`own_bits`) erased: receive_block of a block of one, fed the
-    nonzero entries of the rows.
-
-    Without `gains` it is the noiseless OR channel, the OR of the rows.
-    With (J,) power `gains` it is sum_j sqrt(gains_j) * signals_j, each slot
-    adding its terms in row order, plus Normal(0, noise_var) noise from
-    default_rng(seed).
-    """
-    erased = np.asarray(own_bits).astype(bool)
-    signals = np.asarray(signals)
-    if signals.shape[1:] != erased.shape:
-        raise ValueError(f"signals of shape {signals.shape} are not rows of {erased.shape}")
-    lit = signals != 0
-    block = receive_block(erased[None], on_slots(lit), np.arange(len(signals)),
-                          [len(signals)], gains, noise_var, [seed], signals[lit])
+def receive(erased, index, heard, gains=None, noise_var=0.0, seed=None, values=None):
+    """One receiver's record, with its (M,) bool own on-slots `erased`:
+    receive_block of a block of one, which hears every row of `heard`."""
+    block = receive_block(np.asarray(erased)[None], index, heard, [np.size(heard)], gains,
+                          noise_var, [seed], values)
     return type(block)(values=block.values[0], erased=block.erased[0])
 
 
@@ -164,7 +156,7 @@ def or_channel(receiver_mask, peers):
         if peer_mask.length != m or bits.shape[0] != m:
             raise ValueError("peer frame length differs from the receiver's")
         rows.append(peer_mask.bits & bits)
-    return receive(receiver_mask.bits, np.array(rows, dtype=np.uint8).reshape(-1, m))
+    return receive(receiver_mask.bits, on_slots(np.reshape(rows, (-1, m))), range(len(rows)))
 
 
 def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
@@ -187,9 +179,10 @@ def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
     gain = gains.gamma[receiver]
     heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None
              and (neighbor_threshold is None or gain[j] >= neighbor_threshold)]
-    rows = [frames[j].mask.bits * frames[j].symbols for j in heard]
-    return receive(frames[receiver].mask.bits, np.reshape(rows, (-1, m)), gain[heard],
-                   noise_var, seed)
+    rows = np.reshape([frames[j].mask.bits * frames[j].symbols for j in heard], (-1, m))
+    lit = rows != 0
+    return receive(frames[receiver].mask.bits, on_slots(lit), range(len(heard)), gain[heard],
+                   noise_var, seed, rows[lit])
 
 
 def dump_observation(obs):

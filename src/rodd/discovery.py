@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 
 from . import model, signatures
 from .channels import OrFrameObservation, receive, receive_block
-from .signatures import on_slots
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
@@ -51,7 +50,8 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
     Node i's signature is book[book.nias[i]]; the true neighbors are the
     nodes whose gain at the receiver meets `neighbor_threshold`.  Returns
     the channels.receive() record that run_discovery_experiment sees, with
-    energy-mode noise from the same (seed, receiver) stream.
+    energy-mode noise from the same (seed, receiver) stream, read from
+    book.on_slots: only the receiver's row, its erasures, is unpacked.
     """
     if len(book) != gains.num_nodes:
         raise ValueError("book must cover every node in the gain matrix")
@@ -59,7 +59,7 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
         raise ValueError(f"unknown discovery mode {mode!r}")
     nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
                     dtype=np.int64)
-    return receive(book.unpacked(receiver), book.unpacked(nbrs),
+    return receive(book.unpacked(receiver), book.on_slots, nbrs,
                    gains.gamma[receiver, nbrs] if mode == ENERGY else None,
                    noise_var, _noise_seed(seed, receiver))
 
@@ -146,14 +146,14 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
 
     A candidate is discarded iff some off-slot read empty (bit 0, or
     energy below `threshold`) while the candidate's signature was on
-    there.  The receiver's own NIA is never a candidate.  By default the
-    whole book is screened (the full-NIA-enumeration premise); pass
-    `candidates` to restrict the scan.
+    there.  The receiver's own NIA is never a candidate.  One survivors()
+    call screens the book's on_slots index (the full-NIA-enumeration
+    premise); `candidates` picks the rows reported.
     """
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
-    masks = book.unpacked([book.row(nia) for nia in nias])
-    alive = survivors(on_slots(masks), observed_quiet(observation, threshold))[:, 0]
+    rows = np.array([book.row(nia) for nia in nias], dtype=np.int64)
+    alive = survivors(book.on_slots, observed_quiet(observation, threshold))[rows, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
                            slots_used=observation.length)
@@ -194,6 +194,8 @@ def random_access_baseline(neighbor_sets, frame_bits, tx_prob, target_accuracy,
         raise ValueError("tx_prob must lie in [0,1]")
     if frame_bits < 1:
         raise ValueError("frame_bits must be >= 1")
+    if not 0.0 <= target_accuracy <= 1.0:
+        raise ValueError(f"target_accuracy must lie in [0,1], got {target_accuracy}")
     n = len(neighbor_sets)
     nbr_arrays = [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
     quota = [math.ceil(target_accuracy * len(s) - 1e-12) for s in neighbor_sets]

@@ -157,6 +157,16 @@ def test_power_constraint_enforced():
         channels.TransmitFrame(symbols=np.full(4, 1.1), mask=mask)
 
 
+def test_transmit_frame_refuses_symbols_that_are_not_finite():
+    # NaN passes the power check (nan > M is False) and an off-slot inf
+    # becomes 0 * inf = NaN: either would put NaN into the channel
+    mask = _mask([1, 0, 1])
+    for bad in ([float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0],
+                [0.0, float("nan"), 0.0], [0.0, 0.0, -float("inf")]):
+        with pytest.raises(ValueError, match="symbols"):
+            channels.TransmitFrame(symbols=np.array(bad), mask=mask)
+
+
 def test_masked_slots_do_not_count_against_power():
     # only on-slots spend power
     frame = channels.TransmitFrame(symbols=np.array([100.0, 1.0]),
@@ -176,22 +186,24 @@ def test_noisy_channel_needs_a_seed():
     with pytest.raises(ValueError, match="seed"):
         channels.gaussian_mac(0, _unit_gains(2), [f0, None], noise_var=1.0)
     with pytest.raises(ValueError, match="seed"):
-        channels.receive(np.zeros(m), np.ones((1, m)), np.ones(1), noise_var=1.0)
+        channels.receive(np.zeros(m), signatures.on_slots(np.ones((1, m))), [0], np.ones(1),
+                         noise_var=1.0)
 
 
 def test_receive_refuses_a_noise_variance_that_is_not_finite():
     # NaN would skip the noise draw, infinity would swamp every slot
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="noise_var"):
-            channels.receive(np.zeros(4), np.ones((1, 4)), np.ones(1), bad, seed=1)
+            channels.receive(np.zeros(4), signatures.on_slots(np.ones((1, 4))), [0],
+                             np.ones(1), bad, seed=1)
 
 
 def test_receive_refuses_rows_of_another_length():
     # a (J, 1) block would otherwise broadcast over the frame
     with pytest.raises(ValueError, match="shape"):
-        channels.receive(np.zeros(3), np.ones((2, 1)), np.ones(2))
+        channels.receive(np.zeros(3), signatures.on_slots(np.ones((2, 1))), [0, 1], np.ones(2))
     with pytest.raises(ValueError, match="shape"):
-        channels.receive(np.zeros(3), np.ones(3, dtype=np.uint8))
+        channels.receive(np.zeros(3), signatures.on_slots(np.ones(3, dtype=np.uint8)), [0])
 
 
 @st.composite
@@ -210,7 +222,9 @@ def _linear_frames(draw):
 @example(frame=(np.zeros(1, np.uint8), np.array([[1.0]] + [[1e-16]] * 11), np.ones(12)))
 def test_receive_sums_rows_as_a_left_fold(frame):
     own, signals, gains = frame
-    obs = channels.receive(own, signals, gains)
+    lit = signals != 0
+    obs = channels.receive(own, signatures.on_slots(lit), range(len(signals)), gains,
+                           values=signals[lit])
     expect = [0.0] * own.shape[0]
     for g, row in zip(gains.tolist(), signals.tolist()):
         for m, x in enumerate(row):
@@ -238,15 +252,16 @@ def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy
              np.zeros(0, np.int64) for _ in range(receivers)]
     gains = [10.0 ** rng.uniform(-8, 8, len(h)) for h in heard] if energy else None
     seeds = [(seed, b) for b in range(receivers)]
+    index = signatures.on_slots(masks)
     block = channels.receive_block(
-        erased, signatures.on_slots(masks), np.concatenate(heard + [np.zeros(0, int)]),
+        erased, index, np.concatenate(heard + [np.zeros(0, int)]),
         [len(h) for h in heard], None if gains is None else np.concatenate(gains + [[]]),
         noise_var, seeds)
     kind = channels.RealFrameObservation if energy else channels.OrFrameObservation
     assert type(block) is kind
     assert block.values.shape == block.erased.shape == (receivers, m)
     for b, h in enumerate(heard):
-        one = channels.receive(erased[b], masks[h], None if gains is None else gains[b],
+        one = channels.receive(erased[b], index, h, None if gains is None else gains[b],
                                noise_var, seeds[b])
         assert type(one) is kind
         assert block.values[b].tobytes() == one.values.tobytes()
@@ -282,7 +297,7 @@ def test_word_or_channel_and_padded_book_equal_the_dense_rules(rows, m, receiver
         for b, h in enumerate(lists):
             dense = (masks[h].any(axis=0) & ~erased[b]).astype(np.uint8)
             assert block.values[b].tobytes() == dense.tobytes()
-            one = channels.receive(erased[b], book.unpacked(h).reshape(-1, m))
+            one = channels.receive(erased[b], book.on_slots, h)
             assert one.values.tobytes() == dense.tobytes()
 
 
@@ -299,3 +314,12 @@ def test_receive_block_refuses_inconsistent_blocks():
         channels.receive_block(erased, index, [0, 1], [1, 1], np.ones(2), 1.0, [1, None])
     with pytest.raises(ValueError, match="seed"):
         channels.receive_block(erased, index, [0, 1], [1, 1], np.ones(2), 1.0, [1])
+
+
+def test_receive_block_refuses_gains_that_are_negative_or_not_finite():
+    # sqrt would turn them into a NaN or inf row with only a warning
+    index = signatures.on_slots(np.eye(3, dtype=np.uint8))
+    erased = np.zeros((2, 3), dtype=bool)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gains"):
+            channels.receive_block(erased, index, [0, 1], [1, 1], [1.0, bad])

@@ -246,8 +246,9 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(signatures, "reconstruct_book")
-    for name in ("neighbor_lists", "on_slots", "receive"):
+    for name in ("reconstruct_book", "on_slots"):
+        counted(signatures, name)
+    for name in ("neighbor_lists", "receive"):
         counted(discovery, name)
     # the book's cached index: counted once per build, not per read
     build = signatures.SignatureBook.on_slots.func

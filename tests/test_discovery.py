@@ -89,7 +89,7 @@ def test_survivors_matches_reference(rows, receivers, m, density, blank, seed):
     masks = (rng.random((rows, m)) < density).astype(np.uint8)
     masks[rng.random(rows) < blank] = 0
     quiet = rng.random((receivers, m)) < density
-    got = discovery.survivors(discovery.on_slots(masks), quiet)
+    got = discovery.survivors(signatures.on_slots(masks), quiet)
     assert got.dtype == bool
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
@@ -101,7 +101,7 @@ def test_survivors_across_gather_chunks():
     masks = (rng.random((rows, m)) < 0.2).astype(np.uint8)
     masks[[0, discovery._GATHER_ROWS - 1, discovery._GATHER_ROWS, rows - 1]] = 0
     quiet = rng.random((70, m)) < 0.3
-    got = discovery.survivors(discovery.on_slots(masks), quiet)
+    got = discovery.survivors(signatures.on_slots(masks), quiet)
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
 
@@ -112,7 +112,7 @@ def test_survivors_is_exact_past_2_to_the_24_slots():
     masks[1, [5, m - 2]] = 1
     quiet = np.zeros((1, m), dtype=bool)
     quiet[0, m - 1] = True
-    got = discovery.survivors(discovery.on_slots(masks), quiet)
+    got = discovery.survivors(signatures.on_slots(masks), quiet)
     assert np.array_equal(got, _reference_survivors(masks, quiet))
     assert got.tolist() == [[False], [True]]
 
@@ -136,7 +136,7 @@ def test_two_stage_survivors_matches_reference_at_every_head_length(
     quiet = rng.random((receivers, m)) < loud
     expected = _reference_survivors(masks, quiet)
     order = rng.permutation(receivers)
-    index = discovery.on_slots(masks)
+    index = signatures.on_slots(masks)
     with mock.patch.object(discovery, "_GATHER_ROWS", gather):
         for c in range(int(masks.sum(axis=1).max(initial=0)) + 2):
             with mock.patch.object(discovery, "_HEAD_SLOTS", c):
@@ -344,6 +344,14 @@ def test_baseline_never_transmitting_never_converges():
     with pytest.raises(discovery.ConvergenceError):
         discovery.random_access_baseline([{1}, {0}], 32, 0.0, 1.0, seed=0,
                                          max_frames=50)
+
+
+def test_baseline_refuses_a_target_outside_the_unit_interval():
+    # a target above 1 can never be met, one below 0 is met by any frame and
+    # NaN has no quota; each is refused before the first frame is drawn
+    for bad in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="target_accuracy"):
+            discovery.random_access_baseline([{1}, {0}], 8, 0.5, bad, seed=0)
 
 
 def test_baseline_counts_only_collision_free_frames():

@@ -1,14 +1,16 @@
-"""Memory guards: the experiment drivers never hold a dense (N*mu, M) book.
+"""Memory guards: the experiment drivers and the op-level readers of a
+book never hold a dense (N*mu, M) book.
 
 tracemalloc sees numpy's array allocations, so a traced peak below the
 size of the dense uint8 book shows that no such matrix was allocated.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 
-from rodd import discovery, sparsecode
+from rodd import channels, discovery, model, signatures, sparsecode
 
 
 def _traced_peak(run):
@@ -35,6 +37,72 @@ def test_sparsecode_run_stays_below_the_dense_book():
     peak = _traced_peak(lambda: sparsecode.run_sparsecode_experiment(
         k, mu, 0.02, m, trials=2, seed=5))
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
+
+
+def _record(own, rows):
+    """The OR record of the dense 0/1 `rows` at a receiver that sends `own`,
+    indexed apart from any book."""
+    return channels.receive(own, signatures.on_slots(rows), range(len(rows)))
+
+
+def test_eliminate_stays_below_the_dense_book():
+    # the whole book is screened through its own index, built in the call
+    topo, radius = discovery.poisson_discovery_topology(4000, 50, 5)
+    m = 2500
+    book = signatures.reconstruct_book(range(topo.num_nodes), 0.02, m)
+    nbrs = discovery.neighbor_lists(topo, radius, [0])[0]
+    obs = _record(book.unpacked(0), book.unpacked(nbrs))
+    dense = topo.num_nodes * m                  # 10 MB at about 4,000 nodes
+    peak = _traced_peak(lambda: discovery.eliminate(obs, book[0], book))
+    assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
+
+
+def test_decode_stays_below_the_dense_book():
+    k, mu, m = 10, 1024, 2048
+    book = sparsecode.build_message_book(range(k), mu, 0.02, m)
+    sent = np.arange(k) * mu + 7
+    obs = _record(book.unpacked(sent[0]), book.unpacked(sent[1:]))
+    dense = k * mu * m                          # 21 MB
+    peak = _traced_peak(lambda: sparsecode.decode(obs, book, list(range(1, k))))
+    assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
+
+
+def test_op_level_readers_build_the_book_index_once(monkeypatch):
+    # observe_discovery, eliminate and decode read book.on_slots, built on
+    # the first call and kept, and never index dense rows themselves
+    calls = {}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return wrapper
+    index = functools.cached_property(counted("book.on_slots",
+                                              signatures.SignatureBook.on_slots.func))
+    index.__set_name__(signatures.SignatureBook, "on_slots")
+    monkeypatch.setattr(signatures.SignatureBook, "on_slots", index)
+    dense = counted("signatures.on_slots", signatures.on_slots)
+    for module in (signatures, channels):
+        monkeypatch.setattr(module, "on_slots", dense)
+
+    k = 6
+    gains = model.LinkGains(gamma=10.0 * (np.ones((k, k)) - np.eye(k)))
+    book = signatures.reconstruct_book(range(k), 0.2, 120)
+    for mode in (discovery.OR_NOISELESS, discovery.ENERGY):
+        for receiver in range(k):
+            obs = discovery.observe_discovery(receiver, gains, book, mode,
+                                              neighbor_threshold=1.0, seed=3)
+            discovery.eliminate(obs, book[receiver], book, threshold=5.0)
+    assert calls == {"book.on_slots": 1}
+
+    calls.clear()
+    messages = sparsecode.build_message_book(range(k), 4, 0.2, 120)
+    sent = np.arange(k) * 4 + np.arange(k) % 4
+    for receiver in range(k):
+        obs = channels.receive(messages.unpacked(sent[receiver]), messages.on_slots,
+                               np.delete(sent, receiver))
+        sparsecode.decode(obs, messages, [j for j in range(k) if j != receiver])
+    assert calls == {"book.on_slots": 1}
 
 
 def test_kernel_head_does_not_outlive_its_index():
