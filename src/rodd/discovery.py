@@ -57,8 +57,7 @@ def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
         raise ValueError("book must cover every node in the gain matrix")
     if mode not in (OR_NOISELESS, ENERGY):
         raise ValueError(f"unknown discovery mode {mode!r}")
-    nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)),
-                    dtype=np.int64)
+    nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)), dtype=np.int64)
     return receive(book.unpacked(receiver), book.on_slots, nbrs,
                    gains.gamma[receiver, nbrs] if mode == ENERGY else None,
                    noise_var, _noise_seed(seed, receiver))
@@ -147,13 +146,13 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     A candidate is discarded iff some off-slot read empty (bit 0, or
     energy below `threshold`) while the candidate's signature was on
     there.  The receiver's own NIA is never a candidate.  One survivors()
-    call screens the book's on_slots index (the full-NIA-enumeration
-    premise); `candidates` picks the rows reported.
+    call screens the rows of `candidates` (by default the whole book, the
+    full-NIA-enumeration premise), cut from book.on_slots.
     """
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
     rows = np.array([book.row(nia) for nia in nias], dtype=np.int64)
-    alive = survivors(book.on_slots, observed_quiet(observation, threshold))[rows, 0]
+    alive = survivors(book.on_slots.take(rows), observed_quiet(observation, threshold))[:, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
                            slots_used=observation.length)

@@ -236,6 +236,13 @@ class OnSlots:
             self._head = c, lit, head
         return self._head[1:]
 
+    def take(self, rows):
+        """The OnSlots index of rows `rows` (an int64 array) of this one."""
+        lens = self.starts[rows + 1] - self.starts[rows]
+        starts = np.append(0, np.cumsum(lens))
+        at = np.repeat(self.starts[rows] - starts[:-1], lens) + np.arange(starts[-1])
+        return OnSlots(starts, self.slots[at], self.num_slots, self.packed[rows])
+
 
 def _packed_rows(bits):
     """The (R, M) 0/1 matrix `bits` in a book's `packed` layout."""

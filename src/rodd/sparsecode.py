@@ -57,18 +57,17 @@ class NeighborDecode:
 def decode(observation, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
-    One survivors() call screens the book's on_slots index, and the mu
-    signatures of each listed neighbor are picked from it.  Each row is
-    screened alone, so the outcome for one neighbor does not depend on
-    the rest of the list.  An empty candidate set means the channel
-    contradicted every signature of that neighbor (impossible without
-    noise) and is reported as ELIMINATED_ALL rather than papered over.
+    One survivors() call screens the mu signatures of every listed
+    neighbor, cut from book.on_slots (built over every row on first use).
+    Each row is screened alone, so the outcome for one neighbor does not
+    depend on the rest of the list.  An empty candidate set means the
+    channel contradicted every signature of that neighbor (impossible
+    without noise) and is reported as ELIMINATED_ALL, not papered over.
     """
-    quiet = discovery.observed_quiet(observation, threshold)
     starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
-    rows = (starts[:, None] + np.arange(book.mu)).ravel()
-    alive = discovery.survivors(book.on_slots, quiet)[rows].reshape(len(neighbor_list), book.mu)
-    return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive)}
+    index = book.on_slots.take((starts[:, None] + np.arange(book.mu)).ravel())
+    alive = discovery.survivors(index, discovery.observed_quiet(observation, threshold))
+    return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive.reshape(-1, book.mu))}
 
 
 def _outcome(alive):

@@ -248,6 +248,8 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
 
     for name in ("reconstruct_book", "on_slots"):
         counted(signatures, name)
+    # an `on_slots` imported into discovery by name would bypass the wrapper
+    monkeypatch.setattr(discovery, "on_slots", signatures.on_slots, raising=False)
     for name in ("neighbor_lists", "receive"):
         counted(discovery, name)
     # the book's cached index: counted once per build, not per read

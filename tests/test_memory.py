@@ -67,6 +67,17 @@ def test_decode_stays_below_the_dense_book():
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
 
 
+def test_decode_of_a_short_list_scales_with_the_list():
+    # once the book's index is built, decoding one neighbor screens only
+    # its mu rows, not the whole book: less than one byte per book row
+    k, mu, m = 1000, 64, 256
+    book = sparsecode.build_message_book(range(k), mu, 0.02, m)
+    obs = _record(book.unpacked(7), book.unpacked([mu + 3]))
+    sparsecode.decode(obs, book, [1])
+    peak = _traced_peak(lambda: sparsecode.decode(obs, book, [1]))
+    assert peak < k * mu, f"traced peak {peak} B for {k * mu} book rows"
+
+
 def test_op_level_readers_build_the_book_index_once(monkeypatch):
     # observe_discovery, eliminate and decode read book.on_slots, built on
     # the first call and kept, and never index dense rows themselves
@@ -82,8 +93,9 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
     index.__set_name__(signatures.SignatureBook, "on_slots")
     monkeypatch.setattr(signatures.SignatureBook, "on_slots", index)
     dense = counted("signatures.on_slots", signatures.on_slots)
-    for module in (signatures, channels):
-        monkeypatch.setattr(module, "on_slots", dense)
+    # also where an import by name would bind it
+    for module in (signatures, channels, discovery, sparsecode):
+        monkeypatch.setattr(module, "on_slots", dense, raising=False)
 
     k = 6
     gains = model.LinkGains(gamma=10.0 * (np.ones((k, k)) - np.eye(k)))

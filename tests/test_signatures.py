@@ -213,6 +213,13 @@ def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
     assert np.array_equal(book.on_slots.slots, expected.slots)
     assert book.on_slots.num_slots == m
     assert book.on_slots is book.on_slots         # built once, then kept
+    # a cut of repeated, unordered rows is the index of those rows alone
+    for rows in (np.random.default_rng(seed).integers(0, n * mu, 2 * n), np.zeros(0, int)):
+        cut, alone = book.on_slots.take(rows), signatures.on_slots(dense[rows])
+        assert np.array_equal(cut.starts, alone.starts)
+        assert np.array_equal(cut.slots, alone.slots)
+        assert np.array_equal(cut.packed, alone.packed)
+        assert cut.num_slots == m
 
 
 def test_derived_book_across_chunks_matches_the_convention():
