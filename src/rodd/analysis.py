@@ -26,7 +26,10 @@ Binomial-weighted sums are evaluated from log-space terms so that K in
 the hundreds stays finite and accurate.
 """
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,15 @@ SUBSET_ENUM_MAX_NODES = 25
 # Largest (points x terms) block an objective evaluates at once: memory
 # stays bounded at large K, and each 256 KiB temporary stays in cache.
 _BLOCK_ELEMENTS = 2**15
+# Threads of the asymmetric bound: one per CPU this process may use.  Each
+# holds two 2^(K-2) float64 subset arrays; together they stay within
+# _SUBSET_BUFFER_BYTES (one thread always runs), so large K uses fewer.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_SUBSET_BUFFER_BYTES = 2**25
+# Subset terms formed per pass over the subset arrays: the scratch of a
+# pass stays at 512 KiB per array at any K.
+_TERM_CHUNK = 2**16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -256,18 +268,13 @@ def _power_levels(K, v):
     return np.maximum((K - m) / (K - 1) * v - 1.0, 0.0)
 
 
-def _waterfill(K, q):
-    """v -> waterfill_lhs(K, q, v), with the binomial weights computed once."""
-    w_full = _binomial_weights(K, np.arange(1, K), K, q)
-    return lambda v: float(np.sum(w_full * _power_levels(K, v)) / K)
-
-
 def waterfill_lhs(K, q, v):
     """Average allocated power at water level v (left side of the constraint)."""
     K = _check_kq(K, q)
     if not math.isfinite(v):
         raise ValueError(f"water level v must be finite, got {v}")
-    return _waterfill(K, q)(v)
+    w_full = _binomial_weights(K, np.arange(1, K), K, q)
+    return float(np.sum(w_full * _power_levels(K, v)) / K)
 
 
 def solve_water_level(K, q, gamma):
@@ -277,30 +284,66 @@ def solve_water_level(K, q, gamma):
     beyond, so a bracketed bisection from v = 1 with geometric upper
     growth always converges.  Residual tolerance is relative to gamma.
     """
-    K = _check_kq(K, q)
+    return float(_water_levels(K, [q], gamma)[0])
+
+
+def _water_levels(K, qs, gamma):
+    """solve_water_level at each q of qs, the bisections run in lockstep
+    over blocks of at most _BLOCK_ELEMENTS weights.  Each q keeps its own
+    bracket growth, early exit and 200-step fallback, so its level is the
+    float that a solve of that q alone gives."""
+    K = _check_kq(K)
+    for q in qs:
+        _check_kq(K, q)
     _check_gamma(gamma)
-    lhs = _waterfill(K, q)
-    lo, hi = 1.0, 2.0
+    rows = max(1, _BLOCK_ELEMENTS // (K - 1))
+    return np.concatenate([np.empty(0)] + [_bisect_levels(K, qs[s:s + rows], gamma)
+                                           for s in range(0, len(qs), rows)])
+
+
+def _bisect_levels(K, qs, gamma):
+    # one row of weights per q, each from the scalar log-space formula
+    w = np.array([_binomial_weights(K, np.arange(1, K), K, q) for q in qs])
+
+    def lhs(at, v):
+        return np.sum(w[at] * _power_levels(K, v[:, None]), axis=1) / K
+
+    lo, hi = np.ones(len(qs)), np.full(len(qs), 2.0)
+    at = np.arange(len(qs))           # the rows still growing their bracket
     for _ in range(200):
-        if lhs(hi) >= gamma:
+        at = at[~(lhs(at, hi[at]) >= gamma)]
+        if not at.size:
             break
-        lo, hi = hi, hi * 2.0
+        lo[at] = hi[at]
+        hi[at] *= 2.0
     else:
+        r = at[0]
         raise WaterLevelBracketError(
-            f"no bracket for K={K} q={q} gamma={gamma}: lhs({hi:g}) = "
-            f"{lhs(hi):g} still below gamma"
+            f"no bracket for K={K} q={qs[r]} gamma={gamma}: lhs({hi[r]:g}) = "
+            f"{lhs(at[:1], hi[at[:1]])[0]:g} still below gamma"
         )
     target = WATER_RESIDUAL_REL * gamma
+    levels = np.empty(len(qs))
+    at = np.arange(len(qs))           # the rows still bisecting
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = lhs(mid)
-        if abs(val - gamma) <= target:
-            return mid
-        if val < gamma:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[at] + hi[at])
+        val = lhs(at, mid)
+        done = np.abs(val - gamma) <= target
+        levels[at[done]] = mid[done]
+        at, mid, val = at[~done], mid[~done], val[~done]
+        below = val < gamma
+        lo[at[below]] = mid[below]
+        hi[at[~below]] = mid[~below]
+        if not at.size:
+            break
+    levels[at] = 0.5 * (lo[at] + hi[at])
+    return levels
+
+
+def _gauss_capacity(K, q, v):
+    """The symmetric Gaussian capacity at water level v."""
+    levels = _power_levels(K, v)
+    return float(np.sum(_pattern_weights(K, q)[1:] * g(levels)) / (K - 1))
 
 
 def gauss_symmetric_capacity(K, q, gamma):
@@ -311,10 +354,8 @@ def gauss_symmetric_capacity(K, q, gamma):
     """
     K = _check_kq(K, q)
     v = solve_water_level(K, q, gamma)
-    w = _pattern_weights(K, q)
-    levels = _power_levels(K, v)
-    rate = float(np.sum(w[1:] * g(levels)) / (K - 1))
-    return RateResult(rate=rate, v_star=v, residual=abs(waterfill_lhs(K, q, v) - gamma))
+    return RateResult(rate=_gauss_capacity(K, q, v), v_star=v,
+                      residual=abs(waterfill_lhs(K, q, v) - gamma))
 
 
 def asymmetric_rate_bound(gains, q, k):
@@ -326,6 +367,17 @@ def asymmetric_rate_bound(gains, q, k):
     probability of that on-pattern; the bound is the minimum over
     listeners.  Subsets are enumerated by vectorized doubling, so node
     count is capped.
+    """
+    return asymmetric_rate_bounds(gains, q, [k])[0]
+
+
+def asymmetric_rate_bounds(gains, q, nodes):
+    """asymmetric_rate_bound of each node of `nodes`, as a list.
+
+    The listeners run on a pool of threads; each forms its rates for
+    every node in one set of subset arrays.  A node's bound is the
+    Python min over listeners in index order, so NaN rates and ties
+    resolve as in a loop over listeners.
     """
     q = np.asarray(q, dtype=np.float64)
     K = gains.num_nodes
@@ -340,54 +392,96 @@ def asymmetric_rate_bound(gains, q, k):
             f"subset enumeration is exponential; K={K} exceeds the cap of "
             f"{SUBSET_ENUM_MAX_NODES}"
         )
-    if not (0 <= k < K):
-        raise ValueError(f"node index {k} out of range")
+    nodes = list(nodes)
+    for k in nodes:
+        if not (0 <= k < K):
+            raise ValueError(f"node index {k} out of range")
 
-    best = math.inf
-    # The 2^(K-2) subsets of one listener, reused by the next.
-    h = np.empty(2 ** (K - 2))
-    prob = np.empty(2 ** (K - 2))
-    for i in range(K):
-        if i == k:
+    workers = max(1, min(_WORKERS, _SUBSET_BUFFER_BYTES // (16 * 2 ** (K - 2))))
+    with ThreadPoolExecutor(workers) as pool:
+        # each listener runs in a copy of the caller's context (its errstate)
+        rates = [f.result() for f in [
+            pool.submit(contextvars.copy_context().run, _listener_rates,
+                        gains.gamma, q, i, nodes) for i in range(K)]]
+    bounds = []
+    for n, k in enumerate(nodes):
+        best = math.inf
+        for i in range(K):
+            if i != k:
+                best = min(best, rates[i][n])
+        bounds.append(best)
+    return bounds
+
+
+def _listener_rates(gamma, q, i, nodes):
+    """Listener i's rate of each node k of `nodes` (None for k == i).
+
+    The subsets A of everyone but i with k in A start from {k} and double
+    over the remaining members, the new half being the old one with j
+    added: h[A] = sum_{j in A} gamma[i][j] / q[j] and prob[A] the
+    on-pattern probability.  prob then becomes the terms
+    gamma[i][k] / (q[k] h) * 0.5 log2(1 + h) * prob, 0 where h == 0, in
+    chunks, and its sum gives the rate.
+    """
+    K = len(q)
+    h, prob = np.empty(2 ** (K - 2)), np.empty(2 ** (K - 2))
+    chunk = min(h.size, _TERM_CHUNK)
+    t, u, zero = np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool)
+    rates = []
+    for k in nodes:
+        if k == i:
+            rates.append(None)
             continue
-        rest = [j for j in range(K) if j != i and j != k]
-        # All subsets A of {everyone but i} with k in A: start from {k} and
-        # double over the remaining members; the new half is the old one
-        # with j added.
-        h[0] = gains.gamma[i, k] / q[k]
+        h[0] = gamma[i, k] / q[k]
         prob[0] = q[k]
         s = 1
-        for j in rest:
-            np.add(h[:s], gains.gamma[i, j] / q[j], out=h[s:2 * s])
-            np.multiply(prob[:s], q[j], out=prob[s:2 * s])
-            prob[:s] *= 1.0 - q[j]
-            s *= 2
+        for j in range(K):
+            if j != i and j != k:
+                np.add(h[:s], gamma[i, j] / q[j], out=h[s:2 * s])
+                np.multiply(prob[:s], q[j], out=prob[s:2 * s])
+                prob[:s] *= 1.0 - q[j]
+                s *= 2
         with np.errstate(invalid="ignore", divide="ignore"):
-            terms = np.where(h > 0, gains.gamma[i, k] / (q[k] * h) * g(h) * prob, 0.0)
-        rate_i = (1.0 - q[i]) * float(np.sum(terms))
-        best = min(best, rate_i)
-    return best
+            for lo in range(0, h.size, chunk):
+                hc, pc = h[lo:lo + chunk], prob[lo:lo + chunk]
+                np.equal(hc, 0.0, out=zero)
+                np.multiply(q[k], hc, out=t)
+                np.divide(gamma[i, k], t, out=t)
+                np.add(1.0, hc, out=u)
+                np.log2(u, out=u)
+                np.multiply(0.5, u, out=u)
+                np.multiply(t, u, out=t)
+                np.multiply(t, pc, out=pc)
+                np.copyto(pc, 0.0, where=zero)
+        rates.append((1.0 - q[i]) * float(np.sum(prob)))
+    return rates
 
 
-def _sweep(Ks, q_grid, gamma, rate, capacity, aloha):
+def _sweep(Ks, q_grid, gamma, rate, capacities, aloha):
     """K times the symmetric rate and capacity, and the ALOHA throughput,
-    over a (K, q) grid; a gamma that is not None is passed on to all three."""
+    over a (K, q) grid; capacities(K) gives the capacity at each q of the
+    grid, and a gamma that is not None is passed on to rate and aloha."""
     extra = () if gamma is None else (gamma,)
     return SweepTable(rows=[
         SweepRow(K=K, q=q, gamma=gamma,
                  rodd_sum_rate=K * rate(K, q, *extra).rate,
-                 rodd_sum_capacity=K * capacity(K, q, *extra).rate,
+                 rodd_sum_capacity=K * capacity,
                  aloha=aloha(K, q, *extra))
-        for K in Ks for q in q_grid])
+        for K in Ks for q, capacity in zip(q_grid, capacities(K))])
 
 
 def sweep_or(Ks, q_grid):
     """Sum rate, sum capacity and ALOHA throughput over a (K, q) grid."""
-    return _sweep(Ks, q_grid, None, or_symmetric_rate, or_symmetric_capacity,
+    return _sweep(Ks, q_grid, None, or_symmetric_rate,
+                  lambda K: [or_symmetric_capacity(K, q).rate for q in q_grid],
                   or_aloha_throughput)
 
 
 def sweep_gauss(Ks, q_grid, gamma):
-    """Gaussian-channel counterpart of sweep_or at a common SNR."""
-    return _sweep(Ks, q_grid, gamma, gauss_symmetric_rate, gauss_symmetric_capacity,
+    """Gaussian-channel counterpart of sweep_or at a common SNR; each K's
+    water levels are solved over the whole q grid in one call."""
+    def capacities(K):
+        levels = _water_levels(K, q_grid, gamma)
+        return [_gauss_capacity(K, q, v) for q, v in zip(q_grid, levels)]
+    return _sweep(Ks, q_grid, gamma, gauss_symmetric_rate, capacities,
                   gauss_aloha_throughput)

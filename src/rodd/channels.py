@@ -166,6 +166,7 @@ def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
     frames[j] is node j's TransmitFrame (None = silent node).  At every
     off-slot of the receiver the observation is
     sum_j sqrt(gamma[k][j]) * s_jm * x_jm + w,  w ~ Normal(0, noise_var).
+    `gains` is a LinkGains or its row k alone, as model.gain_row gives it.
     With `neighbor_threshold` set, only transmitters whose gain meets it
     are summed; out-of-neighborhood interference is then part of
     noise_var, which is how callers should model it.
@@ -176,7 +177,7 @@ def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
     for j, frame in enumerate(frames):
         if frame is not None and frame.length != m:
             raise ValueError(f"frame of node {j} has length {frame.length}, expected {m}")
-    gain = gains.gamma[receiver]
+    gain = gains.gamma[receiver] if hasattr(gains, "gamma") else np.asarray(gains, float)
     heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None
              and (neighbor_threshold is None or gain[j] >= neighbor_threshold)]
     rows = np.reshape([frames[j].mask.bits * frames[j].symbols for j in heard], (-1, m))

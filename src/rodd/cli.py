@@ -328,8 +328,7 @@ def _cmd_asym(args):
         raise UsageError(f"need 1 or {K} q values, got {len(qs)}")
     q = np.array(qs)
     lines = ["node,q,rate_bound"]
-    for k in range(K):
-        bound = analysis.asymmetric_rate_bound(gains, q, k)
+    for k, bound in enumerate(analysis.asymmetric_rate_bounds(gains, q, range(K))):
         lines.append(f"{k},{qs[k]:.12g},{bound:.12g}")
     _write_text(args.out, "\n".join(lines) + "\n")
     _say(args, f"asym: {K} nodes from {args.gains_file}")
@@ -363,8 +362,8 @@ def _cmd_trace(args):
             if power > args.M:
                 symbols *= math.sqrt(args.M / power)
             frames.append(channels.TransmitFrame(symbols=symbols, mask=book[j]))
-        obs = channels.gaussian_mac(args.receiver, model.link_gains(topo, args.seed), frames,
-                                    args.noise_var, seed=args.seed)
+        obs = channels.gaussian_mac(args.receiver, model.gain_row(topo, args.receiver),
+                                    frames, args.noise_var, seed=args.seed)
     _write_text(args.out, channels.dump_observation(obs))
     _say(args, f"trace: receiver {args.receiver} of {n} nodes, {args.M} slots, "
                f"mode={args.mode}")

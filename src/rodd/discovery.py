@@ -146,16 +146,31 @@ def eliminate(observation, receiver_mask, book, threshold=0.0, candidates=None):
     A candidate is discarded iff some off-slot read empty (bit 0, or
     energy below `threshold`) while the candidate's signature was on
     there.  The receiver's own NIA is never a candidate.  One survivors()
-    call screens the rows of `candidates` (by default the whole book, the
-    full-NIA-enumeration premise), cut from book.on_slots.
+    call screens the rows of `candidates`, cut from book.on_slots; by
+    default (the full-NIA-enumeration premise) it screens the whole
+    index, which costs no copy, and drops the receiver's row.
     """
+    quiet = one_receiver_quiet(observation, threshold, "eliminate")
     nias = [nia for nia in (book.nias if candidates is None else candidates)
             if nia != receiver_mask.owner]
     rows = np.array([book.row(nia) for nia in nias], dtype=np.int64)
-    alive = survivors(book.on_slots.take(rows), observed_quiet(observation, threshold))[:, 0]
+    if candidates is None:
+        alive = survivors(book.on_slots, quiet)[rows, 0]
+    else:
+        alive = survivors(book.on_slots.take(rows), quiet)[:, 0]
     return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
                            eliminated_count=len(nias) - int(alive.sum()),
                            slots_used=observation.length)
+
+
+def one_receiver_quiet(observation, threshold, reader):
+    """observed_quiet of a one-receiver record, as one (1, M) row; `reader`
+    names the caller in the refusal of a block record."""
+    quiet = observed_quiet(observation, threshold)
+    if quiet.shape[0] != 1:
+        raise ValueError(f"{reader} takes one receiver's record, got a block "
+                         f"of {quiet.shape[0]} receivers")
+    return quiet
 
 
 def _accuracy(misses, false_alarms, size):

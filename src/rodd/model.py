@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FADING_MODELS = ("none", "rayleigh")
+# Pairwise distances gain_row scans at once for coincident nodes.
+_DISTANCE_BLOCK = 2**18
 
 
 class EmptyNetworkError(ValueError):
@@ -170,10 +172,7 @@ def link_gains(topology, seed=None):
     if topology.num_nodes < 2:
         raise ValueError("link gains need at least 2 nodes")
     d = topology.distances()
-    off = ~np.eye(topology.num_nodes, dtype=bool)
-    if np.any(d[off] == 0.0):
-        k, j = np.argwhere((d == 0.0) & off)[0]
-        raise CoincidentNodesError(f"nodes {k} and {j} are at distance zero")
+    _refuse_coincident(d)
     with np.errstate(divide="ignore"):
         gamma = topology.unit_snr[None, :] * d ** (-topology.alpha)
     if topology.fading_model == "rayleigh":
@@ -181,6 +180,36 @@ def link_gains(topology, seed=None):
         gamma = gamma * rng.exponential(1.0, size=gamma.shape)
     np.fill_diagonal(gamma, 0.0)
     return LinkGains(gamma=gamma)
+
+
+def gain_row(topology, k):
+    """Row k of link_gains(topology), the gains at receiver k, built without
+    the K x K matrix: the distances are scanned in blocks of rows, and any
+    coincident pair is refused as link_gains refuses it.  Unfaded
+    topologies only, since a faded row depends on every draw before it.
+    """
+    if topology.fading_model != "none":
+        raise ValueError(f"gain_row needs an unfaded topology, got {topology.fading_model!r}")
+    if topology.num_nodes < 2:
+        raise ValueError("link gains need at least 2 nodes")
+    pos = topology.positions
+    step = max(1, _DISTANCE_BLOCK // len(pos))
+    for lo in range(0, len(pos), step):
+        _refuse_coincident(topology._distance(pos[lo:lo + step, None, :], pos[None, :, :]), lo)
+    with np.errstate(divide="ignore"):
+        gamma = topology.unit_snr * topology._distance(pos[k], pos) ** (-topology.alpha)
+    gamma[k] = 0.0
+    return gamma
+
+
+def _refuse_coincident(d, first=0):
+    """Refuse a zero distance off the diagonal of `d`, rows first.. of the
+    distance matrix, naming the first such pair in row order."""
+    zero = d == 0.0
+    zero[np.arange(len(d)), first + np.arange(len(d))] = False
+    if zero.any():
+        k, j = np.argwhere(zero)[0]
+        raise CoincidentNodesError(f"nodes {first + k} and {j} are at distance zero")
 
 
 def neighbors(gains, k, threshold):

@@ -64,9 +64,10 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     channel contradicted every signature of that neighbor (impossible
     without noise) and is reported as ELIMINATED_ALL, not papered over.
     """
+    quiet = discovery.one_receiver_quiet(observation, threshold, "decode")
     starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
     index = book.on_slots.take((starts[:, None] + np.arange(book.mu)).ravel())
-    alive = discovery.survivors(index, discovery.observed_quiet(observation, threshold))
+    alive = discovery.survivors(index, quiet)
     return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive.reshape(-1, book.mu))}
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,68 @@ def asym_bound_concatenate_code(gamma, q, k):
                              * prob, 0.0)
         best = min(best, (1.0 - q[i]) * float(np.sum(terms)))
     return best
+
+
+# The per-node asymmetric bound and the scalar water-level bisection as they
+# stood before both became views over batch kernels (the threaded listener
+# pass and the lockstep bisection).  Those kernels must give these bits.
+
+def asym_bound_doubling_code(gains, q, k):
+    q = np.asarray(q, dtype=np.float64)
+    K = gains.num_nodes
+    best = math.inf
+    h = np.empty(2 ** (K - 2))
+    prob = np.empty(2 ** (K - 2))
+    for i in range(K):
+        if i == k:
+            continue
+        rest = [j for j in range(K) if j != i and j != k]
+        h[0] = gains.gamma[i, k] / q[k]
+        prob[0] = q[k]
+        s = 1
+        for j in rest:
+            np.add(h[:s], gains.gamma[i, j] / q[j], out=h[s:2 * s])
+            np.multiply(prob[:s], q[j], out=prob[s:2 * s])
+            prob[:s] *= 1.0 - q[j]
+            s *= 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(h > 0, gains.gamma[i, k] / (q[k] * h) * analysis.g(h) * prob,
+                             0.0)
+        rate_i = (1.0 - q[i]) * float(np.sum(terms))
+        best = min(best, rate_i)
+    return best
+
+
+def solve_water_level_bisection_code(K, q, gamma):
+    w_full = analysis._binomial_weights(K, np.arange(1, K), K, q)
+
+    def lhs(v):
+        return float(np.sum(w_full * analysis._power_levels(K, v)) / K)
+    lo, hi = 1.0, 2.0
+    for _ in range(200):
+        if lhs(hi) >= gamma:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise analysis.WaterLevelBracketError(
+            f"no bracket for K={K} q={q} gamma={gamma}: lhs({hi:g}) = "
+            f"{lhs(hi):g} still below gamma"
+        )
+    target = analysis.WATER_RESIDUAL_REL * gamma
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = lhs(mid)
+        if abs(val - gamma) <= target:
+            return mid
+        if val < gamma:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
 
 
 # ------------------------------------------------------------- entropy, g
@@ -396,6 +459,62 @@ def test_gauss_capacity_dominates_rate_over_q_sweep():
         assert c >= r - 1e-9
 
 
+_q_grids = st.lists(st.floats(1e-6, 1.0, exclude_max=True), max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 120), qs=_q_grids,
+       gamma=st.sampled_from([1e-12, 1e-3, 1.0, 10.0, 1e6, 1e12, 1e200]))
+@example(K=2, qs=[0.5], gamma=1.0)
+@example(K=20, qs=[0.02 * i for i in range(1, 50)], gamma=1e12)
+@example(K=3, qs=[], gamma=1.0)
+@example(K=2, qs=[0.5, 0.3], gamma=1e200)
+def test_water_levels_are_the_bits_of_the_scalar_bisection(K, qs, gamma):
+    # large gamma grows the bracket far beyond its first [1, 2]; past 200
+    # doublings the first q without a bracket is named, as its solve names it
+    expected = []
+    for q in qs:
+        try:
+            expected.append(solve_water_level_bisection_code(K, q, gamma).hex())
+        except analysis.WaterLevelBracketError as exc:
+            with pytest.raises(analysis.WaterLevelBracketError) as got:
+                analysis._water_levels(K, qs, gamma)
+            assert str(got.value) == str(exc)
+            with pytest.raises(analysis.WaterLevelBracketError, match=str(q)):
+                analysis.solve_water_level(K, q, gamma)
+            return
+    assert hexes(analysis._water_levels(K, qs, gamma)) == expected
+    assert hexes(analysis.solve_water_level(K, q, gamma) for q in qs) == expected
+
+
+def test_water_levels_run_in_blocks_of_weights(monkeypatch):
+    # a block of at most _BLOCK_ELEMENTS weights bounds the lockstep arrays;
+    # each q still gets the bits of its own solve
+    qs = [0.013 * i for i in range(1, 70)]
+    expected = hexes(solve_water_level_bisection_code(9, q, 50.0) for q in qs)
+    for block in (8, 40, 2**15):
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", block)
+        assert hexes(analysis._water_levels(9, qs, 50.0)) == expected
+
+
+def test_water_level_bracket_failure_names_the_first_q():
+    # q = 1e-300 leaves the left side near 1e-240 at the last bracket, 2^201
+    qs = [0.3, 1e-300, 2e-300]
+    with pytest.raises(analysis.WaterLevelBracketError) as got:
+        analysis._water_levels(5, qs, 1.0)
+    with pytest.raises(analysis.WaterLevelBracketError) as want:
+        solve_water_level_bisection_code(5, 1e-300, 1.0)
+    assert str(got.value) == str(want.value)
+    assert "q=1e-300 " in str(got.value)
+
+
+def test_gauss_sweep_capacity_is_the_capacity_at_each_point():
+    qs = [0.02 * i for i in range(1, 50)]
+    table = analysis.sweep_gauss([3, 20], qs, 100.0)
+    assert [r.rodd_sum_capacity for r in table.rows] == [
+        K * analysis.gauss_symmetric_capacity(K, q, 100.0).rate for K in (3, 20) for q in qs]
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
 def test_gamma_must_be_finite(gamma):
     calls = (lambda: analysis.gauss_symmetric_rate(5, 0.3, gamma),
@@ -445,6 +564,78 @@ def test_asym_bound_equals_the_concatenate_code(K, seed, zero_share):
     for k in range(K):
         assert analysis.asymmetric_rate_bound(gains, q, k) == \
             asym_bound_concatenate_code(gamma, q, k)
+
+
+def _asym_instance(K, seed, zero_rows, zero_cols, scale):
+    rng = np.random.default_rng(seed)
+    gamma = 10.0 ** rng.uniform(-2.0, 4.0, size=(K, K)) * scale
+    gamma[list(zero_rows)] = 0.0
+    gamma[:, list(zero_cols)] = 0.0
+    np.fill_diagonal(gamma, 0.0)
+    return LinkGains(gamma=gamma), rng.uniform(0.01, 0.99, size=K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       zero_rows=st.sets(st.integers(0, 9), max_size=3),
+       zero_cols=st.sets(st.integers(0, 9), max_size=3),
+       scale=st.sampled_from([1.0, 1e-300, 1e300, 1e304]))
+@example(K=2, seed=0, zero_rows=set(), zero_cols=set(), scale=1.0)
+@example(K=5, seed=1, zero_rows={0, 1, 2, 3, 4}, zero_cols=set(), scale=1.0)
+@example(K=6, seed=2, zero_rows={1}, zero_cols={0}, scale=1e304)
+def test_asym_bounds_are_the_bits_of_the_doubling_code(K, seed, zero_rows, zero_cols,
+                                                       scale):
+    # zero rows make every rate of a listener 0, zero columns silence a
+    # transmitter; at scale 1e304 subset sums overflow and rates turn NaN
+    gains, q = _asym_instance(K, seed, {r for r in zero_rows if r < K},
+                              {c for c in zero_cols if c < K}, scale)
+    with np.errstate(over="ignore"):
+        expected = hexes(asym_bound_doubling_code(gains, q, k) for k in range(K))
+        for workers in (1, 3):
+            with mock.patch.object(analysis, "_WORKERS", workers):
+                assert hexes(analysis.asymmetric_rate_bounds(gains, q, range(K))) == expected
+        assert hexes(analysis.asymmetric_rate_bound(gains, q, k) for k in range(K)) == expected
+        assert hexes(analysis.asymmetric_rate_bounds(gains, q, [K - 1, 0, K - 1])) == \
+            [expected[-1], expected[0], expected[-1]]
+
+
+def test_asym_bounds_skip_nan_listeners_as_the_doubling_code_does():
+    # listener 0 hears every node at gain 1e308: its subset sums overflow,
+    # its rates are NaN, and the min keeps the other listeners' rates
+    K = 4
+    gamma = 10.0 * (np.ones((K, K)) - np.eye(K))
+    gamma[0, 1:] = 1e308
+    gains, q = LinkGains(gamma=gamma), np.full(K, 0.3)
+    with np.errstate(over="ignore"):
+        assert math.isnan(analysis._listener_rates(gains.gamma, q, 0, [1])[0])
+        bounds = analysis.asymmetric_rate_bounds(gains, q, range(K))
+        assert hexes(bounds) == hexes(asym_bound_doubling_code(gains, q, k) for k in range(K))
+    assert all(math.isfinite(b) for b in bounds)
+    # the listener threads run under the caller's errstate
+    for call in (asym_bound_doubling_code, analysis.asymmetric_rate_bound):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            call(gains, q, 1)
+
+
+def test_asym_bound_threads_share_a_buffer_budget(monkeypatch):
+    # each thread holds two 2^(K-2) float64 arrays; the budget caps the pool
+    pools = []
+    real = analysis.ThreadPoolExecutor
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or real(workers))
+    monkeypatch.setattr(analysis, "_WORKERS", 3)
+    gains, q = _asym_instance(6, 4, set(), set(), 1.0)
+    expected = hexes(asym_bound_doubling_code(gains, q, k) for k in range(6))
+    for budget, workers in ((2**20, 3), (2 * 16 * 16, 2), (100, 1)):
+        monkeypatch.setattr(analysis, "_SUBSET_BUFFER_BYTES", budget)
+        assert hexes(analysis.asymmetric_rate_bounds(gains, q, range(6))) == expected
+        assert pools.pop() == workers
+
+
+def test_asym_bounds_refuse_a_node_out_of_range():
+    gains, q = _asym_instance(3, 0, set(), set(), 1.0)
+    with pytest.raises(ValueError, match="node index 3 out of range"):
+        analysis.asymmetric_rate_bounds(gains, q, [0, 3])
 
 
 def test_asym_bound_vanishes_when_a_listener_never_listens():

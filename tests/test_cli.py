@@ -462,6 +462,26 @@ def test_trace_or_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 40
 
 
+def test_trace_gauss_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
+    # gaussian_mac reads the receiver's gains only; at --n 3000 the dense
+    # K x K matrix took the gauss trace to 413 MB
+    from rodd import model
+    argv = ["trace", "--n", "30", "--area", "100", "--M", "40", "--mode", "gauss",
+            "--noise-var", "0.5", "--receiver", "3", "--seed", "12"]
+    matrix = tmp_path / "matrix.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "gain_row", lambda topo, k: model.link_gains(topo).gamma[k])
+        assert run(*argv, "--out", str(matrix)) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gauss trace built the link gains")
+    monkeypatch.setattr(model, "link_gains", refuse)
+    out = tmp_path / "t.txt"
+    assert run(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == matrix.read_bytes()
+    assert len(out.read_text().splitlines()) == 40
+
+
 @pytest.mark.parametrize("mode", ["or", "gauss"])
 def test_trace_refuses_a_one_node_draw(tmp_path, capsys, mode):
     out = tmp_path / "t.txt"
@@ -484,3 +504,16 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("fig2", "--bogus")
     assert exc.value.code == 2
+
+
+def test_python_dash_m_rodd_runs_the_cli(tmp_path):
+    # `python -m rodd` from a checkout: the package on PYTHONPATH, no install
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "fig2.csv"
+    done = subprocess.run([sys.executable, "-m", "rodd", "fig2", "--K", "3", "--q", "0.5",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    expected = tmp_path / "expected.csv"
+    assert run("fig2", "--K", "3", "--q", "0.5", "--out", str(expected)) == 0
+    assert out.read_bytes() == expected.read_bytes()

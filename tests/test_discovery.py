@@ -380,6 +380,42 @@ def test_candidate_restriction():
     assert narrowed.estimated == full.estimated & {1, 2, 3}
 
 
+@pytest.mark.parametrize("candidates", [None, [2, 3]])
+def test_eliminate_refuses_a_block_record(candidates):
+    # a two-receiver record must not be read as receiver 0's alone
+    book = signatures.reconstruct_book(range(20), 0.2, 120)
+    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book.on_slots,
+                                   [2, 3, 4, 5], [2, 2])
+    with pytest.raises(ValueError, match="eliminate takes one receiver's record, "
+                                         "got a block of 2 receivers"):
+        discovery.eliminate(block, book[0], book, candidates=candidates)
+
+
+def test_eliminate_reads_a_block_of_one_as_its_receiver():
+    book = signatures.reconstruct_book(range(20), 0.2, 120)
+    one = channels.receive_block(book.unpacked([0]).view(bool), book.on_slots, [2, 3], [2])
+    got = discovery.eliminate(one, book[0], book)
+    own = channels.receive(book.unpacked(0), book.on_slots, [2, 3])
+    assert got == discovery.eliminate(own, book[0], book)
+    assert {2, 3} <= got.estimated
+
+
+def test_default_candidates_screen_the_whole_book_in_place(monkeypatch):
+    # no cut of the index for the default list; an explicit one is cut
+    gains, book = _random_instance(11)
+    obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
+    full = discovery.eliminate(obs, book[0], book)
+    cuts = []
+    take = signatures.OnSlots.take
+    monkeypatch.setattr(signatures.OnSlots, "take",
+                        lambda index, rows: cuts.append(len(rows)) or take(index, rows))
+    assert discovery.eliminate(obs, book[0], book) == full
+    assert cuts == []
+    listed = discovery.eliminate(obs, book[0], book, candidates=list(book.nias))
+    assert listed == full
+    assert cuts == [len(book.nias) - 1]
+
+
 def test_compressed_discovery_beats_random_access():
     # desk scale, matched >= 99% accuracy: random access needs at least
     # twice the symbol-slots of the one-frame signature exchange

@@ -57,6 +57,19 @@ def test_eliminate_stays_below_the_dense_book():
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
 
 
+def test_eliminate_default_candidates_copy_nothing_of_the_index():
+    # the default list (every NIA but the receiver's) is screened over the
+    # book's own index; a cut of it would copy about 11.5 MB of on-slots
+    # and packed words per call on this 10,000-node book
+    topo, radius = discovery.poisson_discovery_topology(10000, 50, 5)
+    book = signatures.reconstruct_book(range(topo.num_nodes), 0.02, 2500)
+    nbrs = discovery.neighbor_lists(topo, radius, [0])[0]
+    obs = _record(book.unpacked(0), book.unpacked(nbrs))
+    discovery.eliminate(obs, book[0], book)
+    peak = _traced_peak(lambda: discovery.eliminate(obs, book[0], book))
+    assert peak < 2 * 2**20, f"traced peak {peak} B for a warm default call"
+
+
 def test_decode_stays_below_the_dense_book():
     k, mu, m = 10, 1024, 2048
     book = sparsecode.build_message_book(range(k), mu, 0.02, m)

@@ -77,6 +77,36 @@ def test_coincident_nodes_rejected():
         model.link_gains(topo)
 
 
+@pytest.mark.parametrize("torus", [False, True])
+def test_gain_row_is_the_row_of_link_gains(torus, monkeypatch):
+    topo = model.generate_poisson_network(30.0, 0.5, seed=4, torus=torus)
+    gains = model.link_gains(topo)
+    # scanned for coincident pairs in blocks of one row, and of all rows
+    for block in (1, 2**18):
+        monkeypatch.setattr(model, "_DISTANCE_BLOCK", block)
+        for k in (0, 7, topo.num_nodes - 1):
+            assert model.gain_row(topo, k).tobytes() == gains.gamma[k].tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 5, 2**18])
+def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(block, monkeypatch):
+    monkeypatch.setattr(model, "_DISTANCE_BLOCK", block)
+    positions = np.arange(12.0).reshape(6, 2)
+    positions[4] = positions[2]
+    topo = model.Topology(positions=positions, alpha=4.0, unit_snr=1.0,
+                          fading_model="none", neighbor_threshold=1.0, area_side=20.0)
+    with pytest.raises(model.CoincidentNodesError) as want:
+        model.link_gains(topo)
+    with pytest.raises(model.CoincidentNodesError) as got:
+        model.gain_row(topo, 0)
+    assert str(got.value) == str(want.value) == "nodes 2 and 4 are at distance zero"
+
+
+def test_gain_row_needs_an_unfaded_topology():
+    with pytest.raises(ValueError, match="unfaded topology, got 'rayleigh'"):
+        model.gain_row(_two_node_topology(1.0, fading="rayleigh"), 0)
+
+
 def test_path_loss_monotone_in_distance():
     gains = [model.link_gains(_two_node_topology(d)).gamma[0, 1]
              for d in (0.5, 1.0, 2.0, 5.0)]

@@ -95,6 +95,15 @@ def test_decode_of_no_neighbors_is_empty():
     assert sparsecode.decode(obs, book, []) == {}
 
 
+def test_decode_refuses_a_block_record():
+    book = _constructed_book([[0, 1, 0, 0], [0, 0, 1, 0]])
+    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book.on_slots,
+                                   [2, 3], [1, 1])
+    with pytest.raises(ValueError, match="decode takes one receiver's record, "
+                                         "got a block of 2 receivers"):
+        sparsecode.decode(block, book, [2])
+
+
 def test_decode_repeated_neighbor_gives_the_same_entry():
     book = _constructed_book([[0, 1, 0, 0], [0, 0, 1, 0]])
     obs = _or_observation(book[(1, 0)], [book[(2, 0)]])
