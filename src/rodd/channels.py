@@ -88,7 +88,7 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     erased = np.array(erased, dtype=bool)
-    starts, slots, m = index.starts, index.slots, index.num_slots
+    m = index.num_slots
     if erased.ndim != 2 or erased.shape[1] != m:
         raise ValueError(f"erasures of shape {erased.shape} do not match {m}-slot rows")
     heard, sizes = np.asarray(heard, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
@@ -113,12 +113,9 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
                           or any(s is None for s in seeds)):
         raise ValueError("a noisy channel needs a seed per receiver")
-    lens = starts[heard + 1] - starts[heard]
-    # term t of the gather is on-bit t - ahead[p] of the row of its pair p
-    ahead = np.cumsum(lens) - lens
-    at = np.repeat(starts[heard] - ahead, lens) + np.arange(lens.sum())
+    at, lens = index.spans(heard)
     owner = np.repeat(np.arange(len(erased)) * m, sizes)
-    keys = np.repeat(owner, lens) + slots[at]
+    keys = np.repeat(owner, lens) + index.slots[at]
     terms = np.repeat(root, lens)
     if values is not None:
         terms = terms * values[at]

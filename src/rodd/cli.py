@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 check failure (--check).
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -72,7 +73,10 @@ def parse_q_grid(text):
 def db_to_linear(db):
     if not math.isfinite(db):
         raise UsageError(f"dB value must be finite, got {db}")
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise UsageError(f"dB value {db:g} overflows the linear scale") from None
 
 
 def _write_text(path, text):
@@ -81,6 +85,23 @@ def _write_text(path, text):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
+
+
+def _check_out(path):
+    """Refuse an --out that cannot be written, before any work; the file is
+    neither created nor truncated until its CSV is ready."""
+    if path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        problem = f"no folder {folder!r}"
+    elif os.path.isdir(path):
+        problem = "it is a folder"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write --out {path!r}: {problem}")
 
 
 def _say(args, message):
@@ -339,9 +360,15 @@ def _cmd_trace(args):
     _require_seed(args)
     if args.noise_var < 0:
         raise UsageError(f"noise_var must be nonnegative, got {args.noise_var}")
+    try:
+        density = args.n / args.area**2
+    except (ZeroDivisionError, OverflowError):
+        density = math.nan
+    if not (0 < args.area < math.inf and math.isfinite(density)):
+        raise UsageError(f"--area must be positive, with a square that is a nonzero "
+                         f"finite float, got {args.area}")
     from . import channels, model, signatures
-    topo = model.generate_poisson_network(args.area, args.n / args.area**2,
-                                          args.seed)
+    topo = model.generate_poisson_network(args.area, density, args.seed)
     n = topo.num_nodes
     if not (0 <= args.receiver < n):
         raise UsageError(f"receiver {args.receiver} out of range: the Poisson "
@@ -404,6 +431,7 @@ def main(argv=None):
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, discovery.ConvergenceError,
             analysis.WaterLevelBracketError) as exc:

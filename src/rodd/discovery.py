@@ -20,12 +20,12 @@ from scipy.spatial import cKDTree
 
 from . import model, signatures
 from .channels import OrFrameObservation, receive, receive_block
+from .signatures import _WORD_BITS
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
-_WORD_BITS = 64
 # On-slots per row that survivors() ORs before it drops closed rows.
 _HEAD_SLOTS = 16
 # Index rows whose words one survivors() gather holds at a time.
@@ -89,9 +89,9 @@ def survivors(index, quiet):
         raise ValueError(f"quiet rows of shape {quiet.shape} do not match "
                          f"{index.num_slots}-slot masks")
     b = quiet.shape[0]
-    alive = np.zeros((len(index.starts) - 1, b), dtype=bool)
-    alive[index.starts[:-1] == index.starts[1:]] = True
     lit, head = index.head(_HEAD_SLOTS)
+    alive = np.zeros((len(index.packed), b), dtype=bool)
+    alive[np.bincount(lit, minlength=len(alive)) == 0] = True    # rows without an on-bit
     if lit.size == 0 or b == 0:
         return alive
     word, full = (_receiver_words(rows) for rows in (quiet, np.ones((b, 1), dtype=bool)))
@@ -101,16 +101,13 @@ def survivors(index, quiet):
         hits |= word.take(slots, axis=0, out=gathered)
     # a row is closed once every receiver bit is set
     open_ = np.flatnonzero((hits != full).any(axis=1))
-    starts = index.starts[lit[open_]] + len(head)
-    ends = index.starts[lit[open_] + 1]
-    tail = np.flatnonzero(ends > starts)
-    for lo in range(0, tail.size, _GATHER_ROWS):
-        rows = tail[lo:lo + _GATHER_ROWS]
-        lens = ends[rows] - starts[rows]
-        ahead = np.cumsum(lens) - lens
-        # term t of the gather is tail slot t - ahead[i] of its row i
-        at = np.repeat(starts[rows] - ahead, lens) + np.arange(ahead[-1] + lens[-1])
-        hits[open_[rows]] |= np.bitwise_or.reduceat(word.take(index.slots[at], axis=0), ahead)
+    for lo in range(0, open_.size, _GATHER_ROWS):
+        rows = open_[lo:lo + _GATHER_ROWS]
+        at, lens = index.spans(lit[rows], len(head))
+        # reduceat would give a row without a tail the next row's first word
+        tail = lens > 0
+        hits[rows[tail]] |= np.bitwise_or.reduceat(word.take(index.slots[at], axis=0),
+                                                   (np.cumsum(lens) - lens)[tail])
     alive[lit[open_]] = np.unpackbits(hits[open_].view(np.uint8), axis=1, count=b,
                                       bitorder="little") == 0
     return alive
@@ -125,8 +122,8 @@ def _receiver_words(rows):
 
 
 def _check_threshold(threshold):
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
     return threshold
 
 
@@ -312,20 +309,33 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
     """
     for name, value in (("expected_nodes", expected_nodes),
                         ("mean_neighbors", mean_neighbors), ("area_side", area_side)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    density = expected_nodes / area_side**2
+    try:
+        density = expected_nodes / area_side**2
+    except (OverflowError, ZeroDivisionError):
+        density = math.nan
+    if not 0 < density < math.inf:
+        raise ValueError(f"expected_nodes {expected_nodes:g} and area_side {area_side:g} "
+                         f"give a node density of {density:g}, outside the positive floats")
     radius = math.sqrt(mean_neighbors / (math.pi * density))
     if radius > area_side / 2:
         raise ValueError("neighbor radius exceeds half the area side; "
                          "grow the area or the node count")
-    snr_linear = 10.0 ** (snr_db / 10.0)
+    try:
+        snr_linear = 10.0 ** (snr_db / 10.0)
+        unit_snr = snr_linear * radius**alpha
+    except OverflowError:
+        unit_snr = math.inf
+    if not 0 < unit_snr < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} and alpha {alpha:g} give a unit-distance "
+                         f"SNR of {unit_snr:g}, outside the positive floats")
     topo = model.generate_poisson_network(
         area_side, density, seed,
         alpha=alpha,
-        unit_snr=snr_linear * radius**alpha,
+        unit_snr=unit_snr,
         neighbor_threshold=snr_linear,
         torus=torus,
     )
@@ -385,11 +395,7 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
         sizes = np.array([nbrs.size for nbrs in lists], dtype=np.int64)
         column = np.repeat(np.arange(len(chunk)), sizes)
         nbrs = np.concatenate(lists)
-        gains = None
-        if mode == ENERGY:
-            dist = topology._distance(topology.positions[nbrs],
-                                      topology.positions[chunk[column]])
-            gains = topology.unit_snr[nbrs] * dist**(-topology.alpha)
+        gains = topology.path_gain(chunk[column], nbrs) if mode == ENERGY else None
         record = receive_block(book.unpacked(chunk).view(bool), index, nbrs, sizes, gains,
                                noise_var, [_noise_seed(seed, k) for k in chunk])
         for rows, threshold in zip(records, thresholds):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FADING_MODELS = ("none", "rayleigh")
-# Pairwise distances gain_row scans at once for coincident nodes.
+# Pairwise distances _refuse_coincident scans at once.
 _DISTANCE_BLOCK = 2**18
 
 
@@ -40,11 +40,12 @@ class Topology:
         self.unit_snr = np.broadcast_to(
             np.asarray(self.unit_snr, dtype=np.float64), (self.num_nodes,)
         ).copy()
-        if self.alpha < 2:
+        # written so that NaN fails each check
+        if not self.alpha >= 2:
             raise ValueError(f"path-loss exponent must be >= 2, got {self.alpha}")
-        if np.any(self.unit_snr <= 0):
+        if not np.all(self.unit_snr > 0):
             raise ValueError("unit_snr must be positive")
-        if self.neighbor_threshold <= 0:
+        if not self.neighbor_threshold > 0:
             raise ValueError("neighbor_threshold must be positive")
         if self.fading_model not in FADING_MODELS:
             raise ValueError(f"unknown fading model {self.fading_model!r}")
@@ -60,9 +61,12 @@ class Topology:
             diff = np.minimum(diff, self.area_side - diff)
         return np.sqrt(np.sum(diff**2, axis=-1))
 
-    def distances(self):
-        """Pairwise distance matrix, minimum-image when torus is on."""
-        return self._distance(self.positions[:, None, :], self.positions[None, :, :])
+    def path_gain(self, at, of):
+        """Unfaded power gain unit_snr[of] * d**(-alpha) of nodes `of` at
+        nodes `at`, broadcast index arrays; inf where a pair coincides."""
+        with np.errstate(divide="ignore"):
+            return self.unit_snr[of] * self._distance(self.positions[at],
+                                                      self.positions[of]) ** (-self.alpha)
 
     def to_text(self):
         """Line-oriented dump: a key=value header, then `index x y unit_snr` lines."""
@@ -139,9 +143,9 @@ def generate_poisson_network(area_side, density, seed, *, alpha=4.0, unit_snr=1.
     The node count is Poisson(density * area_side**2) and positions are
     i.i.d. uniform over the square.  Pure function of the seed.
     """
-    if area_side <= 0:
+    if not area_side > 0:
         raise ValueError("area_side must be positive")
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be nonnegative")
     rng = np.random.default_rng(seed)
     count = rng.poisson(density * area_side**2)
@@ -169,12 +173,9 @@ def link_gains(topology, seed=None):
     Coincident nodes are rejected rather than clamped: a silent clamp
     would corrupt the SNR statistics.
     """
-    if topology.num_nodes < 2:
-        raise ValueError("link gains need at least 2 nodes")
-    d = topology.distances()
-    _refuse_coincident(d)
-    with np.errstate(divide="ignore"):
-        gamma = topology.unit_snr[None, :] * d ** (-topology.alpha)
+    _refuse_coincident(topology)
+    nodes = np.arange(topology.num_nodes)
+    gamma = topology.path_gain(nodes[:, None], nodes)
     if topology.fading_model == "rayleigh":
         rng = np.random.default_rng(seed)
         gamma = gamma * rng.exponential(1.0, size=gamma.shape)
@@ -190,26 +191,26 @@ def gain_row(topology, k):
     """
     if topology.fading_model != "none":
         raise ValueError(f"gain_row needs an unfaded topology, got {topology.fading_model!r}")
+    _refuse_coincident(topology)
+    gamma = topology.path_gain(k, np.arange(topology.num_nodes))
+    gamma[k] = 0.0
+    return gamma
+
+
+def _refuse_coincident(topology):
+    """Refuse a topology without link gains: fewer than 2 nodes, or two at
+    distance zero, naming the first such pair in row order.  The distances
+    are scanned _DISTANCE_BLOCK at a time, in blocks of whole rows."""
     if topology.num_nodes < 2:
         raise ValueError("link gains need at least 2 nodes")
     pos = topology.positions
     step = max(1, _DISTANCE_BLOCK // len(pos))
     for lo in range(0, len(pos), step):
-        _refuse_coincident(topology._distance(pos[lo:lo + step, None, :], pos[None, :, :]), lo)
-    with np.errstate(divide="ignore"):
-        gamma = topology.unit_snr * topology._distance(pos[k], pos) ** (-topology.alpha)
-    gamma[k] = 0.0
-    return gamma
-
-
-def _refuse_coincident(d, first=0):
-    """Refuse a zero distance off the diagonal of `d`, rows first.. of the
-    distance matrix, naming the first such pair in row order."""
-    zero = d == 0.0
-    zero[np.arange(len(d)), first + np.arange(len(d))] = False
-    if zero.any():
-        k, j = np.argwhere(zero)[0]
-        raise CoincidentNodesError(f"nodes {first + k} and {j} are at distance zero")
+        zero = topology._distance(pos[lo:lo + step, None, :], pos[None, :, :]) == 0.0
+        zero[np.arange(len(zero)), lo + np.arange(len(zero))] = False
+        if zero.any():
+            k, j = np.argwhere(zero)[0]
+            raise CoincidentNodesError(f"nodes {lo + k} and {j} are at distance zero")
 
 
 def neighbors(gains, k, threshold):

@@ -173,8 +173,6 @@ class SignatureBook:
         O(book) time and memory, for small books and tests."""
         return self.unpacked(slice(None))
 
-    bits = property(matrix)
-
     @cached_property
     def on_slots(self):
         """The OnSlots index of the book's rows, built on first use and kept.
@@ -212,8 +210,9 @@ class OnSlots:
 
     The on-slots of row r are slots[starts[r]:starts[r + 1]], in ascending
     order, and packed[r] is the row in a book's `packed` layout (whole
-    64-bit words), for the word-parallel OR channel.  head(c) is the
-    elimination kernel's head stage, kept for as long as the index.
+    64-bit words), for the word-parallel OR channel.  Other modules gather
+    rows through spans(), never starts.  head(c) is the elimination
+    kernel's head stage, kept for as long as the index.
     """
 
     def __init__(self, starts, slots, num_slots, packed):
@@ -236,12 +235,21 @@ class OnSlots:
             self._head = c, lit, head
         return self._head[1:]
 
+    def spans(self, rows, skip=0):
+        """(at, lens): where in `slots` the on-slots of `rows` (int64, in any
+        order, repeats allowed) past each row's first `skip` lie, concatenated
+        row after row, and how many each row gives."""
+        first = self.starts[rows] + skip
+        lens = np.maximum(self.starts[rows + 1] - first, 0)
+        # gathered term t, of row i, sits at first[i] + t - ahead[i]
+        ahead = np.cumsum(lens) - lens
+        return np.repeat(first - ahead, lens) + np.arange(lens.sum()), lens
+
     def take(self, rows):
         """The OnSlots index of rows `rows` (an int64 array) of this one."""
-        lens = self.starts[rows + 1] - self.starts[rows]
-        starts = np.append(0, np.cumsum(lens))
-        at = np.repeat(self.starts[rows] - starts[:-1], lens) + np.arange(starts[-1])
-        return OnSlots(starts, self.slots[at], self.num_slots, self.packed[rows])
+        at, lens = self.spans(rows)
+        return OnSlots(np.append(0, np.cumsum(lens)), self.slots[at], self.num_slots,
+                       self.packed[rows])
 
 
 def _packed_rows(bits):
@@ -252,15 +260,10 @@ def _packed_rows(bits):
 
 
 def on_slots(masks):
-    """The OnSlots index of the (R, M) 0/1 matrix `masks`."""
-    masks = np.asarray(masks, dtype=np.uint8)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be a matrix, got shape {masks.shape}")
-    # a uint8 book read as bool: no temporary of the book's size
-    rows, slots = np.divmod(np.flatnonzero(masks.view(bool)), masks.shape[1])
-    starts = np.zeros(masks.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=masks.shape[0]), out=starts[1:])
-    return OnSlots(starts, slots, masks.shape[1], _packed_rows(masks))
+    """The OnSlots index of the (R, M) 0/1 matrix `masks`, as a book of its rows."""
+    if np.ndim(masks) != 2:
+        raise ValueError(f"masks must be a matrix, got shape {np.shape(masks)}")
+    return SignatureBook(range(len(masks)), None, masks).on_slots
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):

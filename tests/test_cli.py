@@ -95,8 +95,11 @@ def test_fig3_writes_gamma_column(tmp_path):
     assert ",100," in out.read_text().splitlines()[1]
 
 
-def test_fig3_infinite_gamma_guard(tmp_path):
+def test_fig3_infinite_gamma_guard(tmp_path, capsys):
     assert run("fig3", "--gamma-db=-inf", "--out", str(tmp_path / "x")) == 2
+    # 10**(db/10) raised OverflowError, exit 1
+    assert run("fig3", "--gamma-db", "1e308", "--out", str(tmp_path / "x")) == 2
+    assert "dB value 1e+308 overflows" in capsys.readouterr().err
 
 
 def test_seed_is_mandatory(tmp_path):
@@ -187,10 +190,34 @@ def test_discover_rejects_thresholds_the_quiet_rule_cannot_use(tmp_path, capsys)
                            (["--mode", "energy", "--threshold-sweep", "10,nan"],
                             "nonnegative"),
                            (["--mode", "energy", "--threshold-sweep", ","], "empty grid"),
+                           (["--mode", "energy", "--threshold", "inf"], "finite"),
                            (["--mode", "or", "--threshold", "5"], "energy mode")):
         assert run(*net, *flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_discover_accepts_the_largest_finite_threshold(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
+               "--area", "300", "--seed", "1", "--receivers", "3", "--mode", "energy",
+               "--threshold", "1e308", "--out", str(out)) == 0
+    assert out.read_text().startswith("receiver,")
+
+
+@pytest.mark.parametrize("flags,name", [(["--alpha", "nan"], "alpha nan"),
+                                        (["--mode", "energy", "--snr-db", "4000"],
+                                         "snr_db 4000"),
+                                        (["--mode", "energy", "--alpha", "1e308"],
+                                         "alpha 1e+308"),
+                                        (["--area", "1e200"], "area_side 1e+200")])
+def test_discover_refuses_topology_parameters_that_leave_the_floats(tmp_path, capsys,
+                                                                    flags, name):
+    out = tmp_path / "x"
+    assert run("discover", "--n", "200", "--neighbors", "6", "--M", "300", "--seed", "1",
+               "--receivers", "3", *flags, "--out", str(out)) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,name", [(["--n", "0"], "expected_nodes"),
@@ -491,9 +518,50 @@ def test_trace_refuses_a_one_node_draw(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["or", "gauss"])
+@pytest.mark.parametrize("area", ["0", "1e-300", "nan", "inf", "1e200"])
+def test_trace_refuses_an_area_without_a_density(tmp_path, capsys, mode, area):
+    out = tmp_path / "t.txt"
+    assert run("trace", "--n", "4", "--M", "50", "--seed", "7", "--mode", mode,
+               "--area", area, "--out", str(out)) == 2
+    assert "--area" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_receiver_out_of_range(tmp_path):
     assert run("trace", "--n", "3", "--receiver", "99", "--seed", "1",
                "--out", str(tmp_path / "x")) == 2
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["fig2", "--K", "3", "--q", "0.5"], ("analysis", "sweep_or")),
+    (["discover", "--n", "200", "--neighbors", "6", "--M", "300", "--seed", "1",
+      "--mode", "energy", "--threshold-sweep", "1:3:1"], ("discovery", "run_threshold_sweep")),
+])
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      argv, work):
+    import importlib
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+    monkeypatch.setattr(importlib.import_module(f"rodd.{work[0]}"), work[1], refuse)
+    for out, problem in ((tmp_path / "missing" / "p.csv", "no folder"),
+                         (tmp_path, "it is a folder")):
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and problem in err
+
+
+def test_the_out_check_leaves_an_existing_file_until_its_csv_is_ready(tmp_path):
+    out = tmp_path / "d.csv"
+    out.write_text("kept\n")
+    argv = ["discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
+            "--area", "300", "--seed", "1", "--receivers", "3", "--mode", "energy",
+            "--out", str(out)]
+    assert run(*argv, "--threshold", "inf") == 2
+    assert out.read_text() == "kept\n"
+    assert run(*argv) == 0
+    assert out.read_text().startswith("receiver,")
 
 
 def test_no_command_prints_usage():

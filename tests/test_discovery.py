@@ -209,7 +209,7 @@ def test_eliminate_reads_either_channel_record():
     # one frame through both channels: noiseless gaussian_mac with unit
     # symbols carries energy exactly where or_channel with all-one bits reads 1
     gains, book = _random_instance(7)
-    n, m = gains.num_nodes, book.bits.shape[1]
+    n, m = gains.num_nodes, book.matrix().shape[1]
     frames = [channels.TransmitFrame(symbols=np.ones(m), mask=book[j]) for j in range(n)]
     for k in range(n):
         peers = [(book[j], np.ones(m, dtype=np.uint8))
@@ -273,7 +273,7 @@ def test_threshold_is_an_energy_mode_setting():
 
 
 @pytest.mark.parametrize("name", ["expected_nodes", "mean_neighbors", "area_side"])
-@pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
 def test_topology_sizes_must_be_positive(name, bad):
     args = dict(expected_nodes=200, mean_neighbors=6.0, area_side=300.0, seed=1)
     args[name] = bad
@@ -286,6 +286,22 @@ def test_topology_snr_must_be_finite(bad):
     with pytest.raises(ValueError, match="snr_db must be finite"):
         discovery.poisson_discovery_topology(200, 6.0, seed=1, area_side=300.0,
                                              snr_db=bad)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(snr_db=4000.0), "unit-distance SNR of inf"),
+    (dict(snr_db=-4000.0), "unit-distance SNR of 0"),
+    (dict(alpha=1e308), "unit-distance SNR of inf"),
+    (dict(alpha=float("nan")), "alpha nan"),
+    (dict(area_side=1e200), "node density"),
+    (dict(area_side=1e-300), "node density"),
+    (dict(area_side=1e-160), "node density of inf"),
+])
+def test_topology_refuses_parameters_that_leave_the_floats(args, message):
+    # these raised OverflowError or ZeroDivisionError, built a NaN-alpha
+    # network, or were refused as a unit_snr that names neither flag
+    with pytest.raises(ValueError, match=message):
+        discovery.poisson_discovery_topology(200, 6.0, seed=1, **args)
 
 
 def test_threshold_sweep_trades_misses_for_false_alarms():
@@ -502,6 +518,7 @@ def test_threshold_sweep_equals_one_run_per_threshold(mode, thresholds, run):
     (discovery.ENERGY, [10.0, None], dict(noise_var=0.0), "explicit threshold"),
     (discovery.OR_NOISELESS, [None, 5.0], {}, "energy mode"),
     ("loud", [None], {}, "unknown discovery mode"),
+    (discovery.ENERGY, [20.0, math.inf], {}, "finite"),
 ])
 def test_threshold_sweep_refuses_before_deriving(monkeypatch, mode, thresholds, run,
                                                  message):

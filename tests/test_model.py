@@ -34,6 +34,10 @@ def test_zero_density_is_an_empty_network():
 def test_bad_area_rejected():
     with pytest.raises(ValueError):
         model.generate_poisson_network(0.0, 1.0, seed=3)
+    with pytest.raises(ValueError, match="area_side"):
+        model.generate_poisson_network(float("nan"), 1.0, seed=3)
+    with pytest.raises(ValueError, match="density"):
+        model.generate_poisson_network(1.0, float("nan"), seed=3)
 
 
 def test_unit_distance_gain_is_unit_snr():
@@ -149,9 +153,9 @@ def test_torus_wraps_distances():
     topo = model.Topology(
         positions=np.array([[0.1, 0.0], [9.9, 0.0]]), alpha=4.0, unit_snr=1.0,
         fading_model="none", neighbor_threshold=1.0, area_side=10.0, torus=True)
-    assert topo.distances()[0, 1] == pytest.approx(0.2)
+    assert topo.path_gain(0, 1) == pytest.approx(0.2 ** -4.0)
     topo.torus = False
-    assert topo.distances()[0, 1] == pytest.approx(9.8)
+    assert topo.path_gain(0, 1) == pytest.approx(9.8 ** -4.0)
 
 
 def test_text_round_trip():
@@ -206,6 +210,17 @@ def test_per_node_unit_snr_override():
     assert gains.gamma[0, 1] == pytest.approx(20.0)
     assert gains.gamma[0, 2] == pytest.approx(40.0)
     assert gains.gamma[1, 0] == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("name, message", [("alpha", "path-loss exponent"),
+                                           ("unit_snr", "unit_snr"),
+                                           ("neighbor_threshold", "neighbor_threshold")])
+def test_nan_parameters_rejected(name, message):
+    args = dict(positions=[[0.0, 0.0], [1.0, 0.0]], alpha=4.0, unit_snr=1.0,
+                fading_model="none", neighbor_threshold=1.0, area_side=10.0)
+    args[name] = float("nan")
+    with pytest.raises(ValueError, match=message):
+        model.Topology(**args)
 
 
 def test_invalid_parameters_rejected():

@@ -119,7 +119,7 @@ def test_derivation_matches_the_written_out_convention(nias, tag, q, m, mu, slot
     for i, nia in enumerate(nias):
         for msg in range(mu):
             expected = _convention_mask(nia, tag_base + msg, q, m)
-            assert np.array_equal(book.bits[i * mu + msg], expected)
+            assert np.array_equal(book.matrix()[i * mu + msg], expected)
             mask = signatures.derive_mask(nia, q, m, tag_base + msg)
             assert np.array_equal(mask.bits, expected)
             for s in {0, slot % m, m - 1}:
@@ -173,13 +173,13 @@ def test_export_text_decodes_back_to_the_bits(n, mu, m, seed):
     packed = np.stack([np.frombuffer(bytes.fromhex(h), dtype=np.uint8)
                        for _, h in lines]).reshape(n * mu, -1)
     unpacked = np.unpackbits(packed, axis=1)
-    assert np.array_equal(unpacked[:, :m], book.bits)
+    assert np.array_equal(unpacked[:, :m], book.matrix())
     assert not unpacked[:, m:].any()          # padding bits are zero
 
 
 def test_book_rows_are_copies_of_the_unpacked_rows():
     book = signatures.reconstruct_book([7, 3], 0.3, 40)
-    assert np.array_equal(book.matrix(), book.bits)
+    assert np.array_equal(book.matrix(), [book.unpacked(r) for r in range(len(book))])
     assert np.array_equal(book[3].bits, book.matrix()[1])
     assert np.array_equal(book[3].bits, book.unpacked(1))
     before = book.export_text()
@@ -201,25 +201,56 @@ def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
     dense = (np.random.default_rng(seed).random((n * mu, m)) < density).astype(np.uint8)
     nias = list(range(50, 50 + n))
     book = signatures.SignatureBook(nias=nias, q=0.5, bits=dense, mu=mu)
-    assert np.array_equal(book.bits, dense)
+    assert np.array_equal(book.matrix(), dense)
     for i, nia in enumerate(nias):
         for msg in range(mu):
             assert np.array_equal(book[(nia, msg)].bits, dense[i * mu + msg])
     packed = np.packbits(dense, axis=1).reshape(n, -1)
     assert book.export_text() == "".join(f"{nia} {row.tobytes().hex()}\n"
                                           for nia, row in zip(nias, packed))
-    expected = signatures.on_slots(dense)
-    assert np.array_equal(book.on_slots.starts, expected.starts)
-    assert np.array_equal(book.on_slots.slots, expected.slots)
-    assert book.on_slots.num_slots == m
+    for index in (book.on_slots, signatures.on_slots(dense)):
+        starts, slots, packed = _index_oracle(dense)
+        assert np.array_equal(index.starts, starts)
+        assert np.array_equal(index.slots, slots)
+        assert np.array_equal(index.packed, packed)
+        assert index.num_slots == m
     assert book.on_slots is book.on_slots         # built once, then kept
     # a cut of repeated, unordered rows is the index of those rows alone
     for rows in (np.random.default_rng(seed).integers(0, n * mu, 2 * n), np.zeros(0, int)):
-        cut, alone = book.on_slots.take(rows), signatures.on_slots(dense[rows])
-        assert np.array_equal(cut.starts, alone.starts)
-        assert np.array_equal(cut.slots, alone.slots)
-        assert np.array_equal(cut.packed, alone.packed)
+        cut = book.on_slots.take(rows)
+        starts, slots, packed = _index_oracle(dense[rows])
+        assert np.array_equal(cut.starts, starts)
+        assert np.array_equal(cut.slots, slots)
+        assert np.array_equal(cut.packed, packed)
         assert cut.num_slots == m
+
+
+def _index_oracle(dense):
+    """(starts, slots, packed) of the on-slot index of the 0/1 rows `dense`:
+    CSR offsets and each row's np.flatnonzero, written out row by row, and
+    the rows' np.packbits zero-padded to whole 64-bit words."""
+    rows = [np.flatnonzero(row) for row in dense]
+    starts = np.cumsum([0] + [len(row) for row in rows])
+    packed = np.zeros((len(dense), 8 * -(-dense.shape[1] // 64)), dtype=np.uint8)
+    packed[:, :-(-dense.shape[1] // 8)] = np.packbits(dense, axis=1)
+    return starts, np.concatenate([np.zeros(0, np.int64)] + rows), packed
+
+
+@settings(max_examples=60, deadline=None)
+@example(m=9, density=0.5, rows=[], skip=0, seed=0)
+@example(m=9, density=0.0, rows=[2, 0, 2], skip=0, seed=0)
+@example(m=70, density=1.0, rows=[5, 1, 1, 3], skip=71, seed=0)
+@given(m=st.integers(1, 70), density=st.floats(0.0, 1.0),
+       rows=st.lists(st.integers(0, 5), max_size=12), skip=st.integers(0, 75),
+       seed=st.integers(0, 2**32 - 1))
+def test_spans_gather_the_on_slots_of_each_row_past_skip(m, density, rows, skip, seed):
+    # repeated and unordered rows, rows without an on-bit, skips past the longest row
+    dense = (np.random.default_rng(seed).random((6, m)) < density).astype(np.uint8)
+    index = signatures.on_slots(dense)
+    at, lens = index.spans(np.array(rows, dtype=np.int64), skip)
+    expected = [np.flatnonzero(dense[r])[skip:] for r in rows]
+    assert lens.tolist() == [len(e) for e in expected]
+    assert index.slots[at].tolist() == [slot for e in expected for slot in e.tolist()]
 
 
 def test_derived_book_across_chunks_matches_the_convention():
@@ -230,11 +261,11 @@ def test_derived_book_across_chunks_matches_the_convention():
     dense = np.array([_convention_mask(nia, tag_base + msg, q, m)
                       for nia in nias for msg in range(mu)])
     assert len(dense) > signatures._CHUNK_ROWS
-    assert np.array_equal(book.bits, dense)
+    assert np.array_equal(book.matrix(), dense)
     assert np.array_equal(book.counts, dense.sum(axis=1))
-    expected = signatures.on_slots(dense)
-    assert np.array_equal(book.on_slots.starts, expected.starts)
-    assert np.array_equal(book.on_slots.slots, expected.slots)
+    starts, slots, _ = _index_oracle(dense)
+    assert np.array_equal(book.on_slots.starts, starts)
+    assert np.array_equal(book.on_slots.slots, slots)
 
 
 @pytest.mark.parametrize("bits", [

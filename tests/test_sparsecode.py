@@ -131,7 +131,7 @@ def test_decode_equals_one_survivors_call_per_neighbor(nodes, mu, m, real, thres
     expect = {}
     for nia in neighbor_list:
         row = book.row(nia)
-        alive = discovery.survivors(signatures.on_slots(book.bits[row:row + mu]), quiet)
+        alive = discovery.survivors(signatures.on_slots(book.matrix()[row:row + mu]), quiet)
         kept = frozenset(np.flatnonzero(alive[:, 0]).tolist())
         status = {0: sparsecode.ELIMINATED_ALL, 1: sparsecode.DECODED}.get(
             len(kept), sparsecode.AMBIGUOUS)
