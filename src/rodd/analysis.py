@@ -365,8 +365,7 @@ def asymmetric_rate_bound(gains, q, k):
     every listener i != k the rate is a sum over all transmitter subsets
     A containing k (drawn from everyone but i), weighted by the
     probability of that on-pattern; the bound is the minimum over
-    listeners.  Subsets are enumerated by vectorized doubling, so node
-    count is capped.
+    listeners.  K is capped at SUBSET_ENUM_MAX_NODES.
     """
     return asymmetric_rate_bounds(gains, q, [k])[0]
 

@@ -358,8 +358,8 @@ def _cmd_asym(args):
 
 def _cmd_trace(args):
     _require_seed(args)
-    if args.noise_var < 0:
-        raise UsageError(f"noise_var must be nonnegative, got {args.noise_var}")
+    if not 0 <= args.noise_var < math.inf:
+        raise UsageError(f"noise_var must be nonnegative and finite, got {args.noise_var}")
     try:
         density = args.n / args.area**2
     except (ZeroDivisionError, OverflowError):

@@ -6,13 +6,11 @@ neighbor of k when that gain meets the topology's threshold.  The
 relation need not be reciprocal once fading is on.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FADING_MODELS = ("none", "rayleigh")
-# Pairwise distances _refuse_coincident scans at once.
-_DISTANCE_BLOCK = 2**18
 
 
 class EmptyNetworkError(ValueError):
@@ -31,7 +29,7 @@ class Topology:
     fading_model: str              # 'none' (h = 1) or 'rayleigh' (E|h|^2 = 1)
     neighbor_threshold: float      # linear SNR threshold for the neighbor relation
     area_side: float               # side of the square the nodes live on
-    torus: bool = False            # wrap distances around the square edges
+    torus: bool = False            # wrap distances at the edges; positions in [0, area_side)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -49,6 +47,13 @@ class Topology:
             raise ValueError("neighbor_threshold must be positive")
         if self.fading_model not in FADING_MODELS:
             raise ValueError(f"unknown fading model {self.fading_model!r}")
+        if not 0 < self.area_side < np.inf:
+            raise ValueError(f"area_side must be positive and finite, got {self.area_side}")
+        low, high = (0, self.area_side) if self.torus else (-np.inf, np.inf)
+        bad = ~(np.isfinite(self.positions) & (self.positions >= low) & (self.positions < high))
+        if bad.any():
+            raise ValueError(f"position of node {bad.any(axis=1).argmax()} must be finite"
+                             + (" and in [0, area_side) on a torus" if self.torus else ""))
 
     @property
     def num_nodes(self):
@@ -115,8 +120,7 @@ class Topology:
 class LinkGains:
     """Dense per-pair SNR matrix; gamma[k][j] is the gain from j at receiver k.
 
-    Diagonal entries are meaningless and left at zero; no consumer reads
-    them.  Off-diagonal gains must be finite and nonnegative.
+    Diagonal entries are meaningless and left at zero; no consumer reads them.
     """
 
     gamma: np.ndarray  # (K, K), finite and nonnegative off the diagonal
@@ -184,11 +188,9 @@ def link_gains(topology, seed=None):
 
 
 def gain_row(topology, k):
-    """Row k of link_gains(topology), the gains at receiver k, built without
-    the K x K matrix: the distances are scanned in blocks of rows, and any
-    coincident pair is refused as link_gains refuses it.  Unfaded
-    topologies only, since a faded row depends on every draw before it.
-    """
+    """Row k of link_gains(topology), the gains at receiver k, in O(K log K)
+    time without the K x K matrix; coincident nodes are refused as link_gains
+    refuses them.  Unfaded topologies only: a faded row needs every draw before it."""
     if topology.fading_model != "none":
         raise ValueError(f"gain_row needs an unfaded topology, got {topology.fading_model!r}")
     _refuse_coincident(topology)
@@ -198,19 +200,17 @@ def gain_row(topology, k):
 
 
 def _refuse_coincident(topology):
-    """Refuse a topology without link gains: fewer than 2 nodes, or two at
-    distance zero, naming the first such pair in row order.  The distances
-    are scanned _DISTANCE_BLOCK at a time, in blocks of whole rows."""
+    """Refuse fewer than 2 nodes, or two at distance zero, naming the first pair
+    in row order.  Positions are finite, and in [0, L) on a torus, so such a pair
+    has equal coordinates and is adjacent in the (x, y, index) order."""
     if topology.num_nodes < 2:
         raise ValueError("link gains need at least 2 nodes")
-    pos = topology.positions
-    step = max(1, _DISTANCE_BLOCK // len(pos))
-    for lo in range(0, len(pos), step):
-        zero = topology._distance(pos[lo:lo + step, None, :], pos[None, :, :]) == 0.0
-        zero[np.arange(len(zero)), lo + np.arange(len(zero))] = False
-        if zero.any():
-            k, j = np.argwhere(zero)[0]
-            raise CoincidentNodesError(f"nodes {lo + k} and {j} are at distance zero")
+    x, y = topology.positions.T
+    order = np.lexsort((np.arange(len(x)), y, x))
+    tie = np.flatnonzero((x[order[1:]] == x[order[:-1]]) & (y[order[1:]] == y[order[:-1]]))
+    if tie.size:
+        i = tie[np.argmin(order[tie])]
+        raise CoincidentNodesError(f"nodes {order[i]} and {order[i + 1]} are at distance zero")
 
 
 def neighbors(gains, k, threshold):

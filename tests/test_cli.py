@@ -475,6 +475,16 @@ def test_trace_or_mode_rejects_negative_noise_variance(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_trace_or_mode_rejects_a_noise_variance_gauss_mode_would_refuse(tmp_path, capsys,
+                                                                         noise):
+    out = tmp_path / "t.txt"
+    assert run("trace", "--mode", "or", "--noise-var", noise, "--seed", "1",
+               "--out", str(out)) == 2
+    assert "noise_var must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_or_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
     # the dense K x K gains are read in gauss mode only; at --n 3000 they
     # took the OR trace to 410 MB
@@ -585,3 +595,48 @@ def test_python_dash_m_rodd_runs_the_cli(tmp_path):
     expected = tmp_path / "expected.csv"
     assert run("fig2", "--K", "3", "--q", "0.5", "--out", str(expected)) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+_SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300")
+
+
+@pytest.mark.parametrize("base", [
+    ["fig2", "--K", "3", "--q", "0.5"],
+    ["fig3", "--K", "3", "--q", "0.5"],
+    ["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--seed", "1"],
+    ["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--seed", "1",
+     "--mode", "energy"],
+    ["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "5", "--seed", "1"],
+    ["validate", "--suite", "or", "--M", "1000", "--seed", "1"],
+    ["asym", "--q", "0.2"],
+    ["trace", "--seed", "1"],
+    ["trace", "--seed", "1", "--mode", "gauss"],
+], ids=["fig2", "fig3", "discover-or", "discover-energy", "sparsecode", "validate", "asym",
+        "trace-or", "trace-gauss"])
+def test_every_numeric_flag_at_every_edge_value_exits_0_or_2(tmp_path, capsys, base):
+    """Each value flag of the subcommand (all but --config, --out and the
+    gains file) at each edge value: exit 0 or 2, never an escaped exception.
+    argparse refuses a value with SystemExit(2), which counts as exit 2."""
+    gains = tmp_path / "gains.txt"
+    gains.write_text("0 1 1\n1 0 1\n1 1 0\n", encoding="utf-8")
+    argv = base + ["--out", str(tmp_path / "out.csv")]
+    if base[0] == "asym":
+        argv += ["--gains-file", str(gains)]
+    _, registry = cli.build_parser()
+    flags = [a.option_strings[-1] for a in registry[base[0]]._actions
+             if a.option_strings and a.nargs != 0 and a.choices is None
+             and a.dest not in ("config", "out", "gains_file")]
+    assert flags and cli.main(argv) == 0
+    wrong = []
+    for flag in flags:
+        for value in _SWEEP_VALUES:
+            try:  # with "=", argparse reads "-inf" as a value, not as an option
+                code = cli.main(argv + [f"{flag}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any other escape is the failure
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2):
+                wrong.append(f"{flag} {value}: {code}")
+    assert "Traceback" not in capsys.readouterr().err
+    assert wrong == []

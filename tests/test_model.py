@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodd import model
 
@@ -82,19 +84,14 @@ def test_coincident_nodes_rejected():
 
 
 @pytest.mark.parametrize("torus", [False, True])
-def test_gain_row_is_the_row_of_link_gains(torus, monkeypatch):
+def test_gain_row_is_the_row_of_link_gains(torus):
     topo = model.generate_poisson_network(30.0, 0.5, seed=4, torus=torus)
     gains = model.link_gains(topo)
-    # scanned for coincident pairs in blocks of one row, and of all rows
-    for block in (1, 2**18):
-        monkeypatch.setattr(model, "_DISTANCE_BLOCK", block)
-        for k in (0, 7, topo.num_nodes - 1):
-            assert model.gain_row(topo, k).tobytes() == gains.gamma[k].tobytes()
+    for k in (0, 7, topo.num_nodes - 1):
+        assert model.gain_row(topo, k).tobytes() == gains.gamma[k].tobytes()
 
 
-@pytest.mark.parametrize("block", [1, 5, 2**18])
-def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(block, monkeypatch):
-    monkeypatch.setattr(model, "_DISTANCE_BLOCK", block)
+def test_gain_row_refuses_any_coincident_pair_as_link_gains_does():
     positions = np.arange(12.0).reshape(6, 2)
     positions[4] = positions[2]
     topo = model.Topology(positions=positions, alpha=4.0, unit_snr=1.0,
@@ -104,6 +101,87 @@ def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(block, monkeypa
     with pytest.raises(model.CoincidentNodesError) as got:
         model.gain_row(topo, 0)
     assert str(got.value) == str(want.value) == "nodes 2 and 4 are at distance zero"
+
+
+def _dense_first_coincident_pair(topo):
+    """The message of the first zero-distance pair in row order, from all K^2
+    distances, or None."""
+    pos = topo.positions
+    zero = topo._distance(pos[:, None], pos[None]) == 0
+    np.fill_diagonal(zero, False)
+    hits = np.argwhere(zero)
+    return f"nodes {hits[0][0]} and {hits[0][1]} are at distance zero" if len(hits) else None
+
+
+@st.composite
+def _lattice_topologies(draw):
+    """2-40 nodes on a coarse lattice of [0, side), with -0.0, the float just
+    below side and planted duplicate groups, on a torus or a plain square."""
+    side = draw(st.sampled_from([1.0, 10.0, 1000.0]))
+    cells = draw(st.sampled_from([2, 8, 256]))
+    values = [side * i / cells for i in range(cells)] + [-0.0, np.nextafter(side, 0.0)]
+    n = len(values)
+    k = draw(st.integers(2, min(40, n * n)))
+    points = draw(st.lists(st.integers(0, n * n - 1), min_size=k, max_size=k,
+                           unique=draw(st.booleans())))
+    positions = np.array([(values[p // n], values[p % n]) for p in points])
+    if draw(st.booleans()):
+        for group in draw(st.lists(st.lists(st.integers(0, k - 1), min_size=2, max_size=4),
+                                   min_size=1, max_size=2)):
+            positions[group] = positions[group[0]]
+    return model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, fading_model="none",
+                          neighbor_threshold=1.0, area_side=side, torus=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_topologies())
+def test_coincidence_check_agrees_with_the_dense_distance_scan(topo):
+    want = _dense_first_coincident_pair(topo)
+    if want is None:
+        assert model.gain_row(topo, 0)[0] == 0.0
+    else:
+        with pytest.raises(model.CoincidentNodesError) as got:
+            model.gain_row(topo, 0)
+        assert str(got.value) == want
+
+
+@pytest.mark.parametrize("positions, torus, node", [
+    ([[0.0, 0.0], [np.nan, 1.0]], False, 1),
+    ([[np.inf, 0.0], [1.0, 1.0]], False, 0),
+    ([[0.0, 0.0], [1.0, -np.inf]], True, 1),
+    ([[25.0, 0.0], [1.0, 1.0]], True, 0),    # the minimum image would put it at 5
+    ([[1.0, 1.0], [1.0, 10.0]], True, 1),    # the far edge belongs to the near one
+    ([[1.0, 1.0], [-1e-300, 2.0]], True, 1),
+])
+def test_positions_no_distance_can_use_are_refused(positions, torus, node):
+    with pytest.raises(ValueError, match=rf"position of node {node} must be finite"
+                                         + (r" and in \[0, area_side\)" if torus else "$")):
+        model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, fading_model="none",
+                       neighbor_threshold=1.0, area_side=10.0, torus=torus)
+
+
+def test_plain_square_positions_may_lie_off_the_square():
+    topo = model.Topology(positions=[[-5.0, 0.0], [25.0, 0.0]], alpha=4.0, unit_snr=1.0,
+                          fading_model="none", neighbor_threshold=1.0, area_side=10.0)
+    assert model.gain_row(topo, 0)[1] == pytest.approx(30.0 ** -4.0)
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, np.inf, np.nan])
+def test_area_side_must_be_positive_and_finite(side):
+    with pytest.raises(ValueError, match="area_side must be positive and finite"):
+        model.Topology(positions=[[0.0, 0.0], [1.0, 0.0]], alpha=4.0, unit_snr=1.0,
+                       fading_model="none", neighbor_threshold=1.0, area_side=side)
+
+
+@pytest.mark.parametrize("node_line, message", [
+    ("1 nan 1.0 1.0", "position of node 1 must be finite"),
+    ("1 12.0 1.0 1.0", "position of node 1 must be finite and in"),
+])
+def test_text_refuses_positions_no_distance_can_use(node_line, message):
+    text = ("count=2 alpha=4.0 fading=none threshold=1.0 area_side=10.0 torus=1\n"
+            f"0 1.0 1.0 1.0\n{node_line}\n")
+    with pytest.raises(ValueError, match=message):
+        model.Topology.from_text(text)
 
 
 def test_gain_row_needs_an_unfaded_topology():
