@@ -91,11 +91,14 @@ def test_gain_row_is_the_row_of_link_gains(torus):
         assert model.gain_row(topo, k).tobytes() == gains.gamma[k].tobytes()
 
 
-def test_gain_row_refuses_any_coincident_pair_as_link_gains_does():
-    positions = np.arange(12.0).reshape(6, 2)
+@pytest.mark.parametrize("scale", [1, 5, 2**18])
+def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(scale):
+    # the same layout at coordinates scaled from units up to 2^18
+    positions = np.arange(12.0).reshape(6, 2) * scale
     positions[4] = positions[2]
     topo = model.Topology(positions=positions, alpha=4.0, unit_snr=1.0,
-                          fading_model="none", neighbor_threshold=1.0, area_side=20.0)
+                          fading_model="none", neighbor_threshold=1.0,
+                          area_side=20.0 * scale)
     with pytest.raises(model.CoincidentNodesError) as want:
         model.link_gains(topo)
     with pytest.raises(model.CoincidentNodesError) as got:
