@@ -154,13 +154,21 @@ def _pattern_weights(K, q):
     return _binomial_weights(K - 1, np.arange(K), K, q)
 
 
-def _golden_section_max(f, lo, hi, tol):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
+def _maximize_on_unit_interval(f):
+    """Maximize f over [0,1]: coarse grid to locate the mode, golden refine.
+
+    f takes a scalar or an array of points; the grid is one array call.
+    The grid also guards against non-unimodal objectives: refinement is
+    confined to a bracket around the global grid maximum, so a spurious
+    local mode elsewhere cannot capture the search.
+    """
+    xs = np.linspace(0.0, 1.0, 1001)
+    i = int(np.argmax(f(xs)))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -171,22 +179,6 @@ def _golden_section_max(f, lo, hi, tol):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x), b - a
-
-
-def _maximize_on_unit_interval(f, tol=GOLDEN_TOL, grid_points=1001):
-    """Maximize f over [0,1]: coarse grid to locate the mode, golden refine.
-
-    f takes a scalar or an array of points; the grid is one array call.
-    The grid also guards against non-unimodal objectives: refinement is
-    confined to a bracket around the global grid maximum, so a spurious
-    local mode elsewhere cannot capture the search.
-    """
-    xs = np.linspace(0.0, 1.0, grid_points)
-    vals = f(xs)
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, grid_points - 1)]
-    return _golden_section_max(f, lo, hi, tol)
 
 
 def _or_objective(K, q):
@@ -257,10 +249,13 @@ def gauss_symmetric_rate(K, q, gamma):
     """Symmetric rate of the Gaussian channel (signature-independent codes)."""
     K = _check_kq(K, q)
     _check_gamma(gamma)
-    w = _pattern_weights(K, q)
-    m = np.arange(1, K)
-    rate = float(np.sum(w[1:] * g(m * gamma / q)) / (K - 1))
-    return RateResult(rate=rate)
+    return RateResult(rate=_mean_rate(K, q, np.arange(1, K) * gamma / q))
+
+
+def _mean_rate(K, q, snr):
+    """1/(K-1) * sum_{m=1..K-1} w[m] g(snr[m-1]): the rate g at the per-weight
+    SNR, averaged over the on-patterns a listener hears."""
+    return float(np.sum(_pattern_weights(K, q)[1:] * g(snr)) / (K - 1))
 
 
 def _power_levels(K, v):
@@ -340,12 +335,6 @@ def _bisect_levels(K, qs, gamma):
     return levels
 
 
-def _gauss_capacity(K, q, v):
-    """The symmetric Gaussian capacity at water level v."""
-    levels = _power_levels(K, v)
-    return float(np.sum(_pattern_weights(K, q)[1:] * g(levels)) / (K - 1))
-
-
 def gauss_symmetric_capacity(K, q, gamma):
     """Symmetric capacity of the Gaussian channel (signature-dependent codes).
 
@@ -354,7 +343,7 @@ def gauss_symmetric_capacity(K, q, gamma):
     """
     K = _check_kq(K, q)
     v = solve_water_level(K, q, gamma)
-    return RateResult(rate=_gauss_capacity(K, q, v), v_star=v,
+    return RateResult(rate=_mean_rate(K, q, _power_levels(K, v)), v_star=v,
                       residual=abs(waterfill_lhs(K, q, v) - gamma))
 
 
@@ -481,6 +470,6 @@ def sweep_gauss(Ks, q_grid, gamma):
     water levels are solved over the whole q grid in one call."""
     def capacities(K):
         levels = _water_levels(K, q_grid, gamma)
-        return [_gauss_capacity(K, q, v) for q, v in zip(q_grid, levels)]
+        return [_mean_rate(K, q, _power_levels(K, v)) for q, v in zip(q_grid, levels)]
     return _sweep(Ks, q_grid, gamma, gauss_symmetric_rate, capacities,
                   gauss_aloha_throughput)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, discovery, sparsecode, validate
+from . import analysis, channels, discovery, model, signatures, sparsecode, validate
 
 
 class UsageError(Exception):
@@ -113,6 +113,8 @@ def _require_seed(args):
     if args.seed is None:
         raise UsageError("--seed is required (rerunning with the same seed "
                          "must reproduce the output byte for byte)")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def _load_config(path, subparser):
@@ -168,7 +170,6 @@ def build_parser():
                     "discovery and sparse-recovery message code experiments.",
     )
     subs = parser.add_subparsers(dest="command", metavar="command")
-    registry = {}
 
     for name, help_text in (("fig2", "OR-channel sum rate/capacity vs ALOHA sweep"),
                             ("fig3", "Gaussian-channel sweep at fixed SNR")):
@@ -180,7 +181,6 @@ def build_parser():
         p.add_argument("--check", action="store_true",
                        help="verify dominance per row, exit 3 on failure")
         _add_common(p)
-        registry[name] = p
 
     p = subs.add_parser("discover", help="network-wide compressed neighbor discovery")
     p.add_argument("--n", type=int, default=10000, help="expected node count")
@@ -203,7 +203,6 @@ def build_parser():
                    help="disable wraparound distances (edge effects return)")
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
-    registry["discover"] = p
 
     p = subs.add_parser("sparsecode", help="mu-signatures-per-node message code trial")
     p.add_argument("--K", type=int, default=10, help="clique size")
@@ -213,7 +212,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
-    registry["sparsecode"] = p
 
     p = subs.add_parser("validate", help="Monte Carlo vs closed-form rate checks")
     p.add_argument("--suite", choices=("all", "or", "gauss"), default="all")
@@ -221,7 +219,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check", action="store_true", help="exit 3 if any row fails")
     _add_common(p)
-    registry["validate"] = p
 
     p = subs.add_parser("asym", help="per-node achievable rates from a gain matrix")
     p.add_argument("--gains-file", required=True,
@@ -229,7 +226,6 @@ def build_parser():
     p.add_argument("--q", default="0.2",
                    help="per-node on-probabilities (single value or comma list)")
     _add_common(p)
-    registry["asym"] = p
 
     p = subs.add_parser("trace", help="slot-by-slot observation of one receiver")
     p.add_argument("--n", type=int, default=4, help="expected node count")
@@ -241,9 +237,8 @@ def build_parser():
     p.add_argument("--area", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
-    registry["trace"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _cmd_sweep(args):
@@ -324,7 +319,6 @@ def _cmd_validate(args):
 
 
 def _read_gains_file(path):
-    from .model import LinkGains
     rows = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -336,7 +330,7 @@ def _read_gains_file(path):
         raise UsageError(f"cannot read gains file {path!r}: {exc}") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError(f"gains file {path!r} must hold a square matrix")
-    return LinkGains(gamma=np.array(rows))
+    return model.LinkGains(gamma=np.array(rows))
 
 
 def _cmd_asym(args):
@@ -367,7 +361,6 @@ def _cmd_trace(args):
     if not (0 < args.area < math.inf and math.isfinite(density)):
         raise UsageError(f"--area must be positive, with a square that is a nonzero "
                          f"finite float, got {args.area}")
-    from . import channels, model, signatures
     topo = model.generate_poisson_network(args.area, density, args.seed)
     n = topo.num_nodes
     if not (0 <= args.receiver < n):
@@ -386,8 +379,7 @@ def _cmd_trace(args):
         for j in range(n):
             symbols = rng.normal(0.0, 1.0, args.M)
             power = float(np.sum(book[j].bits * symbols**2))
-            if power > args.M:
-                symbols *= math.sqrt(args.M / power)
+            symbols *= math.sqrt(args.M / max(power, args.M))
             frames.append(channels.TransmitFrame(symbols=symbols, mask=book[j]))
         obs = channels.gaussian_mac(args.receiver, model.gain_row(topo, args.receiver),
                                     frames, args.noise_var, seed=args.seed)
@@ -408,29 +400,17 @@ _COMMANDS = {
 }
 
 
-def _peek_config(argv):
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, registry = build_parser()
     try:
-        cfg_path = _peek_config(argv)
-        if cfg_path is not None:
-            command = next((tok for tok in argv if not tok.startswith("-")), None)
-            if command not in registry:
-                raise UsageError("--config needs a known subcommand")
-            registry[command].set_defaults(**_load_config(cfg_path, registry[command]))
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
+        if args.config is not None:
+            sub = registry[args.command]
+            sub.set_defaults(**_load_config(args.config, sub))
+            args = parser.parse_args(argv)
         _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, discovery.ConvergenceError,

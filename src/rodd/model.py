@@ -68,8 +68,8 @@ class Topology:
 
     def path_gain(self, at, of):
         """Unfaded power gain unit_snr[of] * d**(-alpha) of nodes `of` at
-        nodes `at`, broadcast index arrays; inf where a pair coincides."""
-        with np.errstate(divide="ignore"):
+        nodes `at`, broadcast index arrays; inf where a pair coincides or it overflows."""
+        with np.errstate(divide="ignore", over="ignore"):
             return self.unit_snr[of] * self._distance(self.positions[at],
                                                       self.positions[of]) ** (-self.alpha)
 
@@ -189,13 +189,15 @@ def link_gains(topology, seed=None):
 
 def gain_row(topology, k):
     """Row k of link_gains(topology), the gains at receiver k, in O(K log K)
-    time without the K x K matrix; coincident nodes are refused as link_gains
-    refuses them.  Unfaded topologies only: a faded row needs every draw before it."""
+    time without the K x K matrix; coincident nodes and inf gains are refused
+    as link_gains refuses them.  Unfaded only: a faded row needs every draw before it."""
     if topology.fading_model != "none":
         raise ValueError(f"gain_row needs an unfaded topology, got {topology.fading_model!r}")
     _refuse_coincident(topology)
     gamma = topology.path_gain(k, np.arange(topology.num_nodes))
     gamma[k] = 0.0
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("link gains must be finite")
     return gamma
 
 

@@ -67,17 +67,12 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     quiet = discovery.one_receiver_quiet(observation, threshold, "decode")
     starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
     index = book.on_slots.take((starts[:, None] + np.arange(book.mu)).ravel())
-    alive = discovery.survivors(index, quiet)
-    return {nia: _outcome(a) for nia, a in zip(neighbor_list, alive.reshape(-1, book.mu))}
-
-
-def _outcome(alive):
-    """Decode status of one neighbor from its mu-long survivor vector."""
-    survivors = np.flatnonzero(alive)
-    status = _STATUS[min(len(survivors), 2)]
-    return NeighborDecode(status=status,
-                          message=int(survivors[0]) if status == DECODED else None,
-                          candidates=frozenset(survivors.tolist()))
+    alive = discovery.survivors(index, quiet).reshape(-1, book.mu)
+    count, first = alive.sum(axis=1), alive.argmax(axis=1)
+    return {nia: NeighborDecode(status=_STATUS[min(n, 2)],
+                                message=int(m) if n == 1 else None,
+                                candidates=frozenset(np.flatnonzero(a).tolist()))
+            for nia, a, n, m in zip(neighbor_list, alive, count, first)}
 
 
 @dataclass
@@ -123,7 +118,7 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     their sent rows (the only rows unpacked), one
     survivors() call screens all mu*K candidates against them, and every
     pair's outcome follows from its survivor count and first survivor
-    through _STATUS, as in _outcome.
+    through _STATUS, as in decode.
     """
     if num_nodes < 2:
         raise ValueError(f"num_nodes must be >= 2 (a receiver and a neighbor), "

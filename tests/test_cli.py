@@ -450,6 +450,48 @@ def test_config_bad_entries_exit_2(tmp_path, capsys, command, line, message):
     assert not out.exists()
 
 
+def test_config_equals_spelling_matches_the_spaced_one(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nM = 128\ntrials = 5\nK = 4\nmu = 8\n", encoding="utf-8")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("sparsecode", "--config", str(cfg), "--out", str(a)) == 0
+    assert run("sparsecode", f"--config={cfg}", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_unreadable_config_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run("sparsecode", "--config", str(tmp_path / "missing.cfg"), "--seed", "1",
+               "--out", str(out)) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_before_the_subcommand_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    try:  # argparse refuses the top-level option with SystemExit(2)
+        code = run("--config", str(cfg), "sparsecode", "--trials", "2", "--out", str(out))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--n", "60", "--neighbors", "5", "--M", "64"],
+    ["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "5"],
+    ["validate", "--suite", "or", "--M", "1000"],
+    ["trace"],
+], ids=["discover", "sparsecode", "validate", "trace"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == 2
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trace_or_mode(tmp_path):
     out = tmp_path / "t.txt"
     assert run("trace", "--n", "4", "--M", "50", "--seed", "12",

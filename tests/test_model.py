@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,20 @@ def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(scale):
     with pytest.raises(model.CoincidentNodesError) as got:
         model.gain_row(topo, 0)
     assert str(got.value) == str(want.value) == "nodes 2 and 4 are at distance zero"
+
+
+def test_gain_row_refuses_an_overflowing_gain_as_link_gains_does():
+    # at d = 1e-100, d**(-4) overflows: the gain is inf, not a coincidence
+    topo = model.Topology(positions=[[0.0, 0.0], [1e-100, 0.0], [2.0, 0.0]], alpha=4.0,
+                          unit_snr=1.0, fading_model="none", neighbor_threshold=1.0,
+                          area_side=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (model.link_gains, lambda t: model.gain_row(t, 0),
+                      lambda t: model.gain_row(t, 1)):
+            with pytest.raises(ValueError, match="link gains must be finite"):
+                build(topo)
+        assert model.gain_row(topo, 2).tolist() == [2.0**-4, 2.0**-4, 0.0]
 
 
 def _dense_first_coincident_pair(topo):
