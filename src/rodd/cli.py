@@ -268,6 +268,8 @@ def _cmd_discover(args):
     _require_seed(args)
     if args.receivers is not None and args.receivers < 1:
         raise UsageError(f"--receivers must be at least 1, got {args.receivers}")
+    if args.threshold is not None and args.threshold_sweep is not None:
+        raise UsageError("--threshold and --threshold-sweep exclude each other")
     mode = discovery.OR_NOISELESS if args.mode == "or" else discovery.ENERGY
     topo, radius = discovery.poisson_discovery_topology(
         args.n, args.neighbors, args.seed, area_side=args.area,

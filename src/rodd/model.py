@@ -94,7 +94,15 @@ class Topology:
         unit_snr for all nodes.  Node indices must be 0..count-1, once each.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("topology text is empty")
         header = dict(tok.split("=", 1) for tok in lines[0].split())
+        missing = {"count", "alpha", "fading", "threshold", "area_side"} - header.keys()
+        if missing:
+            raise ValueError(f"topology header lacks {', '.join(sorted(missing))}")
+        torus = header.get("torus", "0")
+        if torus not in ("0", "1"):
+            raise ValueError(f"torus must be 0 or 1, got {torus!r}")
         count = int(header["count"])
         rows = [ln.split() for ln in lines[1:]]
         index = [int(row[0]) for row in rows]
@@ -112,7 +120,7 @@ class Topology:
             fading_model=header["fading"],
             neighbor_threshold=float(header["threshold"]),
             area_side=float(header["area_side"]),
-            torus=bool(int(header.get("torus", "0"))),
+            torus=torus == "1",
         )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -314,6 +315,21 @@ def test_threshold_sweep_requires_energy_mode(tmp_path):
                "--threshold-sweep", "1:2:1", "--out", str(tmp_path / "x")) == 2
 
 
+def test_a_threshold_with_a_threshold_sweep_is_refused_before_the_topology(
+        tmp_path, capsys, monkeypatch):
+    from rodd import discovery
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the topology was drawn before the flags were checked")
+    monkeypatch.setattr(discovery, "poisson_discovery_topology", refuse)
+    out = tmp_path / "sweep.csv"
+    assert run("discover", "--n", "40", "--neighbors", "4", "--M", "200", "--q", "0.1",
+               "--area", "100", "--mode", "energy", "--threshold", "5",
+               "--threshold-sweep", "10:20:10", "--seed", "2", "--out", str(out)) == 2
+    assert "--threshold and --threshold-sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sparsecode_determinism(tmp_path):
     out = tmp_path / "s.csv"
     argv = ["sparsecode", "--K", "4", "--mu", "8", "--q", "0.12", "--M", "128",
@@ -626,6 +642,16 @@ def test_unknown_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_a_bare_import_loads_neither_numpy_nor_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, rodd; print(rodd.__version__); "
+             "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0.1.0", ""]
+
+
 def test_python_dash_m_rodd_runs_the_cli(tmp_path):
     # `python -m rodd` from a checkout: the package on PYTHONPATH, no install
     src = Path(cli.__file__).resolve().parents[1]
@@ -640,6 +666,35 @@ def test_python_dash_m_rodd_runs_the_cli(tmp_path):
 
 
 _SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300")
+
+
+def _count(v):
+    return v.is_integer() and v >= 1
+
+
+def _index(v):
+    return v.is_integer() and v >= 0
+
+
+def _positive(v):
+    return 0 < v < math.inf
+
+
+def _nonnegative(v):
+    return 0 <= v < math.inf
+
+
+# The documented domain of every value flag, as a test on the value read as
+# a float: a value that the CLI accepts with exit 0 must pass it.
+_FLAG_DOMAINS = {
+    "--K": _count, "--n": _count, "--M": _count, "--mu": _count, "--trials": _count,
+    "--receivers": _count, "--seed": _index, "--receiver": _index,
+    "--q": lambda v: 0 < v < 1, "--alpha": lambda v: 2 <= v < math.inf,
+    "--gamma-db": math.isfinite, "--snr-db": math.isfinite,
+    "--neighbors": _positive, "--area": _positive,
+    "--noise-var": _nonnegative, "--threshold": _nonnegative,
+    "--threshold-sweep": _nonnegative,
+}
 
 
 @pytest.mark.parametrize("base", [
@@ -657,8 +712,9 @@ _SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300")
         "trace-or", "trace-gauss"])
 def test_every_numeric_flag_at_every_edge_value_exits_0_or_2(tmp_path, capsys, base):
     """Each value flag of the subcommand (all but --config, --out and the
-    gains file) at each edge value: exit 0 or 2, never an escaped exception.
-    argparse refuses a value with SystemExit(2), which counts as exit 2."""
+    gains file) at each edge value: exit 0 or 2, never an escaped exception,
+    and exit 0 only inside the flag's domain.  argparse refuses a value with
+    SystemExit(2), which counts as exit 2."""
     gains = tmp_path / "gains.txt"
     gains.write_text("0 1 1\n1 0 1\n1 1 0\n", encoding="utf-8")
     argv = base + ["--out", str(tmp_path / "out.csv")]
@@ -668,7 +724,7 @@ def test_every_numeric_flag_at_every_edge_value_exits_0_or_2(tmp_path, capsys, b
     flags = [a.option_strings[-1] for a in registry[base[0]]._actions
              if a.option_strings and a.nargs != 0 and a.choices is None
              and a.dest not in ("config", "out", "gains_file")]
-    assert flags and cli.main(argv) == 0
+    assert flags and set(flags) <= _FLAG_DOMAINS.keys() and cli.main(argv) == 0
     wrong = []
     for flag in flags:
         for value in _SWEEP_VALUES:
@@ -680,5 +736,7 @@ def test_every_numeric_flag_at_every_edge_value_exits_0_or_2(tmp_path, capsys, b
                 code = f"{type(exc).__name__}: {exc}"
             if code not in (0, 2):
                 wrong.append(f"{flag} {value}: {code}")
+            elif code == 0 and not _FLAG_DOMAINS[flag](float(value)):
+                wrong.append(f"{flag} {value}: accepted outside its domain")
     assert "Traceback" not in capsys.readouterr().err
     assert wrong == []

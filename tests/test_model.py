@@ -297,6 +297,19 @@ def test_text_rejects_malformed_node_lines(nodes):
         model.Topology.from_text(header + nodes)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "topology text is empty"),
+    ("\n  \n", "topology text is empty"),
+    ("count=1 alpha=4.0 threshold=1.0 area_side=5.0 torus=0\n0 1.0 2.0 1.0\n",
+     "topology header lacks fading"),
+    ("count=1 alpha=4.0 fading=none threshold=1.0 area_side=5.0 torus=2\n0 1.0 2.0 1.0\n",
+     "torus must be 0 or 1, got '2'"),
+], ids=["empty", "blank", "no-fading", "torus-2"])
+def test_text_refuses_a_malformed_header_by_name(text, message):
+    with pytest.raises(ValueError, match=message):
+        model.Topology.from_text(text)
+
+
 def test_per_node_unit_snr_override():
     topo = model.Topology(
         positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
