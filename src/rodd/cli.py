@@ -105,8 +105,7 @@ def _check_out(path):
 
 
 def _say(args, message):
-    stream = sys.stderr if args.out == "-" else sys.stdout
-    print(message, file=stream)
+    print(message, file=sys.stderr if args.out == "-" else sys.stdout)
 
 
 def _require_seed(args):
@@ -158,7 +157,8 @@ def _load_config(path, subparser):
     return out
 
 
-def _add_common(sub):
+def _add_common(sub, run):
+    sub.set_defaults(run=run)
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
@@ -174,13 +174,15 @@ def build_parser():
     for name, help_text in (("fig2", "OR-channel sum rate/capacity vs ALOHA sweep"),
                             ("fig3", "Gaussian-channel sweep at fixed SNR")):
         p = subs.add_parser(name, help=help_text)
-        p.add_argument("--K", default="3,5,20", help="comma list of node counts")
-        p.add_argument("--q", default="0.02:0.98:0.02", help="q grid start:stop:step")
+        p.add_argument("--K", type=parse_int_list, default="3,5,20",
+                       help="comma list of node counts")
+        p.add_argument("--q", type=parse_q_grid, default="0.02:0.98:0.02",
+                       help="q grid start:stop:step")
         if name == "fig3":
             p.add_argument("--gamma-db", type=float, default=20.0, help="link SNR in dB")
         p.add_argument("--check", action="store_true",
                        help="verify dominance per row, exit 3 on failure")
-        _add_common(p)
+        _add_common(p, _cmd_sweep)
 
     p = subs.add_parser("discover", help="network-wide compressed neighbor discovery")
     p.add_argument("--n", type=int, default=10000, help="expected node count")
@@ -193,7 +195,7 @@ def build_parser():
     p.add_argument("--noise-var", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=None,
                    help="energy elimination threshold (default: tuned)")
-    p.add_argument("--threshold-sweep", default=None, metavar="LO:HI:STEP",
+    p.add_argument("--threshold-sweep", type=parse_grid, metavar="LO:HI:STEP",
                    help="energy mode: sweep thresholds, emit tradeoff CSV")
     p.add_argument("--receivers", type=int, default=None,
                    help="evaluate only the first R receivers")
@@ -202,7 +204,7 @@ def build_parser():
     p.add_argument("--no-torus", action="store_true",
                    help="disable wraparound distances (edge effects return)")
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_discover)
 
     p = subs.add_parser("sparsecode", help="mu-signatures-per-node message code trial")
     p.add_argument("--K", type=int, default=10, help="clique size")
@@ -211,21 +213,21 @@ def build_parser():
     p.add_argument("--M", type=int, default=512, help="signature length in slots")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_sparsecode)
 
     p = subs.add_parser("validate", help="Monte Carlo vs closed-form rate checks")
     p.add_argument("--suite", choices=("all", "or", "gauss"), default="all")
     p.add_argument("--M", type=int, default=100000, help="slots per estimate")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check", action="store_true", help="exit 3 if any row fails")
-    _add_common(p)
+    _add_common(p, _cmd_validate)
 
     p = subs.add_parser("asym", help="per-node achievable rates from a gain matrix")
     p.add_argument("--gains-file", required=True,
                    help="whitespace K x K matrix, gamma[i][j] = SNR of j at i")
-    p.add_argument("--q", default="0.2",
+    p.add_argument("--q", type=parse_q_grid, default="0.2",
                    help="per-node on-probabilities (single value or comma list)")
-    _add_common(p)
+    _add_common(p, _cmd_asym)
 
     p = subs.add_parser("trace", help="slot-by-slot observation of one receiver")
     p.add_argument("--n", type=int, default=4, help="expected node count")
@@ -236,20 +238,18 @@ def build_parser():
     p.add_argument("--noise-var", type=float, default=0.0)
     p.add_argument("--area", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_trace)
 
     return parser, subs.choices
 
 
 def _cmd_sweep(args):
     """fig2 (OR channel) or fig3 (Gaussian channel at --gamma-db)."""
-    Ks = parse_int_list(args.K)
-    grid = parse_q_grid(args.q)
     if args.command == "fig2":
-        table, note = analysis.sweep_or(Ks, grid), ""
+        table, note = analysis.sweep_or(args.K, args.q), ""
     else:
         gamma = db_to_linear(args.gamma_db)
-        table, note = analysis.sweep_gauss(Ks, grid, gamma), f" (gamma = {gamma:.6g})"
+        table, note = analysis.sweep_gauss(args.K, args.q, gamma), f" (gamma = {gamma:.6g})"
     _write_text(args.out, table.to_csv())
     _say(args, f"{args.command}: wrote {len(table.rows)} rows to {args.out}{note}")
     if args.check:
@@ -265,7 +265,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_discover(args):
-    _require_seed(args)
     if args.receivers is not None and args.receivers < 1:
         raise UsageError(f"--receivers must be at least 1, got {args.receivers}")
     if args.threshold is not None and args.threshold_sweep is not None:
@@ -279,7 +278,7 @@ def _cmd_discover(args):
     run = dict(noise_var=args.noise_var, seed=args.seed, receivers=receivers)
     if args.threshold_sweep is not None:
         reports = discovery.run_threshold_sweep(
-            topo, radius, args.M, args.q, parse_grid(args.threshold_sweep), mode, **run)
+            topo, radius, args.M, args.q, args.threshold_sweep, mode, **run)
         lines = ["threshold,mean_miss_rate,mean_false_alarm_rate,mean_accuracy"]
         for rep in reports:
             lines.append(f"{rep.threshold:.12g},{rep.mean_miss_rate:.12g},"
@@ -298,7 +297,6 @@ def _cmd_discover(args):
 
 
 def _cmd_sparsecode(args):
-    _require_seed(args)
     rep = sparsecode.run_sparsecode_experiment(
         args.K, args.mu, args.q, args.M, args.trials, args.seed)
     _write_text(args.out, rep.to_csv())
@@ -310,7 +308,6 @@ def _cmd_sparsecode(args):
 
 
 def _cmd_validate(args):
-    _require_seed(args)
     rep = validate.validate_suite(args.seed, args.M, suite=args.suite)
     _write_text(args.out, rep.to_csv())
     n_pass = sum(r.passed for r in rep.rows)
@@ -338,14 +335,11 @@ def _read_gains_file(path):
 def _cmd_asym(args):
     gains = _read_gains_file(args.gains_file)
     K = gains.num_nodes
-    qs = parse_q_grid(args.q)
-    if len(qs) == 1:
-        qs = qs * K
+    qs = args.q * K if len(args.q) == 1 else args.q
     if len(qs) != K:
         raise UsageError(f"need 1 or {K} q values, got {len(qs)}")
-    q = np.array(qs)
     lines = ["node,q,rate_bound"]
-    for k, bound in enumerate(analysis.asymmetric_rate_bounds(gains, q, range(K))):
+    for k, bound in enumerate(analysis.asymmetric_rate_bounds(gains, np.array(qs), range(K))):
         lines.append(f"{k},{qs[k]:.12g},{bound:.12g}")
     _write_text(args.out, "\n".join(lines) + "\n")
     _say(args, f"asym: {K} nodes from {args.gains_file}")
@@ -353,7 +347,6 @@ def _cmd_asym(args):
 
 
 def _cmd_trace(args):
-    _require_seed(args)
     if not 0 <= args.noise_var < math.inf:
         raise UsageError(f"noise_var must be nonnegative and finite, got {args.noise_var}")
     try:
@@ -391,17 +384,6 @@ def _cmd_trace(args):
     return 0
 
 
-_COMMANDS = {
-    "fig2": _cmd_sweep,
-    "fig3": _cmd_sweep,
-    "discover": _cmd_discover,
-    "sparsecode": _cmd_sparsecode,
-    "validate": _cmd_validate,
-    "asym": _cmd_asym,
-    "trace": _cmd_trace,
-}
-
-
 def main(argv=None):
     parser, registry = build_parser()
     try:
@@ -414,7 +396,9 @@ def main(argv=None):
             sub.set_defaults(**_load_config(args.config, sub))
             args = parser.parse_args(argv)
         _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        if hasattr(args, "seed"):
+            _require_seed(args)
+        return args.run(args)
     except (UsageError, ValueError, discovery.ConvergenceError,
             analysis.WaterLevelBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,7 +133,8 @@ def observed_quiet(observation, threshold=0.0):
     its bit is 0 or its amplitude**2 < `threshold`."""
     _check_threshold(threshold)
     v = observation.values
-    empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
+    with np.errstate(over="ignore"):  # a square that overflows is inf: never quiet
+        empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
     return (~observation.erased & empty).reshape(-1, observation.length)
 
 
@@ -373,6 +374,9 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     if mode == ENERGY and noise_var == 0 and None in thresholds:
         raise ValueError("a noiseless energy run needs an explicit threshold")
     tuned = topology.neighbor_threshold * noise_var / 4.0 if mode == ENERGY else 0.0
+    if None in thresholds and tuned == math.inf and noise_var < math.inf:
+        raise ValueError(f"noise_var {noise_var:g} times neighbor threshold "
+                         f"{topology.neighbor_threshold:g} overflows the tuned threshold")
     thresholds = [tuned if t is None else _check_threshold(t) for t in thresholds]
 
     n = topology.num_nodes

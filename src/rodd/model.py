@@ -96,14 +96,26 @@ class Topology:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("topology text is empty")
-        header = dict(tok.split("=", 1) for tok in lines[0].split())
+        header = dict(tok.partition("=")[::2] for tok in lines[0].split())
+        bare = [key for key, value in header.items() if not value]
+        if bare:
+            raise ValueError(f"topology header token {bare[0]!r} has no value")
         missing = {"count", "alpha", "fading", "threshold", "area_side"} - header.keys()
         if missing:
             raise ValueError(f"topology header lacks {', '.join(sorted(missing))}")
         torus = header.get("torus", "0")
         if torus not in ("0", "1"):
             raise ValueError(f"torus must be 0 or 1, got {torus!r}")
+        if not header["count"].isdecimal():
+            raise ValueError(f"count must be a nonnegative integer, got {header['count']!r}")
         count = int(header["count"])
+
+        def number(key):
+            try:
+                return float(header[key])
+            except ValueError:
+                raise ValueError(f"{key} must be a number, got {header[key]!r}") from None
+
         rows = [ln.split() for ln in lines[1:]]
         index = [int(row[0]) for row in rows]
         if sorted(index) != list(range(count)):
@@ -115,11 +127,11 @@ class Topology:
         values = values.reshape(count, width)[np.argsort(index)]
         return cls(
             positions=values[:, :2],
-            alpha=float(header["alpha"]),
-            unit_snr=values[:, 2] if width == 3 else float(header["unit_snr"]),
+            alpha=number("alpha"),
+            unit_snr=values[:, 2] if width == 3 else number("unit_snr"),
             fading_model=header["fading"],
-            neighbor_threshold=float(header["threshold"]),
-            area_side=float(header["area_side"]),
+            neighbor_threshold=number("threshold"),
+            area_side=number("area_side"),
             torus=torus == "1",
         )
 

@@ -62,6 +62,23 @@ def test_fig2_check_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_fig2_check_failure_exits_3_after_writing_the_csv(tmp_path, capsys, monkeypatch):
+    from rodd import analysis
+
+    aloha = analysis.or_aloha_throughput
+
+    def inflated(K, q):    # ALOHA beats RODD at q = 0.5 only
+        return aloha(K, q) + (1.0 if q == 0.5 else 0.0)
+    monkeypatch.setattr(analysis, "or_aloha_throughput", inflated)
+    out = tmp_path / "fig2.csv"
+    assert run("fig2", "--K", "3", "--q", "0.2,0.5", "--check", "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert "check failed: dominance failed on 1 rows" in captured.err
+    assert "check K=3 q=0.5 FAIL" in captured.out
+    assert "check K=3 q=0.2 PASS" in captured.out
+    assert len(out.read_text().splitlines()) == 3    # header + both rows
+
+
 def test_fig2_empty_grid_is_usage_error(tmp_path):
     assert run("fig2", "--q", "0.9:0.1:0.1", "--out", str(tmp_path / "x")) == 2
 
@@ -103,12 +120,23 @@ def test_fig3_infinite_gamma_guard(tmp_path, capsys):
     assert "dB value 1e+308 overflows" in capsys.readouterr().err
 
 
-def test_seed_is_mandatory(tmp_path):
+def test_seed_is_mandatory(tmp_path, capsys):
     assert run("discover", "--n", "30", "--neighbors", "4",
                "--out", str(tmp_path / "x")) == 2
     assert run("sparsecode", "--K", "3", "--mu", "4", "--trials", "2",
                "--out", str(tmp_path / "x")) == 2
     assert run("validate", "--out", str(tmp_path / "x")) == 2
+    assert run("trace", "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.count("--seed is required") == 4
+
+
+def test_the_parser_converts_list_flags_and_their_string_defaults():
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(["fig2", "--K", "3,5"])
+    assert args.K == [3, 5] and len(args.q) == 49 and args.q[0] == 0.02
+    args = parser.parse_args(["discover", "--threshold-sweep", "1:3:1"])
+    assert args.threshold_sweep == [1.0, 2.0, 3.0]
+    assert parser.parse_args(["asym", "--gains-file", "g"]).q == [0.2]
 
 
 def test_discover_smoke(tmp_path):
@@ -168,6 +196,25 @@ def test_discover_rejects_negative_noise_variance(tmp_path, capsys):
                    "--q", "0.1", "--area", "100", "--mode", mode, "--noise-var", "-1",
                    "--seed", "1", "--out", str(tmp_path / "x")) == 2
         assert "noise_var must be nonnegative" in capsys.readouterr().err
+
+
+def test_a_tuned_threshold_that_overflows_is_refused_by_noise_var(tmp_path, capsys,
+                                                                  monkeypatch):
+    from rodd import discovery, signatures
+
+    out = tmp_path / "d.csv"
+    argv = ["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--mode", "energy",
+            "--noise-var", "1e308", "--seed", "1", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("the neighbor query or the book was made")
+        patch.setattr(discovery, "neighbor_lists", refuse)
+        patch.setattr(signatures, "reconstruct_book", refuse)
+        assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "noise_var 1e+308 times neighbor threshold 100 overflows" in err
+    assert not out.exists()
+    assert run(*argv, "--threshold", "5") == 0      # an explicit threshold still runs
 
 
 def test_noiseless_energy_discovery_needs_a_threshold(tmp_path, capsys):
@@ -422,6 +469,17 @@ def test_config_file_supplies_defaults(tmp_path):
     assert run("sparsecode", "--K", "4", "--mu", "8", "--q", "0.12", "--M", "128",
                "--trials", "5", "--seed", "3", "--out", str(out_flag)) == 0
     assert out_cfg.read_bytes() == out_flag.read_bytes()
+
+
+def test_config_comment_and_blank_lines_are_skipped(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# fig2 at one point\n\n   \nK = 3\n  # indented comment\n"
+                   "q = 0.5  # trailing comment\n\n", encoding="utf-8")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("fig2", "--config", str(cfg), "--out", str(a)) == 0
+    assert run("fig2", "--K", "3", "--q", "0.5", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 2
 
 
 def test_flags_override_config(tmp_path):

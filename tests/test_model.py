@@ -304,7 +304,18 @@ def test_text_rejects_malformed_node_lines(nodes):
      "topology header lacks fading"),
     ("count=1 alpha=4.0 fading=none threshold=1.0 area_side=5.0 torus=2\n0 1.0 2.0 1.0\n",
      "torus must be 0 or 1, got '2'"),
-], ids=["empty", "blank", "no-fading", "torus-2"])
+    ("count=1 alpha=4.0 fading=none threshold=1.0 area_side=5.0 torus\n0 1.0 2.0 1.0\n",
+     "topology header token 'torus' has no value"),
+    ("count=x alpha=4.0 fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
+     "count must be a nonnegative integer, got 'x'"),
+    ("count=1.5 alpha=4.0 fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
+     r"count must be a nonnegative integer, got '1\.5'"),
+    ("count=-1 alpha=4.0 fading=none threshold=1.0 area_side=5.0\n",
+     "count must be a nonnegative integer, got '-1'"),
+    ("count=1 alpha=abc fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
+     "alpha must be a number, got 'abc'"),
+], ids=["empty", "blank", "no-fading", "torus-2", "bare-torus", "count-x", "count-1.5",
+        "count-negative", "alpha-abc"])
 def test_text_refuses_a_malformed_header_by_name(text, message):
     with pytest.raises(ValueError, match=message):
         model.Topology.from_text(text)

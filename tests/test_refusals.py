@@ -1,0 +1,129 @@
+"""Input refusals of every layer, one table: each call must raise its
+exception with a message that names what is wrong."""
+
+import re
+
+import numpy as np
+import pytest
+
+from rodd import analysis, channels, cli, discovery, model, signatures, validate
+
+
+def _mask(length):
+    return signatures.DuplexMask(bits=np.ones(length, dtype=np.uint8), owner=0, q=0.5)
+
+
+def _frame(length):
+    return channels.TransmitFrame(symbols=np.ones(length), mask=_mask(length))
+
+
+def _gains(k):
+    return model.LinkGains(gamma=np.ones((k, k)) - np.eye(k))
+
+
+def _topology(count, fading="none"):
+    return model.Topology(positions=np.arange(2.0 * count).reshape(count, 2), alpha=4.0,
+                          unit_snr=1.0, fading_model=fading, neighbor_threshold=1.0,
+                          area_side=100.0)
+
+
+def _book(count):
+    return signatures.reconstruct_book(range(count), 0.2, 16)
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    _, registry = cli.build_parser()
+    return cli._load_config(str(path), registry["fig2"])
+
+
+# (call on a tmp_path, exception, fragment of its message)
+REFUSALS = {
+    "analysis.or_rate_at_p-p": (
+        lambda tmp: analysis.or_rate_at_p(3, 0.2, 1.5), ValueError, "p must lie in [0,1]"),
+    "analysis.or_aloha_throughput-q": (
+        lambda tmp: analysis.or_aloha_throughput(3, 1.5), ValueError, "q must lie in [0,1]"),
+    "analysis.asymmetric_rate_bounds-q-shape": (
+        lambda tmp: analysis.asymmetric_rate_bounds(_gains(3), [0.2, 0.2], range(3)),
+        ValueError, "need one q per node, got shape (2,) for K=3"),
+    "analysis.asymmetric_rate_bounds-q-range": (
+        lambda tmp: analysis.asymmetric_rate_bounds(_gains(3), [0.2, 0.2, 1.0], range(3)),
+        ValueError, "all q must lie strictly inside (0,1)"),
+    "channels.TransmitFrame-length": (
+        lambda tmp: channels.TransmitFrame(symbols=np.ones(3), mask=_mask(4)),
+        ValueError, "symbols and mask must have equal length"),
+    "channels.gaussian_mac-silent-receiver": (
+        lambda tmp: channels.gaussian_mac(0, _gains(2), [None, _frame(4)], 1.0, seed=0),
+        ValueError, "the receiver needs a frame"),
+    "channels.gaussian_mac-frame-length": (
+        lambda tmp: channels.gaussian_mac(0, _gains(2), [_frame(4), _frame(3)], 1.0, seed=0),
+        ValueError, "frame of node 1 has length 3, expected 4"),
+    "cli.parse_grid-step": (
+        lambda tmp: cli.parse_grid("0:1:-0.5"), cli.UsageError,
+        "grid step must be positive in '0:1:-0.5'"),
+    "cli.config-no-equals": (
+        lambda tmp: _config(tmp, "# fig2\nK 3\n"), cli.UsageError,
+        "run.cfg:2: expected `key = value`"),
+    "cli.gains-file-unreadable": (
+        lambda tmp: cli._read_gains_file(str(tmp / "missing.txt")), cli.UsageError,
+        "cannot read gains file"),
+    "discovery.observe_discovery-book-size": (
+        lambda tmp: discovery.observe_discovery(0, _gains(3), _book(2), neighbor_threshold=1.0),
+        ValueError, "book must cover every node in the gain matrix"),
+    "discovery.observe_discovery-mode": (
+        lambda tmp: discovery.observe_discovery(0, _gains(3), _book(3), "loud",
+                                                neighbor_threshold=1.0),
+        ValueError, "unknown discovery mode 'loud'"),
+    "discovery.survivors-width": (
+        lambda tmp: discovery.survivors(_book(3).on_slots, np.zeros((1, 8), dtype=bool)),
+        ValueError, "quiet rows of shape (1, 8) do not match 16-slot masks"),
+    "discovery.random_access_baseline-tx_prob": (
+        lambda tmp: discovery.random_access_baseline([{1}, {0}], 8, 1.5, 0.9, seed=0),
+        ValueError, "tx_prob must lie in [0,1]"),
+    "discovery.random_access_baseline-frame_bits": (
+        lambda tmp: discovery.random_access_baseline([{1}, {0}], 0, 0.5, 0.9, seed=0),
+        ValueError, "frame_bits must be >= 1"),
+    "discovery.run_threshold_sweep-fading": (
+        lambda tmp: discovery.run_threshold_sweep(_topology(3, "rayleigh"), 1.0, 16, 0.2,
+                                                  [None]),
+        ValueError, "the vectorized experiment assumes fading off"),
+    "model.Topology-positions": (
+        lambda tmp: model.Topology(positions=np.zeros((3, 3)), alpha=4.0, unit_snr=1.0,
+                                   fading_model="none", neighbor_threshold=1.0,
+                                   area_side=10.0),
+        ValueError, "positions must have shape (K, 2)"),
+    "model.LinkGains-square": (
+        lambda tmp: model.LinkGains(gamma=np.zeros((2, 3))), ValueError,
+        "gamma must be a square matrix"),
+    "model.LinkGains-negative": (
+        lambda tmp: model.LinkGains(gamma=[[0.0, -1.0], [1.0, 0.0]]), ValueError,
+        "link gains must be nonnegative"),
+    "model.link_gains-one-node": (
+        lambda tmp: model.link_gains(_topology(1)), ValueError,
+        "link gains need at least 2 nodes"),
+    "model.neighbors-node": (
+        lambda tmp: model.neighbors(_gains(2), 2, 1.0), ValueError,
+        "node index 2 out of range"),
+    "signatures.DuplexMask-2d": (
+        lambda tmp: signatures.DuplexMask(bits=np.zeros((2, 2)), owner=0, q=0.5),
+        ValueError, "mask bits must be a 1-D vector"),
+    "signatures.DuplexMask-bits": (
+        lambda tmp: signatures.DuplexMask(bits=[0, 2], owner=0, q=0.5), ValueError,
+        "mask bits must be 0/1"),
+    "signatures.derive_bit-slot": (
+        lambda tmp: signatures.derive_bit(0, 0.5, -1), ValueError,
+        "slot must be nonnegative"),
+    "validate.mc_gauss_rate-gamma": (
+        lambda tmp: validate.mc_gauss_rate(3, 0.2, -1.0, 1000, 0), ValueError,
+        "gamma must be nonnegative"),
+    "validate.validate_suite-suite": (
+        lambda tmp: validate.validate_suite(0, 1000, suite="loud"), ValueError,
+        "unknown suite 'loud'"),
+}
+
+
+@pytest.mark.parametrize("call, exception, fragment", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_bad_input_is_refused_by_name(tmp_path, call, exception, fragment):
+    with pytest.raises(exception, match=re.escape(fragment)):
+        call(tmp_path)
