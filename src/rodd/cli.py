@@ -18,6 +18,10 @@ import numpy as np
 from . import analysis, channels, discovery, model, signatures, sparsecode, validate
 
 
+# Largest colon grid built; a finer step is refused before any list is made.
+_MAX_GRID_POINTS = 10**6
+
+
 class UsageError(Exception):
     pass
 
@@ -46,6 +50,9 @@ def parse_grid(text):
             if step <= 0:
                 raise UsageError(f"grid step must be positive in {text!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            if count > _MAX_GRID_POINTS:
+                raise UsageError(f"grid {text!r} has {count} points, more than "
+                                 f"{_MAX_GRID_POINTS}")
             grid = [start + i * step for i in range(count)]
         else:
             grid = [float(tok) for tok in _entries(text, "grid")]

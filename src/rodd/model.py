@@ -73,68 +73,6 @@ class Topology:
             return self.unit_snr[of] * self._distance(self.positions[at],
                                                       self.positions[of]) ** (-self.alpha)
 
-    def to_text(self):
-        """Line-oriented dump: a key=value header, then `index x y unit_snr` lines."""
-        fields = [
-            f"count={self.num_nodes}",
-            f"alpha={float(self.alpha)!r}",
-            f"fading={self.fading_model}",
-            f"threshold={float(self.neighbor_threshold)!r}",
-            f"area_side={float(self.area_side)!r}",
-            f"torus={int(self.torus)}",
-        ]
-        lines = [" ".join(fields)]
-        for i, ((x, y), snr) in enumerate(zip(self.positions, self.unit_snr)):
-            lines.append(f"{i} {float(x)!r} {float(y)!r} {float(snr)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse to_text() output, or the older dump whose header holds one
-        unit_snr for all nodes.  Node indices must be 0..count-1, once each.
-        """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("topology text is empty")
-        header = dict(tok.partition("=")[::2] for tok in lines[0].split())
-        bare = [key for key, value in header.items() if not value]
-        if bare:
-            raise ValueError(f"topology header token {bare[0]!r} has no value")
-        missing = {"count", "alpha", "fading", "threshold", "area_side"} - header.keys()
-        if missing:
-            raise ValueError(f"topology header lacks {', '.join(sorted(missing))}")
-        torus = header.get("torus", "0")
-        if torus not in ("0", "1"):
-            raise ValueError(f"torus must be 0 or 1, got {torus!r}")
-        if not header["count"].isdecimal():
-            raise ValueError(f"count must be a nonnegative integer, got {header['count']!r}")
-        count = int(header["count"])
-
-        def number(key):
-            try:
-                return float(header[key])
-            except ValueError:
-                raise ValueError(f"{key} must be a number, got {header[key]!r}") from None
-
-        rows = [ln.split() for ln in lines[1:]]
-        index = [int(row[0]) for row in rows]
-        if sorted(index) != list(range(count)):
-            raise ValueError(f"node lines must carry the indices 0..{count - 1} "
-                             f"once each, got {len(rows)} lines")
-        width = 2 if "unit_snr" in header else 3
-        # ragged or short node lines fail the reshape with a ValueError
-        values = np.array([[float(tok) for tok in row[1:]] for row in rows])
-        values = values.reshape(count, width)[np.argsort(index)]
-        return cls(
-            positions=values[:, :2],
-            alpha=number("alpha"),
-            unit_snr=values[:, 2] if width == 3 else number("unit_snr"),
-            fading_model=header["fading"],
-            neighbor_threshold=number("threshold"),
-            area_side=number("area_side"),
-            torus=torus == "1",
-        )
-
 
 @dataclass
 class LinkGains:

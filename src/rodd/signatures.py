@@ -63,6 +63,14 @@ def _seeded_nias(seed, count):
     return [seed * _MAX_SEED + i for i in range(count)]
 
 
+def _mask_bits(bits):
+    """`bits` as contiguous uint8, refusing any entry but 0 or 1 before the cast."""
+    bits = np.asarray(bits)
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("mask bits must be 0/1")
+    return np.ascontiguousarray(bits, dtype=np.uint8)
+
+
 def _on_threshold(q):
     if not (0.0 < q < 1.0):
         raise ValueError(f"on-probability q must lie strictly inside (0,1), got {q}")
@@ -78,11 +86,9 @@ class DuplexMask:
     q: float          # design on-probability
 
     def __post_init__(self):
-        self.bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        self.bits = _mask_bits(self.bits)
         if self.bits.ndim != 1:
             raise ValueError("mask bits must be a 1-D vector")
-        if np.any(self.bits > 1):
-            raise ValueError("mask bits must be 0/1")
 
     @property
     def length(self):
@@ -125,11 +131,10 @@ class SignatureBook:
 
     Row i*mu + m is message m of nias[i]; discovery books have mu = 1, so
     row i is the mask of nias[i].  `packed` holds row r's M bits 8 to a
-    byte, MSB-first (np.packbits order; export_text writes the first
-    ceil(M/8) bytes), zero-padded to whole 64-bit words so that rows OR
-    word by word, and `counts[r]` its number of on-bits.  Build a book by
-    hand from the (N*mu, M) 0/1 matrix `bits`; _derive_book passes packed
-    rows instead.
+    byte, MSB-first (np.packbits order), zero-padded to whole 64-bit
+    words so that rows OR word by word, and `counts[r]` its number of
+    on-bits.  Build a book by hand from the (N*mu, M) 0/1 matrix `bits`;
+    _derive_book passes packed rows instead.
     book[nia] and book[(nia, m)] return a DuplexMask of an unpacked copy
     of that row.
     """
@@ -141,11 +146,9 @@ class SignatureBook:
         if len(self._index) != len(self.nias):
             raise ValueError("duplicate NIA in book")
         if bits is not None:
-            bits = np.asarray(bits, dtype=np.uint8)
+            bits = _mask_bits(bits)
             if bits.ndim != 2 or bits.shape[0] != len(self.nias) * mu:
                 raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows")
-            if bits.size and bits.max() > 1:
-                raise ValueError("mask bits must be 0/1")
             packed, counts = _packed_rows(bits), np.count_nonzero(bits, axis=1)
             num_slots = bits.shape[1]
         self.packed, self.counts, self.num_slots = packed, counts, num_slots
@@ -190,19 +193,6 @@ class SignatureBook:
             out = slots[starts[lo]:starts[lo + len(part)]]
             np.remainder(np.flatnonzero(part), m, out=out)
         return OnSlots(starts, slots, m, self.packed)
-
-    def export_text(self):
-        """One `nia hex-packed-bits` line per NIA.
-
-        Bits are packed MSB-first: bit of slot 0 is the most significant
-        bit of the first hex byte; each mask's final byte is zero-padded
-        on the right when M is not a multiple of 8.  With mu > 1 a line
-        holds the node's mu packed masks in message order.
-        """
-        nbytes = -(-self.num_slots // 8)
-        packed = self.packed[:, :nbytes].reshape(len(self.nias), self.mu * nbytes)
-        return "".join(f"{nia} {row.tobytes().hex()}\n"
-                       for nia, row in zip(self.nias, packed))
 
 
 class OnSlots:

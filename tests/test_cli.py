@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,9 @@ def test_parse_grid_rejects_garbage():
         cli.parse_q_grid("0:0.9:0.1")
     with pytest.raises(cli.UsageError, match="empty grid"):
         cli.parse_grid(",")
+    with pytest.raises(cli.UsageError, match="'0:1:1e-6' has 1000001 points, more than 10"):
+        cli.parse_grid("0:1:1e-6")
+    assert len(cli.parse_grid("1:1000000:1")) == 10**6
 
 
 def test_fig2_row_count_and_determinism(tmp_path):
@@ -230,7 +234,12 @@ def test_noiseless_energy_discovery_needs_a_threshold(tmp_path, capsys):
     assert aggregate[4:] == ["0", "1"]     # no false alarm, accuracy 1
 
 
-def test_discover_rejects_thresholds_the_quiet_rule_cannot_use(tmp_path, capsys):
+def test_discover_rejects_thresholds_the_quiet_rule_cannot_use(tmp_path, capsys, monkeypatch):
+    from rodd import discovery
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the neighbor query ran before the thresholds were checked")
+    monkeypatch.setattr(discovery, "neighbor_lists", refuse)
     out = tmp_path / "d.csv"
     net = ["discover", "--n", "200", "--neighbors", "6", "--M", "300", "--q", "0.1",
            "--area", "300", "--seed", "1", "--receivers", "3", "--out", str(out)]
@@ -238,6 +247,8 @@ def test_discover_rejects_thresholds_the_quiet_rule_cannot_use(tmp_path, capsys)
                            (["--mode", "energy", "--threshold-sweep", "10,nan"],
                             "nonnegative"),
                            (["--mode", "energy", "--threshold-sweep", ","], "empty grid"),
+                           (["--mode", "energy", "--threshold-sweep", "0:1:1e-6"],
+                            "'0:1:1e-6' has 1000001 points"),
                            (["--mode", "energy", "--threshold", "inf"], "finite"),
                            (["--mode", "or", "--threshold", "5"], "energy mode")):
         assert run(*net, *flags) == 2
@@ -798,3 +809,15 @@ def test_every_numeric_flag_at_every_edge_value_exits_0_or_2(tmp_path, capsys, b
                 wrong.append(f"{flag} {value}: accepted outside its domain")
     assert "Traceback" not in capsys.readouterr().err
     assert wrong == []
+
+
+def test_the_readme_output_formats_are_the_subcommands():
+    """Each bullet under README's `### Output formats` is headed by backticked
+    subcommand names, and together they name each subcommand once."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Output formats\n", 1)[1].split("\n#", 1)[0]
+    heads = [re.match(r"- ((?:`\w+`/?)+):", line)
+             for line in section.splitlines() if line.startswith("- ")]
+    assert all(heads), "a bullet under Output formats is not headed by a subcommand"
+    _, registry = cli.build_parser()
+    assert sorted(re.findall(r"\w+", "".join(h[1] for h in heads))) == sorted(registry)

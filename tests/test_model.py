@@ -171,6 +171,7 @@ def test_coincidence_check_agrees_with_the_dense_distance_scan(topo):
     ([[25.0, 0.0], [1.0, 1.0]], True, 0),    # the minimum image would put it at 5
     ([[1.0, 1.0], [1.0, 10.0]], True, 1),    # the far edge belongs to the near one
     ([[1.0, 1.0], [-1e-300, 2.0]], True, 1),
+    ([[1.0, 1.0], [np.nan, 1.0]], True, 1),
 ])
 def test_positions_no_distance_can_use_are_refused(positions, torus, node):
     with pytest.raises(ValueError, match=rf"position of node {node} must be finite"
@@ -190,17 +191,6 @@ def test_area_side_must_be_positive_and_finite(side):
     with pytest.raises(ValueError, match="area_side must be positive and finite"):
         model.Topology(positions=[[0.0, 0.0], [1.0, 0.0]], alpha=4.0, unit_snr=1.0,
                        fading_model="none", neighbor_threshold=1.0, area_side=side)
-
-
-@pytest.mark.parametrize("node_line, message", [
-    ("1 nan 1.0 1.0", "position of node 1 must be finite"),
-    ("1 12.0 1.0 1.0", "position of node 1 must be finite and in"),
-])
-def test_text_refuses_positions_no_distance_can_use(node_line, message):
-    text = ("count=2 alpha=4.0 fading=none threshold=1.0 area_side=10.0 torus=1\n"
-            f"0 1.0 1.0 1.0\n{node_line}\n")
-    with pytest.raises(ValueError, match=message):
-        model.Topology.from_text(text)
 
 
 def test_gain_row_needs_an_unfaded_topology():
@@ -253,72 +243,6 @@ def test_torus_wraps_distances():
     assert topo.path_gain(0, 1) == pytest.approx(0.2 ** -4.0)
     topo.torus = False
     assert topo.path_gain(0, 1) == pytest.approx(9.8 ** -4.0)
-
-
-def test_text_round_trip():
-    topo = model.generate_poisson_network(5.0, 1.0, seed=4, alpha=3.0,
-                                          unit_snr=50.0, neighbor_threshold=2.0)
-    back = model.Topology.from_text(topo.to_text())
-    assert back.num_nodes == topo.num_nodes
-    assert np.array_equal(back.positions, topo.positions)
-    assert back.alpha == topo.alpha
-    assert back.neighbor_threshold == topo.neighbor_threshold
-    assert back.fading_model == topo.fading_model
-
-
-def test_text_round_trip_keeps_per_node_unit_snr():
-    topo = model.Topology(
-        positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        alpha=4.0, unit_snr=np.array([1.0, 5.0, 9.0]),
-        fading_model="none", neighbor_threshold=1.0, area_side=5.0, torus=True)
-    back = model.Topology.from_text(topo.to_text())
-    assert np.array_equal(back.unit_snr, [1.0, 5.0, 9.0])
-    assert back.torus
-
-
-def test_text_reads_scalar_unit_snr_header():
-    text = ("count=2 alpha=4.0 unit_snr=7.5 fading=none threshold=1.0 "
-            "area_side=5.0 torus=0\n1 3.0 4.0\n0 1.0 2.0\n")
-    topo = model.Topology.from_text(text)
-    assert np.array_equal(topo.positions, [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(topo.unit_snr, [7.5, 7.5])
-
-
-@pytest.mark.parametrize("nodes", [
-    "0 1.0 2.0\n",                          # count=3, one node line
-    "0 1.0 2.0\n1 1.0 2.0\n1 3.0 4.0\n",  # duplicate index
-    "0 1.0 2.0\n1 1.0 2.0\n3 3.0 4.0\n",  # index past count
-    "0 1.0 2.0\n1 1.0 2.0\n2 3.0\n",      # value missing
-])
-def test_text_rejects_malformed_node_lines(nodes):
-    header = ("count=3 alpha=4.0 unit_snr=1.0 fading=none threshold=1.0 "
-              "area_side=5.0 torus=0\n")
-    with pytest.raises(ValueError):
-        model.Topology.from_text(header + nodes)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("", "topology text is empty"),
-    ("\n  \n", "topology text is empty"),
-    ("count=1 alpha=4.0 threshold=1.0 area_side=5.0 torus=0\n0 1.0 2.0 1.0\n",
-     "topology header lacks fading"),
-    ("count=1 alpha=4.0 fading=none threshold=1.0 area_side=5.0 torus=2\n0 1.0 2.0 1.0\n",
-     "torus must be 0 or 1, got '2'"),
-    ("count=1 alpha=4.0 fading=none threshold=1.0 area_side=5.0 torus\n0 1.0 2.0 1.0\n",
-     "topology header token 'torus' has no value"),
-    ("count=x alpha=4.0 fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
-     "count must be a nonnegative integer, got 'x'"),
-    ("count=1.5 alpha=4.0 fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
-     r"count must be a nonnegative integer, got '1\.5'"),
-    ("count=-1 alpha=4.0 fading=none threshold=1.0 area_side=5.0\n",
-     "count must be a nonnegative integer, got '-1'"),
-    ("count=1 alpha=abc fading=none threshold=1.0 area_side=5.0\n0 1.0 2.0 1.0\n",
-     "alpha must be a number, got 'abc'"),
-], ids=["empty", "blank", "no-fading", "torus-2", "bare-torus", "count-x", "count-1.5",
-        "count-negative", "alpha-abc"])
-def test_text_refuses_a_malformed_header_by_name(text, message):
-    with pytest.raises(ValueError, match=message):
-        model.Topology.from_text(text)
 
 
 def test_per_node_unit_snr_override():

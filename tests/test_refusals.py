@@ -111,6 +111,15 @@ REFUSALS = {
     "signatures.DuplexMask-bits": (
         lambda tmp: signatures.DuplexMask(bits=[0, 2], owner=0, q=0.5), ValueError,
         "mask bits must be 0/1"),
+    "signatures.DuplexMask-fraction": (
+        lambda tmp: signatures.DuplexMask(bits=[0.5, 1], owner=0, q=0.5), ValueError,
+        "mask bits must be 0/1"),
+    "signatures.SignatureBook-negative": (
+        lambda tmp: signatures.SignatureBook([1], 0.5, bits=[[-1, 0]]), ValueError,
+        "mask bits must be 0/1"),
+    "signatures.on_slots-fraction": (
+        lambda tmp: signatures.on_slots(np.array([[0.25, 1.0]])), ValueError,
+        "mask bits must be 0/1"),
     "signatures.derive_bit-slot": (
         lambda tmp: signatures.derive_bit(0, 0.5, -1), ValueError,
         "slot must be nonnegative"),
