@@ -233,7 +233,7 @@ def or_aloha_throughput(K, q):
     """
     K = _check_kq(K, least=1)
     q = np.asarray(q, dtype=np.float64)
-    if np.any((q < 0) | (q > 1)):
+    if not np.all((q >= 0) & (q <= 1)):     # written so that NaN fails it
         raise ValueError("q must lie in [0,1]")
     out = K * q * (1.0 - q) ** (K - 1)
     return float(out) if out.ndim == 0 else out
@@ -242,6 +242,8 @@ def or_aloha_throughput(K, q):
 def gauss_aloha_throughput(K, q, gamma):
     """ALOHA sum throughput over the Gaussian channel: winner gets g(gamma/q)."""
     _check_gamma(gamma)
+    if np.any(np.asarray(q) <= 0):
+        raise ValueError(f"q must be positive: the winner's SNR gamma/q needs it, got {q}")
     return or_aloha_throughput(K, q) * g(gamma / q)
 
 

@@ -156,27 +156,27 @@ def or_channel(receiver_mask, peers):
     return receive(receiver_mask.bits, on_slots(np.reshape(rows, (-1, m))), range(len(rows)))
 
 
-def gaussian_mac(receiver, gains, frames, noise_var, seed=None, *,
-                 neighbor_threshold=None):
+def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
     """Real-valued Gaussian multiaccess channel at one receiver.
 
-    frames[j] is node j's TransmitFrame (None = silent node).  At every
-    off-slot of the receiver the observation is
-    sum_j sqrt(gamma[k][j]) * s_jm * x_jm + w,  w ~ Normal(0, noise_var).
-    `gains` is a LinkGains or its row k alone, as model.gain_row gives it.
-    With `neighbor_threshold` set, only transmitters whose gain meets it
-    are summed; out-of-neighborhood interference is then part of
-    noise_var, which is how callers should model it.
+    frames[j] is node j's TransmitFrame (None = silent node), and gain[j]
+    its power gain at the receiver: row k of the gain matrix, as
+    model.gain_row gives it.  At every off-slot of the receiver the
+    observation is sum_j sqrt(gain[j]) * s_jm * x_jm + w,
+    w ~ Normal(0, noise_var).  Interference from outside the receiver's
+    neighborhood is part of noise_var: leave those frames None.
     """
     if frames[receiver] is None:
         raise ValueError("the receiver needs a frame: its mask defines the erasures")
+    gain = np.asarray(gain, dtype=np.float64)
+    if gain.shape != (len(frames),):
+        raise ValueError(f"need one gain per frame: got shape {gain.shape} "
+                         f"for {len(frames)} frames")
     m = frames[receiver].length
     for j, frame in enumerate(frames):
         if frame is not None and frame.length != m:
             raise ValueError(f"frame of node {j} has length {frame.length}, expected {m}")
-    gain = gains.gamma[receiver] if hasattr(gains, "gamma") else np.asarray(gains, float)
-    heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None
-             and (neighbor_threshold is None or gain[j] >= neighbor_threshold)]
+    heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None]
     rows = np.reshape([frames[j].mask.bits * frames[j].symbols for j in heard], (-1, m))
     lit = rows != 0
     return receive(frames[receiver].mask.bits, on_slots(lit), range(len(heard)), gain[heard],

@@ -282,13 +282,15 @@ class ExperimentReport:
 
 
 def neighbor_lists(topology, radius, receivers=None):
-    """Geometric neighbor lists (fading off) from one radius query at the
-    points of `receivers` (default: every node).
+    """Geometric neighbor lists from one radius query at the points of
+    `receivers` (default: every node).
 
     Entry i is the sorted int64 array of the nodes within `radius` of
     receivers[i], the receiver excluded, with minimum-image distances on a
     torus.
     """
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     receivers = (np.arange(topology.num_nodes) if receivers is None
                  else np.asarray(receivers, dtype=np.int64))
     tree = cKDTree(topology.positions,
@@ -348,8 +350,8 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     """One discovery round of the whole network, scored at each threshold:
     one ExperimentReport per entry of the sequence `thresholds`, in order.
 
-    Fading is off, so the neighbor lists come from one radius query at the
-    `receivers` (node indices, default all).  The packed book and its
+    The neighbor lists come from one radius query at the `receivers`
+    (node indices, default all).  The packed book and its
     on_slots index are made once.  Receivers are taken `block` at a time
     in serpentine order over cells of side 2 * radius; each block is
     recorded by one channels.receive_block() call, which erases their own
@@ -361,8 +363,6 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     boundary-neighbor energy (tuned for 20 dB), which scales with
     noise_var, so a noiseless energy run must set it.
     """
-    if topology.fading_model != "none":
-        raise ValueError("the vectorized experiment assumes fading off")
     if mode not in (OR_NOISELESS, ENERGY):
         raise ValueError(f"unknown discovery mode {mode!r}")
     if not len(thresholds):

@@ -1,16 +1,14 @@
 """Network geometry, link gains and the neighbor relation.
 
 Nodes live on a 2-D square.  The SNR of the link from node j to receiver
-k is gamma[k][j] = unit_snr_j * d_kj**(-alpha) * |h_kj|**2; node j is a
-neighbor of k when that gain meets the topology's threshold.  The
-relation need not be reciprocal once fading is on.
+k is gamma[k][j] = unit_snr * d_kj**(-alpha), power-law path loss with
+one SNR at unit distance; node j is a neighbor of k when that gain meets
+the topology's threshold.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-FADING_MODELS = ("none", "rayleigh")
 
 
 class EmptyNetworkError(ValueError):
@@ -25,8 +23,7 @@ class CoincidentNodesError(ValueError):
 class Topology:
     positions: np.ndarray          # (K, 2) coordinates in meters
     alpha: float                   # path-loss exponent, >= 2
-    unit_snr: np.ndarray           # per-node gamma at unit distance, linear
-    fading_model: str              # 'none' (h = 1) or 'rayleigh' (E|h|^2 = 1)
+    unit_snr: float                # gamma at unit distance, linear
     neighbor_threshold: float      # linear SNR threshold for the neighbor relation
     area_side: float               # side of the square the nodes live on
     torus: bool = False            # wrap distances at the edges; positions in [0, area_side)
@@ -35,18 +32,14 @@ class Topology:
         self.positions = np.asarray(self.positions, dtype=np.float64)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must have shape (K, 2)")
-        self.unit_snr = np.broadcast_to(
-            np.asarray(self.unit_snr, dtype=np.float64), (self.num_nodes,)
-        ).copy()
+        self.unit_snr = float(self.unit_snr)
         # written so that NaN fails each check
         if not self.alpha >= 2:
             raise ValueError(f"path-loss exponent must be >= 2, got {self.alpha}")
-        if not np.all(self.unit_snr > 0):
+        if not self.unit_snr > 0:
             raise ValueError("unit_snr must be positive")
         if not self.neighbor_threshold > 0:
             raise ValueError("neighbor_threshold must be positive")
-        if self.fading_model not in FADING_MODELS:
-            raise ValueError(f"unknown fading model {self.fading_model!r}")
         if not 0 < self.area_side < np.inf:
             raise ValueError(f"area_side must be positive and finite, got {self.area_side}")
         low, high = (0, self.area_side) if self.torus else (-np.inf, np.inf)
@@ -67,11 +60,11 @@ class Topology:
         return np.sqrt(np.sum(diff**2, axis=-1))
 
     def path_gain(self, at, of):
-        """Unfaded power gain unit_snr[of] * d**(-alpha) of nodes `of` at
-        nodes `at`, broadcast index arrays; inf where a pair coincides or it overflows."""
+        """Power gain unit_snr * d**(-alpha) of nodes `of` at nodes `at`,
+        broadcast index arrays; inf where a pair coincides or it overflows."""
         with np.errstate(divide="ignore", over="ignore"):
-            return self.unit_snr[of] * self._distance(self.positions[at],
-                                                      self.positions[of]) ** (-self.alpha)
+            return self.unit_snr * self._distance(self.positions[at],
+                                                  self.positions[of]) ** (-self.alpha)
 
 
 @dataclass
@@ -99,7 +92,7 @@ class LinkGains:
 
 
 def generate_poisson_network(area_side, density, seed, *, alpha=4.0, unit_snr=1.0,
-                             fading_model="none", neighbor_threshold=1.0, torus=False):
+                             neighbor_threshold=1.0, torus=False):
     """Draw a Poisson network over a square of the given side.
 
     The node count is Poisson(density * area_side**2) and positions are
@@ -120,27 +113,21 @@ def generate_poisson_network(area_side, density, seed, *, alpha=4.0, unit_snr=1.
         positions=positions,
         alpha=alpha,
         unit_snr=unit_snr,
-        fading_model=fading_model,
         neighbor_threshold=neighbor_threshold,
         area_side=area_side,
         torus=torus,
     )
 
 
-def link_gains(topology, seed=None):
+def link_gains(topology):
     """Per-pair link SNR matrix for the topology.
 
-    Under Rayleigh fading each ordered pair (k, j) gets an independent
-    |h|^2 ~ Exponential(1) draw, so gamma[k][j] and gamma[j][k] differ.
     Coincident nodes are rejected rather than clamped: a silent clamp
     would corrupt the SNR statistics.
     """
     _refuse_coincident(topology)
     nodes = np.arange(topology.num_nodes)
     gamma = topology.path_gain(nodes[:, None], nodes)
-    if topology.fading_model == "rayleigh":
-        rng = np.random.default_rng(seed)
-        gamma = gamma * rng.exponential(1.0, size=gamma.shape)
     np.fill_diagonal(gamma, 0.0)
     return LinkGains(gamma=gamma)
 
@@ -148,9 +135,7 @@ def link_gains(topology, seed=None):
 def gain_row(topology, k):
     """Row k of link_gains(topology), the gains at receiver k, in O(K log K)
     time without the K x K matrix; coincident nodes and inf gains are refused
-    as link_gains refuses them.  Unfaded only: a faded row needs every draw before it."""
-    if topology.fading_model != "none":
-        raise ValueError(f"gain_row needs an unfaded topology, got {topology.fading_model!r}")
+    as link_gains refuses them."""
     _refuse_coincident(topology)
     gamma = topology.path_gain(k, np.arange(topology.num_nodes))
     gamma[k] = 0.0

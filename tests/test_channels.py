@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rodd import channels, model, signatures
+from rodd import channels, signatures
 
 
 def _mask(bits, owner=0, q=0.5):
@@ -80,9 +80,10 @@ def test_or_output_monotone_in_peers():
 
 
 def _unit_gains(k):
-    g = np.ones((k, k))
-    np.fill_diagonal(g, 0.0)
-    return model.LinkGains(gamma=g)
+    """Receiver 0's row of a unit gain matrix."""
+    g = np.ones(k)
+    g[0] = 0.0
+    return g
 
 
 def test_gaussian_single_peer_no_noise():
@@ -104,10 +105,7 @@ def test_gaussian_superposition_is_linear():
     f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=rmask)
     p1 = channels.TransmitFrame(symbols=np.full(m, 1.0), mask=_mask([1] * m, owner=1))
     p2 = channels.TransmitFrame(symbols=np.full(m, -0.5), mask=_mask([1] * m, owner=2))
-    gains = model.LinkGains(gamma=np.array([[0.0, 4.0, 9.0],
-                                            [4.0, 0.0, 1.0],
-                                            [9.0, 1.0, 0.0]]))
-    both = channels.gaussian_mac(0, gains, [f0, p1, p2], noise_var=0.0)
+    both = channels.gaussian_mac(0, [0.0, 4.0, 9.0], [f0, p1, p2], noise_var=0.0)
     # sqrt(4)*1 + sqrt(9)*(-0.5) = 0.5 in every slot
     assert np.allclose(both.values, 0.5)
 
@@ -135,10 +133,10 @@ def test_gaussian_neighbor_filter():
     rmask = _mask([0] * m, owner=0)
     f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=rmask)
     peer = channels.TransmitFrame(symbols=np.ones(m), mask=_mask([1] * m, owner=1))
-    gains = model.LinkGains(gamma=np.array([[0.0, 0.25], [0.25, 0.0]]))
-    heard = channels.gaussian_mac(0, gains, [f0, peer], noise_var=0.0)
-    filtered = channels.gaussian_mac(0, gains, [f0, peer], noise_var=0.0,
-                                     neighbor_threshold=1.0)
+    gain = [0.0, 0.25]
+    heard = channels.gaussian_mac(0, gain, [f0, peer], noise_var=0.0)
+    # a non-neighbor is a None frame: its interference belongs in noise_var
+    filtered = channels.gaussian_mac(0, gain, [f0, None], noise_var=0.0)
     assert np.allclose(heard.values, 0.5)
     assert np.allclose(filtered.values, 0.0)
 

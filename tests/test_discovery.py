@@ -205,6 +205,12 @@ def test_energy_mode_converges_to_noiseless():
         assert got.estimated == ref.estimated
 
 
+def _heard(frames, gains, k, threshold=1.0):
+    """The frames receiver k hears: its own and its neighbors', the rest None."""
+    nbrs = model.neighbors(gains, k, threshold)
+    return [f if j == k or j in nbrs else None for j, f in enumerate(frames)]
+
+
 def test_eliminate_reads_either_channel_record():
     # one frame through both channels: noiseless gaussian_mac with unit
     # symbols carries energy exactly where or_channel with all-one bits reads 1
@@ -215,7 +221,7 @@ def test_eliminate_reads_either_channel_record():
         peers = [(book[j], np.ones(m, dtype=np.uint8))
                  for j in sorted(model.neighbors(gains, k, 1.0))]
         or_obs = channels.or_channel(book[k], peers)
-        real_obs = channels.gaussian_mac(k, gains, frames, 0.0, neighbor_threshold=1.0)
+        real_obs = channels.gaussian_mac(k, gains.gamma[k], _heard(frames, gains, k), 0.0)
         got = discovery.eliminate(real_obs, book[k], book, threshold=1e-6)
         assert got.estimated == discovery.eliminate(or_obs, book[k], book).estimated
         assert got.slots_used == m
@@ -236,9 +242,8 @@ def test_energy_observation_is_gaussian_mac_with_unit_symbols(seed, n, q, m, noi
         got = discovery.observe_discovery(k, gains, book, discovery.ENERGY,
                                           neighbor_threshold=1.0, noise_var=noise_var,
                                           seed=seed)
-        ref = channels.gaussian_mac(k, gains, frames, noise_var,
-                                    seed=(seed, discovery._NOISE_SALT, k),
-                                    neighbor_threshold=1.0)
+        ref = channels.gaussian_mac(k, gains.gamma[k], _heard(frames, gains, k), noise_var,
+                                    seed=(seed, discovery._NOISE_SALT, k))
         assert isinstance(got, channels.RealFrameObservation)
         assert got.values.tobytes() == ref.values.tobytes()
         assert np.array_equal(got.erased, ref.erased)
@@ -384,7 +389,7 @@ def test_topology_hits_the_degree_target():
     mean_degree = np.mean([len(s) for s in sets])
     assert abs(mean_degree - 12.0) <= 1.0
     # boundary link sits at the configured SNR
-    snr = topo.unit_snr[0] * radius ** (-topo.alpha)
+    snr = topo.unit_snr * radius ** (-topo.alpha)
     assert snr == pytest.approx(topo.neighbor_threshold)
 
 

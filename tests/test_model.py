@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from rodd import model
 
 
-def _two_node_topology(d, alpha=4.0, unit_snr=100.0, fading="none"):
+def _two_node_topology(d, alpha=4.0, unit_snr=100.0):
     return model.Topology(
         positions=np.array([[0.0, 0.0], [d, 0.0]]),
-        alpha=alpha, unit_snr=unit_snr, fading_model=fading,
-        neighbor_threshold=1.0, area_side=10.0 + d,
+        alpha=alpha, unit_snr=unit_snr, neighbor_threshold=1.0, area_side=10.0 + d,
     )
 
 
@@ -56,31 +55,10 @@ def test_power_law_gain():
     assert gains.gamma[0, 1] == pytest.approx(6.25)
 
 
-def test_rayleigh_is_seeded_and_non_reciprocal():
-    topo = _two_node_topology(1.0, fading="rayleigh")
-    a = model.link_gains(topo, seed=11)
-    b = model.link_gains(topo, seed=11)
-    c = model.link_gains(topo, seed=12)
-    assert np.array_equal(a.gamma, b.gamma)
-    assert not np.array_equal(a.gamma, c.gamma)
-    assert a.gamma[0, 1] != a.gamma[1, 0]
-
-
-def test_rayleigh_mean_matches_path_loss():
-    # E|h|^2 = 1, so the fading-averaged gain is unit_snr * d**-alpha
-    topo = model.Topology(
-        positions=np.array([[0.0, 0.0], [2.0, 0.0]]), alpha=4.0, unit_snr=100.0,
-        fading_model="rayleigh", neighbor_threshold=1.0, area_side=10.0)
-    draws = np.array([model.link_gains(topo, seed=s).gamma[0, 1]
-                      for s in range(4000)])
-    # Exponential(mean 6.25): std error = 6.25 / sqrt(4000)
-    assert abs(draws.mean() - 6.25) <= 3 * 6.25 / np.sqrt(4000)
-
-
 def test_coincident_nodes_rejected():
     topo = model.Topology(
         positions=np.zeros((2, 2)), alpha=4.0, unit_snr=1.0,
-        fading_model="none", neighbor_threshold=1.0, area_side=1.0)
+        neighbor_threshold=1.0, area_side=1.0)
     with pytest.raises(model.CoincidentNodesError):
         model.link_gains(topo)
 
@@ -99,8 +77,7 @@ def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(scale):
     positions = np.arange(12.0).reshape(6, 2) * scale
     positions[4] = positions[2]
     topo = model.Topology(positions=positions, alpha=4.0, unit_snr=1.0,
-                          fading_model="none", neighbor_threshold=1.0,
-                          area_side=20.0 * scale)
+                          neighbor_threshold=1.0, area_side=20.0 * scale)
     with pytest.raises(model.CoincidentNodesError) as want:
         model.link_gains(topo)
     with pytest.raises(model.CoincidentNodesError) as got:
@@ -111,8 +88,7 @@ def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(scale):
 def test_gain_row_refuses_an_overflowing_gain_as_link_gains_does():
     # at d = 1e-100, d**(-4) overflows: the gain is inf, not a coincidence
     topo = model.Topology(positions=[[0.0, 0.0], [1e-100, 0.0], [2.0, 0.0]], alpha=4.0,
-                          unit_snr=1.0, fading_model="none", neighbor_threshold=1.0,
-                          area_side=4.0)
+                          unit_snr=1.0, neighbor_threshold=1.0, area_side=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for build in (model.link_gains, lambda t: model.gain_row(t, 0),
@@ -148,8 +124,8 @@ def _lattice_topologies(draw):
         for group in draw(st.lists(st.lists(st.integers(0, k - 1), min_size=2, max_size=4),
                                    min_size=1, max_size=2)):
             positions[group] = positions[group[0]]
-    return model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, fading_model="none",
-                          neighbor_threshold=1.0, area_side=side, torus=draw(st.booleans()))
+    return model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, neighbor_threshold=1.0,
+                          area_side=side, torus=draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,13 +152,13 @@ def test_coincidence_check_agrees_with_the_dense_distance_scan(topo):
 def test_positions_no_distance_can_use_are_refused(positions, torus, node):
     with pytest.raises(ValueError, match=rf"position of node {node} must be finite"
                                          + (r" and in \[0, area_side\)" if torus else "$")):
-        model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, fading_model="none",
-                       neighbor_threshold=1.0, area_side=10.0, torus=torus)
+        model.Topology(positions=positions, alpha=4.0, unit_snr=1.0, neighbor_threshold=1.0,
+                       area_side=10.0, torus=torus)
 
 
 def test_plain_square_positions_may_lie_off_the_square():
     topo = model.Topology(positions=[[-5.0, 0.0], [25.0, 0.0]], alpha=4.0, unit_snr=1.0,
-                          fading_model="none", neighbor_threshold=1.0, area_side=10.0)
+                          neighbor_threshold=1.0, area_side=10.0)
     assert model.gain_row(topo, 0)[1] == pytest.approx(30.0 ** -4.0)
 
 
@@ -190,12 +166,7 @@ def test_plain_square_positions_may_lie_off_the_square():
 def test_area_side_must_be_positive_and_finite(side):
     with pytest.raises(ValueError, match="area_side must be positive and finite"):
         model.Topology(positions=[[0.0, 0.0], [1.0, 0.0]], alpha=4.0, unit_snr=1.0,
-                       fading_model="none", neighbor_threshold=1.0, area_side=side)
-
-
-def test_gain_row_needs_an_unfaded_topology():
-    with pytest.raises(ValueError, match="unfaded topology, got 'rayleigh'"):
-        model.gain_row(_two_node_topology(1.0, fading="rayleigh"), 0)
+                       neighbor_threshold=1.0, area_side=side)
 
 
 def test_path_loss_monotone_in_distance():
@@ -239,22 +210,10 @@ def test_neighbors_never_contain_owner():
 def test_torus_wraps_distances():
     topo = model.Topology(
         positions=np.array([[0.1, 0.0], [9.9, 0.0]]), alpha=4.0, unit_snr=1.0,
-        fading_model="none", neighbor_threshold=1.0, area_side=10.0, torus=True)
+        neighbor_threshold=1.0, area_side=10.0, torus=True)
     assert topo.path_gain(0, 1) == pytest.approx(0.2 ** -4.0)
     topo.torus = False
     assert topo.path_gain(0, 1) == pytest.approx(9.8 ** -4.0)
-
-
-def test_per_node_unit_snr_override():
-    topo = model.Topology(
-        positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        alpha=4.0, unit_snr=np.array([10.0, 20.0, 40.0]),
-        fading_model="none", neighbor_threshold=1.0, area_side=5.0)
-    gains = model.link_gains(topo)
-    # the transmitter's own power sets the gain; distance 1 everywhere here
-    assert gains.gamma[0, 1] == pytest.approx(20.0)
-    assert gains.gamma[0, 2] == pytest.approx(40.0)
-    assert gains.gamma[1, 0] == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("name, message", [("alpha", "path-loss exponent"),
@@ -262,7 +221,7 @@ def test_per_node_unit_snr_override():
                                            ("neighbor_threshold", "neighbor_threshold")])
 def test_nan_parameters_rejected(name, message):
     args = dict(positions=[[0.0, 0.0], [1.0, 0.0]], alpha=4.0, unit_snr=1.0,
-                fading_model="none", neighbor_threshold=1.0, area_side=10.0)
+                neighbor_threshold=1.0, area_side=10.0)
     args[name] = float("nan")
     with pytest.raises(ValueError, match=message):
         model.Topology(**args)
@@ -273,5 +232,3 @@ def test_invalid_parameters_rejected():
         _two_node_topology(1.0, alpha=1.0)
     with pytest.raises(ValueError):
         _two_node_topology(1.0, unit_snr=0.0)
-    with pytest.raises(ValueError):
-        _two_node_topology(1.0, fading="rician")

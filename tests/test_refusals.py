@@ -21,10 +21,9 @@ def _gains(k):
     return model.LinkGains(gamma=np.ones((k, k)) - np.eye(k))
 
 
-def _topology(count, fading="none"):
+def _topology(count):
     return model.Topology(positions=np.arange(2.0 * count).reshape(count, 2), alpha=4.0,
-                          unit_snr=1.0, fading_model=fading, neighbor_threshold=1.0,
-                          area_side=100.0)
+                          unit_snr=1.0, neighbor_threshold=1.0, area_side=100.0)
 
 
 def _book(count):
@@ -44,6 +43,12 @@ REFUSALS = {
         lambda tmp: analysis.or_rate_at_p(3, 0.2, 1.5), ValueError, "p must lie in [0,1]"),
     "analysis.or_aloha_throughput-q": (
         lambda tmp: analysis.or_aloha_throughput(3, 1.5), ValueError, "q must lie in [0,1]"),
+    "analysis.or_aloha_throughput-q-nan": (
+        lambda tmp: analysis.or_aloha_throughput(3, np.nan), ValueError,
+        "q must lie in [0,1]"),
+    "analysis.gauss_aloha_throughput-q-zero": (
+        lambda tmp: analysis.gauss_aloha_throughput(3, 0.0, 1.0), ValueError,
+        "q must be positive"),
     "analysis.asymmetric_rate_bounds-q-shape": (
         lambda tmp: analysis.asymmetric_rate_bounds(_gains(3), [0.2, 0.2], range(3)),
         ValueError, "need one q per node, got shape (2,) for K=3"),
@@ -54,11 +59,17 @@ REFUSALS = {
         lambda tmp: channels.TransmitFrame(symbols=np.ones(3), mask=_mask(4)),
         ValueError, "symbols and mask must have equal length"),
     "channels.gaussian_mac-silent-receiver": (
-        lambda tmp: channels.gaussian_mac(0, _gains(2), [None, _frame(4)], 1.0, seed=0),
+        lambda tmp: channels.gaussian_mac(0, [0.0, 1.0], [None, _frame(4)], 1.0, seed=0),
         ValueError, "the receiver needs a frame"),
     "channels.gaussian_mac-frame-length": (
-        lambda tmp: channels.gaussian_mac(0, _gains(2), [_frame(4), _frame(3)], 1.0, seed=0),
+        lambda tmp: channels.gaussian_mac(0, [0.0, 1.0], [_frame(4), _frame(3)], 1.0, seed=0),
         ValueError, "frame of node 1 has length 3, expected 4"),
+    "channels.gaussian_mac-short-gain-row": (
+        lambda tmp: channels.gaussian_mac(0, [0.0, 1.0], [_frame(4)] * 3, 1.0, seed=0),
+        ValueError, "need one gain per frame: got shape (2,) for 3 frames"),
+    "channels.gaussian_mac-long-gain-row": (
+        lambda tmp: channels.gaussian_mac(0, np.ones(4), [_frame(4)] * 3, 1.0, seed=0),
+        ValueError, "need one gain per frame: got shape (4,) for 3 frames"),
     "cli.parse_grid-step": (
         lambda tmp: cli.parse_grid("0:1:-0.5"), cli.UsageError,
         "grid step must be positive in '0:1:-0.5'"),
@@ -84,14 +95,18 @@ REFUSALS = {
     "discovery.random_access_baseline-frame_bits": (
         lambda tmp: discovery.random_access_baseline([{1}, {0}], 0, 0.5, 0.9, seed=0),
         ValueError, "frame_bits must be >= 1"),
-    "discovery.run_threshold_sweep-fading": (
-        lambda tmp: discovery.run_threshold_sweep(_topology(3, "rayleigh"), 1.0, 16, 0.2,
-                                                  [None]),
-        ValueError, "the vectorized experiment assumes fading off"),
+    "discovery.run_discovery_experiment-radius-nan": (
+        lambda tmp: discovery.run_discovery_experiment(_topology(3), np.nan, 16, 0.2),
+        ValueError, "radius must be nonnegative and finite, got nan"),
+    "discovery.run_discovery_experiment-radius-negative": (
+        lambda tmp: discovery.run_discovery_experiment(_topology(3), -1.0, 16, 0.2),
+        ValueError, "radius must be nonnegative and finite, got -1.0"),
+    "discovery.neighbor_lists-radius-inf": (
+        lambda tmp: discovery.neighbor_lists(_topology(3), np.inf),
+        ValueError, "radius must be nonnegative and finite, got inf"),
     "model.Topology-positions": (
         lambda tmp: model.Topology(positions=np.zeros((3, 3)), alpha=4.0, unit_snr=1.0,
-                                   fading_model="none", neighbor_threshold=1.0,
-                                   area_side=10.0),
+                                   neighbor_threshold=1.0, area_side=10.0),
         ValueError, "positions must have shape (K, 2)"),
     "model.LinkGains-square": (
         lambda tmp: model.LinkGains(gamma=np.zeros((2, 3))), ValueError,
