@@ -43,23 +43,23 @@ class DiscoveryResult:
     slots_used: int         # frame length consumed by the discovery round
 
 
-def observe_discovery(receiver, gains, book, mode=OR_NOISELESS, *,
-                      neighbor_threshold, noise_var=1.0, seed=None):
+def observe_discovery(topology, radius, receiver, book, mode=OR_NOISELESS, *,
+                      noise_var=1.0, seed=None):
     """What receiver `receiver` measures while everyone sends signatures.
 
-    Node i's signature is book[book.nias[i]]; the true neighbors are the
-    nodes whose gain at the receiver meets `neighbor_threshold`.  Returns
-    the channels.receive() record that run_discovery_experiment sees, with
+    Node i's signature is book[book.nias[i]]; the receiver hears its
+    neighbor_lists() neighbors at their path gains.  Returns the
+    channels.receive() record that run_discovery_experiment sees, with
     energy-mode noise from the same (seed, receiver) stream, read from
     book.on_slots: only the receiver's row, its erasures, is unpacked.
     """
-    if len(book) != gains.num_nodes:
-        raise ValueError("book must cover every node in the gain matrix")
+    if len(book) != topology.num_nodes:
+        raise ValueError("book must cover every node in the topology")
     if mode not in (OR_NOISELESS, ENERGY):
         raise ValueError(f"unknown discovery mode {mode!r}")
-    nbrs = np.array(sorted(model.neighbors(gains, receiver, neighbor_threshold)), dtype=np.int64)
+    nbrs = neighbor_lists(topology, radius, [receiver])[0]
     return receive(book.unpacked(receiver), book.on_slots, nbrs,
-                   gains.gamma[receiver, nbrs] if mode == ENERGY else None,
+                   topology.path_gain(receiver, nbrs) if mode == ENERGY else None,
                    noise_var, _noise_seed(seed, receiver))
 
 
@@ -291,8 +291,7 @@ def neighbor_lists(topology, radius, receivers=None):
     """
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
-    receivers = (np.arange(topology.num_nodes) if receivers is None
-                 else np.asarray(receivers, dtype=np.int64))
+    receivers = topology.receivers(receivers)
     tree = cKDTree(topology.positions,
                    boxsize=topology.area_side if topology.torus else None)
     raw = tree.query_ball_point(topology.positions[receivers], radius, return_sorted=True)
@@ -380,12 +379,7 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     thresholds = [tuned if t is None else _check_threshold(t) for t in thresholds]
 
     n = topology.num_nodes
-    receivers = np.arange(n) if receivers is None else np.asarray(receivers)
-    if receivers.size and not (receivers.ndim == 1 and receivers.dtype.kind in "iu"
-                               and 0 <= receivers.min() and receivers.max() < n):
-        raise ValueError(f"receivers must be a list of node indices in [0, {n})")
-    receivers = receivers.astype(np.int64)
-
+    receivers = topology.receivers(receivers)
     nbr_lists = neighbor_lists(topology, radius, receivers)
     book = signatures.reconstruct_book(range(n), q, num_slots)
     index = book.on_slots

@@ -1,9 +1,10 @@
-"""Network geometry, link gains and the neighbor relation.
+"""Network geometry and link gains.
 
 Nodes live on a 2-D square.  The SNR of the link from node j to receiver
 k is gamma[k][j] = unit_snr * d_kj**(-alpha), power-law path loss with
-one SNR at unit distance; node j is a neighbor of k when that gain meets
-the topology's threshold.
+one SNR at unit distance.  The neighbor relation is a radius, the one
+query of discovery.neighbor_lists; the topology's neighbor_threshold is
+the gain at that radius, which scales the tuned energy threshold.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ class Topology:
     positions: np.ndarray          # (K, 2) coordinates in meters
     alpha: float                   # path-loss exponent, >= 2
     unit_snr: float                # gamma at unit distance, linear
-    neighbor_threshold: float      # linear SNR threshold for the neighbor relation
+    neighbor_threshold: float      # gain at the neighbor radius; scales the energy threshold
     area_side: float               # side of the square the nodes live on
     torus: bool = False            # wrap distances at the edges; positions in [0, area_side)
 
@@ -52,6 +53,17 @@ class Topology:
     def num_nodes(self):
         return self.positions.shape[0]
 
+    def receivers(self, which=None):
+        """The node indices `which` (default every node) as a 1-D int64
+        array; a bool, a float, a nested list or an index outside [0, K)
+        is refused."""
+        n = self.num_nodes
+        which = np.arange(n) if which is None else np.asarray(which)
+        if which.ndim != 1 or which.size and not (which.dtype.kind in "iu" and 0 <= which.min()
+                                                  and which.max() < n):
+            raise ValueError(f"receivers must be a list of node indices in [0, {n})")
+        return which.astype(np.int64)
+
     def _distance(self, a, b):
         """Distance between broadcast point arrays, minimum-image when torus is on."""
         diff = np.abs(a - b)
@@ -69,7 +81,8 @@ class Topology:
 
 @dataclass
 class LinkGains:
-    """Dense per-pair SNR matrix; gamma[k][j] is the gain from j at receiver k.
+    """The per-pair SNR matrix of an asym gains file; gamma[k][j] is the
+    gain from j at receiver k.
 
     Diagonal entries are meaningless and left at zero; no consumer reads them.
     """
@@ -119,23 +132,11 @@ def generate_poisson_network(area_side, density, seed, *, alpha=4.0, unit_snr=1.
     )
 
 
-def link_gains(topology):
-    """Per-pair link SNR matrix for the topology.
-
-    Coincident nodes are rejected rather than clamped: a silent clamp
-    would corrupt the SNR statistics.
-    """
-    _refuse_coincident(topology)
-    nodes = np.arange(topology.num_nodes)
-    gamma = topology.path_gain(nodes[:, None], nodes)
-    np.fill_diagonal(gamma, 0.0)
-    return LinkGains(gamma=gamma)
-
-
 def gain_row(topology, k):
-    """Row k of link_gains(topology), the gains at receiver k, in O(K log K)
-    time without the K x K matrix; coincident nodes and inf gains are refused
-    as link_gains refuses them."""
+    """The gain of every node at receiver k, 0 at k itself, in O(K log K)
+    time.  Coincident nodes are refused rather than clamped, as is an inf
+    gain: either would corrupt the SNR statistics."""
+    k = topology.receivers([k])[0]
     _refuse_coincident(topology)
     gamma = topology.path_gain(k, np.arange(topology.num_nodes))
     gamma[k] = 0.0
@@ -156,11 +157,3 @@ def _refuse_coincident(topology):
     if tie.size:
         i = tie[np.argmin(order[tie])]
         raise CoincidentNodesError(f"nodes {order[i]} and {order[i + 1]} are at distance zero")
-
-
-def neighbors(gains, k, threshold):
-    """Nodes whose gain at receiver k meets the threshold; never contains k."""
-    if not (0 <= k < gains.num_nodes):
-        raise ValueError(f"node index {k} out of range")
-    hits = np.flatnonzero(gains.gamma[k] >= threshold)
-    return {int(j) for j in hits if j != k}

@@ -613,13 +613,13 @@ def test_trace_or_mode_rejects_a_noise_variance_gauss_mode_would_refuse(tmp_path
 
 
 def test_trace_or_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
-    # the dense K x K gains are read in gauss mode only; at --n 3000 they
-    # took the OR trace to 410 MB
+    # gains are read in gauss mode only; at --n 3000 a dense K x K gain
+    # matrix took the OR trace to 410 MB
     from rodd import model
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an OR trace built the link gains")
-    monkeypatch.setattr(model, "link_gains", refuse)
+        raise AssertionError("an OR trace built link gains")
+    monkeypatch.setattr(model, "gain_row", refuse)
     out = tmp_path / "t.txt"
     assert run("trace", "--n", "30", "--area", "100", "--M", "40", "--mode", "or",
                "--seed", "12", "--out", str(out)) == 0
@@ -627,21 +627,35 @@ def test_trace_or_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
 
 
 def test_trace_gauss_mode_builds_no_gain_matrix(tmp_path, monkeypatch):
-    # gaussian_mac reads the receiver's gains only; at --n 3000 the dense
+    # gaussian_mac reads the receiver's gains only; at --n 3000 a dense
     # K x K matrix took the gauss trace to 413 MB
+    import numpy as np
+
     from rodd import model
     argv = ["trace", "--n", "30", "--area", "100", "--M", "40", "--mode", "gauss",
             "--noise-var", "0.5", "--receiver", "3", "--seed", "12"]
+
+    def matrix_row(topo, k):
+        nodes = np.arange(topo.num_nodes)
+        gamma = topo.path_gain(nodes[:, None], nodes)
+        np.fill_diagonal(gamma, 0.0)
+        return gamma[k]
     matrix = tmp_path / "matrix.txt"
     with monkeypatch.context() as patch:
-        patch.setattr(model, "gain_row", lambda topo, k: model.link_gains(topo).gamma[k])
+        patch.setattr(model, "gain_row", matrix_row)
         assert run(*argv, "--out", str(matrix)) == 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a gauss trace built the link gains")
-    monkeypatch.setattr(model, "link_gains", refuse)
+    sizes = []
+    path_gain = model.Topology.path_gain
+
+    def sized(topo, at, of):
+        gain = path_gain(topo, at, of)
+        sizes.append((gain.size, topo.num_nodes))
+        return gain
+    monkeypatch.setattr(model.Topology, "path_gain", sized)
     out = tmp_path / "t.txt"
     assert run(*argv, "--out", str(out)) == 0
+    assert sizes and all(size <= n for size, n in sizes)
     assert out.read_bytes() == matrix.read_bytes()
     assert len(out.read_text().splitlines()) == 40
 

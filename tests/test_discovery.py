@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodd import channels, discovery, model, signatures, sparsecode
-from rodd.model import LinkGains
 
 
-def _clique_gains(k, gamma=10.0):
-    return LinkGains(gamma=gamma * (np.ones((k, k)) - np.eye(k)))
+def _clique(k):
+    """k nodes one apart on a line, and a radius that takes in all of them."""
+    topo = model.Topology(positions=np.arange(k)[:, None] * [1.0, 0.0], alpha=4.0,
+                          unit_snr=10.0 * k**4, neighbor_threshold=10.0, area_side=2.0 * k)
+    return topo, float(k)
 
 
 def _book(n, q=0.2, m=120):
@@ -19,23 +21,22 @@ def _book(n, q=0.2, m=120):
 
 
 def test_observation_with_no_neighbors_is_silent():
-    gains = LinkGains(gamma=np.full((3, 3), 0.01) - 0.01 * np.eye(3))
+    topo, _ = _clique(3)
     book = _book(3)
-    obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
+    obs = discovery.observe_discovery(topo, 0.5, 0, book)
     assert np.all(obs.values == 0)
     assert np.array_equal(np.flatnonzero(~obs.erased), np.flatnonzero(book[0].bits == 0))
 
 
 def test_single_neighbor_observation_is_its_signature():
-    gains = LinkGains(gamma=np.array([[0.0, 5.0, 0.1],
-                                      [5.0, 0.0, 0.1],
-                                      [0.1, 0.1, 0.0]]))
+    # node 1 at unit distance, at gain 5; node 2 out of the radius
+    topo = model.Topology(positions=[[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]], alpha=4.0,
+                          unit_snr=5.0, neighbor_threshold=5.0 / 16, area_side=10.0)
     book = _book(3)
-    obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
+    obs = discovery.observe_discovery(topo, 2.0, 0, book)
     assert np.array_equal(obs.values[~obs.erased], book[1].bits[~obs.erased])
     # energy mode records the linear channel's amplitude; observed_quiet squares it
-    amp = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
-                                      neighbor_threshold=1.0, noise_var=0.0)
+    amp = discovery.observe_discovery(topo, 2.0, 0, book, discovery.ENERGY, noise_var=0.0)
     assert isinstance(amp, channels.RealFrameObservation)
     assert np.array_equal(amp.erased, obs.erased)
     assert np.array_equal(amp.values,
@@ -43,12 +44,12 @@ def test_single_neighbor_observation_is_its_signature():
 
 
 def test_energy_mode_is_seeded():
-    gains = _clique_gains(4)
+    topo, radius = _clique(4)
     book = _book(4)
-    a = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
-                                    neighbor_threshold=1.0, noise_var=1.0, seed=5)
-    b = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
-                                    neighbor_threshold=1.0, noise_var=1.0, seed=5)
+    a = discovery.observe_discovery(topo, radius, 0, book, discovery.ENERGY,
+                                    noise_var=1.0, seed=5)
+    b = discovery.observe_discovery(topo, radius, 0, book, discovery.ENERGY,
+                                    noise_var=1.0, seed=5)
     assert np.array_equal(a.values, b.values)
 
 
@@ -146,20 +147,25 @@ def test_two_stage_survivors_matches_reference_at_every_head_length(
 
 
 def _random_instance(seed, n=12, q=0.15, m=150, p_neighbor=0.3):
+    """(topology, radius, book): n nodes uniform on the unit square, every
+    gain at least 5, and a radius p_neighbor * sqrt(2) that takes in no
+    other node at 0 and all of them at 1."""
     rng = np.random.default_rng(seed)
-    gamma = np.where(rng.random((n, n)) < p_neighbor, 5.0, 0.2)
-    np.fill_diagonal(gamma, 0.0)
-    gains = LinkGains(gamma=gamma)
-    book = signatures.reconstruct_book(range(n), q, m)
-    return gains, book
+    topo = model.Topology(positions=rng.random((n, 2)), alpha=2.0, unit_snr=10.0,
+                          neighbor_threshold=5.0, area_side=1.0)
+    return topo, p_neighbor * math.sqrt(2.0), signatures.reconstruct_book(range(n), q, m)
+
+
+def _neighbors(topo, radius, k):
+    return set(discovery.neighbor_lists(topo, radius, [k])[0].tolist())
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noiseless_mode_never_misses(seed):
-    gains, book = _random_instance(seed)
-    for k in range(gains.num_nodes):
-        true = model.neighbors(gains, k, 1.0)
-        obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
+    topo, radius, book = _random_instance(seed)
+    for k in range(topo.num_nodes):
+        true = _neighbors(topo, radius, k)
+        obs = discovery.observe_discovery(topo, radius, k, book)
         est = discovery.eliminate(obs, book[k], book)
         assert true <= est.estimated
 
@@ -168,24 +174,24 @@ def test_noiseless_mode_never_misses(seed):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), q=st.floats(0.02, 0.6),
        m=st.integers(1, 150), p_neighbor=st.floats(0.0, 1.0))
 def test_noiseless_elimination_never_misses_on_random_books(seed, n, q, m, p_neighbor):
-    gains, book = _random_instance(seed, n, q, m, p_neighbor)
+    topo, radius, book = _random_instance(seed, n, q, m, p_neighbor)
     for k in range(n):
-        true = model.neighbors(gains, k, 1.0)
-        obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
+        true = _neighbors(topo, radius, k)
+        obs = discovery.observe_discovery(topo, radius, k, book)
         assert true <= discovery.eliminate(obs, book[k], book).estimated
 
 
 def test_more_slots_never_add_false_alarms():
     # masks are prefix-stable, so a longer frame only eliminates more
-    gains, _ = _random_instance(3)
-    n = gains.num_nodes
+    topo, radius, _ = _random_instance(3)
+    n = topo.num_nodes
     prev_fa = None
     for m in (40, 80, 160, 320):
         book = signatures.reconstruct_book(range(n), 0.15, m)
         fa = 0
         for k in range(n):
-            true = model.neighbors(gains, k, 1.0)
-            obs = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
+            true = _neighbors(topo, radius, k)
+            obs = discovery.observe_discovery(topo, radius, k, book)
             est = discovery.eliminate(obs, book[k], book)
             fa += len(est.estimated - true)
         if prev_fa is not None:
@@ -194,34 +200,34 @@ def test_more_slots_never_add_false_alarms():
 
 
 def test_energy_mode_converges_to_noiseless():
-    gains, book = _random_instance(1)
-    for k in range(gains.num_nodes):
-        obs_or = discovery.observe_discovery(k, gains, book, neighbor_threshold=1.0)
+    topo, radius, book = _random_instance(1)
+    for k in range(topo.num_nodes):
+        obs_or = discovery.observe_discovery(topo, radius, k, book)
         ref = discovery.eliminate(obs_or, book[k], book)
-        obs_e = discovery.observe_discovery(
-            k, gains, book, discovery.ENERGY, neighbor_threshold=1.0,
-            noise_var=1e-20, seed=9)
+        obs_e = discovery.observe_discovery(topo, radius, k, book, discovery.ENERGY,
+                                            noise_var=1e-20, seed=9)
         got = discovery.eliminate(obs_e, book[k], book, threshold=1e-6)
         assert got.estimated == ref.estimated
 
 
-def _heard(frames, gains, k, threshold=1.0):
+def _heard(frames, topo, radius, k):
     """The frames receiver k hears: its own and its neighbors', the rest None."""
-    nbrs = model.neighbors(gains, k, threshold)
+    nbrs = _neighbors(topo, radius, k)
     return [f if j == k or j in nbrs else None for j, f in enumerate(frames)]
 
 
 def test_eliminate_reads_either_channel_record():
     # one frame through both channels: noiseless gaussian_mac with unit
     # symbols carries energy exactly where or_channel with all-one bits reads 1
-    gains, book = _random_instance(7)
-    n, m = gains.num_nodes, book.matrix().shape[1]
+    topo, radius, book = _random_instance(7)
+    n, m = topo.num_nodes, book.matrix().shape[1]
     frames = [channels.TransmitFrame(symbols=np.ones(m), mask=book[j]) for j in range(n)]
     for k in range(n):
         peers = [(book[j], np.ones(m, dtype=np.uint8))
-                 for j in sorted(model.neighbors(gains, k, 1.0))]
+                 for j in sorted(_neighbors(topo, radius, k))]
         or_obs = channels.or_channel(book[k], peers)
-        real_obs = channels.gaussian_mac(k, gains.gamma[k], _heard(frames, gains, k), 0.0)
+        real_obs = channels.gaussian_mac(k, model.gain_row(topo, k),
+                                         _heard(frames, topo, radius, k), 0.0)
         got = discovery.eliminate(real_obs, book[k], book, threshold=1e-6)
         assert got.estimated == discovery.eliminate(or_obs, book[k], book).estimated
         assert got.slots_used == m
@@ -233,17 +239,13 @@ def test_eliminate_reads_either_channel_record():
 def test_energy_observation_is_gaussian_mac_with_unit_symbols(seed, n, q, m, noise_var):
     # the op-level record equals the Gaussian channel's, noise stream included;
     # unequal gains make the summation order visible in the last bits
-    _, book = _random_instance(seed, n, q, m)
-    gamma = np.random.default_rng(seed).uniform(0.5, 50.0, (n, n))
-    np.fill_diagonal(gamma, 0.0)
-    gains = LinkGains(gamma=gamma)
+    topo, radius, book = _random_instance(seed, n, q, m)
     frames = [channels.TransmitFrame(symbols=np.ones(m), mask=book[j]) for j in range(n)]
     for k in range(n):
-        got = discovery.observe_discovery(k, gains, book, discovery.ENERGY,
-                                          neighbor_threshold=1.0, noise_var=noise_var,
-                                          seed=seed)
-        ref = channels.gaussian_mac(k, gains.gamma[k], _heard(frames, gains, k), noise_var,
-                                    seed=(seed, discovery._NOISE_SALT, k))
+        got = discovery.observe_discovery(topo, radius, k, book, discovery.ENERGY,
+                                          noise_var=noise_var, seed=seed)
+        ref = channels.gaussian_mac(k, model.gain_row(topo, k), _heard(frames, topo, radius, k),
+                                    noise_var, seed=(seed, discovery._NOISE_SALT, k))
         assert isinstance(got, channels.RealFrameObservation)
         assert got.values.tobytes() == ref.values.tobytes()
         assert np.array_equal(got.erased, ref.erased)
@@ -251,9 +253,9 @@ def test_energy_observation_is_gaussian_mac_with_unit_symbols(seed, n, q, m, noi
 
 def test_quiet_rule_refuses_a_negative_or_nan_threshold():
     # one check in observed_quiet guards eliminate, decode and the experiment
-    gains, book = _random_instance(2, n=6, m=80)
-    obs = discovery.observe_discovery(0, gains, book, discovery.ENERGY,
-                                      neighbor_threshold=1.0, noise_var=0.5, seed=4)
+    topo, radius, book = _random_instance(2, n=6, m=80)
+    obs = discovery.observe_discovery(topo, radius, 0, book, discovery.ENERGY,
+                                      noise_var=0.5, seed=4)
     topo, radius = discovery.poisson_discovery_topology(
         200, 6.0, seed=1, area_side=300.0, torus=True)
     for bad in (-1.0, float("nan")):
@@ -310,11 +312,11 @@ def test_topology_refuses_parameters_that_leave_the_floats(args, message):
 
 
 def test_threshold_sweep_trades_misses_for_false_alarms():
-    gains, book = _random_instance(2, n=10, m=200)
+    topo, radius, book = _random_instance(2, n=10, m=200)
     k = 0
-    true = model.neighbors(gains, k, 1.0)
-    obs = discovery.observe_discovery(k, gains, book, discovery.ENERGY,
-                                      neighbor_threshold=1.0, noise_var=0.5, seed=4)
+    true = _neighbors(topo, radius, k)
+    obs = discovery.observe_discovery(topo, radius, k, book, discovery.ENERGY,
+                                      noise_var=0.5, seed=4)
     misses, fas = [], []
     for thr in (1e-4, 0.5, 2.0, 10.0, 100.0):
         est = discovery.eliminate(obs, book[k], book, threshold=thr)
@@ -394,8 +396,8 @@ def test_topology_hits_the_degree_target():
 
 
 def test_candidate_restriction():
-    gains, book = _random_instance(4)
-    obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
+    topo, radius, book = _random_instance(4)
+    obs = discovery.observe_discovery(topo, radius, 0, book)
     full = discovery.eliminate(obs, book[0], book)
     narrowed = discovery.eliminate(obs, book[0], book, candidates=[1, 2, 3])
     assert narrowed.estimated == full.estimated & {1, 2, 3}
@@ -423,8 +425,8 @@ def test_eliminate_reads_a_block_of_one_as_its_receiver():
 
 def test_default_candidates_screen_the_whole_book_in_place(monkeypatch):
     # no cut of the index for the default list; an explicit one is cut
-    gains, book = _random_instance(11)
-    obs = discovery.observe_discovery(0, gains, book, neighbor_threshold=1.0)
+    topo, radius, book = _random_instance(11)
+    obs = discovery.observe_discovery(topo, radius, 0, book)
     full = discovery.eliminate(obs, book[0], book)
     cuts = []
     take = signatures.OnSlots.take
@@ -459,8 +461,9 @@ def _sixty_nodes():
 
 def _assert_experiment_matches_op_level_path(mode, noise_var):
     # the vectorized driver must agree receiver by receiver with the
-    # observe/eliminate operations on a dense-gains instance; in energy
-    # mode both read the same noise, so every count matches
+    # observe/eliminate operations, whose true neighbors are the nodes
+    # whose gain meets the threshold; in energy mode both read the same
+    # noise, so every count matches
     topo, radius = _sixty_nodes()
     rep = discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
                                              noise_var=noise_var, seed=5)
@@ -468,15 +471,14 @@ def _assert_experiment_matches_op_level_path(mode, noise_var):
     assert discovery.run_discovery_experiment(topo, radius, 300, 0.1, mode,
                                               noise_var=noise_var, seed=5,
                                               block=7).records == rep.records
-    gains = model.link_gains(topo)
     book = signatures.reconstruct_book(range(topo.num_nodes), 0.1, 300)
     tau = topo.neighbor_threshold
     assert len(rep.records) == topo.num_nodes
     for rec in rep.records:
         k, true_count, est_count, misses, fa, acc = rec
-        true = model.neighbors(gains, k, tau)
-        obs = discovery.observe_discovery(k, gains, book, mode, neighbor_threshold=tau,
-                                          noise_var=noise_var, seed=5)
+        true = set(np.flatnonzero(model.gain_row(topo, k) >= tau).tolist())
+        obs = discovery.observe_discovery(topo, radius, k, book, mode, noise_var=noise_var,
+                                          seed=5)
         est = discovery.eliminate(obs, book[k], book, threshold=rep.threshold)
         assert len(true) == true_count
         assert len(est.estimated) == est_count
@@ -585,13 +587,43 @@ def test_neighbor_query_at_receivers_equals_the_full_query(seed, picks, torus):
         assert np.array_equal(nbrs, full[k])
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), torus=st.booleans())
+def test_radius_and_gain_threshold_give_the_same_neighbors(seed, torus):
+    # the tuned energy threshold, neighbor_threshold * noise_var / 4, sits at
+    # the edge of the radius neighborhood only because the two relations agree
+    topo, radius = discovery.poisson_discovery_topology(200, 8.0, seed=seed,
+                                                        area_side=100.0, torus=torus)
+    for k, nbrs in enumerate(discovery.neighbor_lists(topo, radius)):
+        row = model.gain_row(topo, k)
+        assert nbrs.tolist() == np.flatnonzero(row >= topo.neighbor_threshold).tolist()
+
+
+@pytest.mark.parametrize("mode, gains", [(discovery.OR_NOISELESS, 0), (discovery.ENERGY, 1)])
+def test_observation_reads_one_neighbor_query_and_one_gain_call(monkeypatch, mode, gains):
+    calls = {"neighbor_lists": 0, "path_gain": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(discovery, "neighbor_lists",
+                        counted("neighbor_lists", discovery.neighbor_lists))
+    monkeypatch.setattr(model.Topology, "path_gain",
+                        counted("path_gain", model.Topology.path_gain))
+    topo, radius = _clique(5)
+    discovery.observe_discovery(topo, radius, 2, _book(5), mode, seed=1)
+    assert calls == {"neighbor_lists": 1, "path_gain": gains}
+
+
 def test_observation_rejects_negative_noise_variance():
     # OR mode never reads noise_var, but a negative one is still an error
-    gains = _clique_gains(4)
+    topo, radius = _clique(4)
     for mode in (discovery.ENERGY, discovery.OR_NOISELESS):
         with pytest.raises(ValueError, match="noise_var"):
-            discovery.observe_discovery(0, gains, _book(4), mode,
-                                        neighbor_threshold=1.0, noise_var=-1.0, seed=5)
+            discovery.observe_discovery(topo, radius, 0, _book(4), mode, noise_var=-1.0,
+                                        seed=5)
 
 
 def test_noiseless_energy_run_needs_a_threshold():

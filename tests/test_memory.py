@@ -111,12 +111,12 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
         monkeypatch.setattr(module, "on_slots", dense, raising=False)
 
     k = 6
-    gains = model.LinkGains(gamma=10.0 * (np.ones((k, k)) - np.eye(k)))
+    topo = model.Topology(positions=np.arange(k)[:, None] * [1.0, 0.0], alpha=4.0,
+                          unit_snr=10.0 * k**4, neighbor_threshold=10.0, area_side=2.0 * k)
     book = signatures.reconstruct_book(range(k), 0.2, 120)
     for mode in (discovery.OR_NOISELESS, discovery.ENERGY):
         for receiver in range(k):
-            obs = discovery.observe_discovery(receiver, gains, book, mode,
-                                              neighbor_threshold=1.0, seed=3)
+            obs = discovery.observe_discovery(topo, float(k), receiver, book, mode, seed=3)
             discovery.eliminate(obs, book[receiver], book, threshold=5.0)
     assert calls == {"book.on_slots": 1}
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodd import model
+from rodd import discovery, model
 
 
 def _two_node_topology(d, alpha=4.0, unit_snr=100.0):
@@ -44,15 +44,15 @@ def test_bad_area_rejected():
 
 
 def test_unit_distance_gain_is_unit_snr():
-    gains = model.link_gains(_two_node_topology(1.0))
-    assert gains.gamma[0, 1] == pytest.approx(100.0)
-    assert gains.gamma[1, 0] == pytest.approx(100.0)
+    topo = _two_node_topology(1.0)
+    assert model.gain_row(topo, 0)[1] == pytest.approx(100.0)
+    assert model.gain_row(topo, 1)[0] == pytest.approx(100.0)
 
 
 def test_power_law_gain():
     # gamma * d**-alpha = 100 / 2**4
-    gains = model.link_gains(_two_node_topology(2.0, alpha=4.0, unit_snr=100.0))
-    assert gains.gamma[0, 1] == pytest.approx(6.25)
+    row = model.gain_row(_two_node_topology(2.0, alpha=4.0, unit_snr=100.0), 0)
+    assert row[1] == pytest.approx(6.25)
 
 
 def test_coincident_nodes_rejected():
@@ -60,41 +60,31 @@ def test_coincident_nodes_rejected():
         positions=np.zeros((2, 2)), alpha=4.0, unit_snr=1.0,
         neighbor_threshold=1.0, area_side=1.0)
     with pytest.raises(model.CoincidentNodesError):
-        model.link_gains(topo)
-
-
-@pytest.mark.parametrize("torus", [False, True])
-def test_gain_row_is_the_row_of_link_gains(torus):
-    topo = model.generate_poisson_network(30.0, 0.5, seed=4, torus=torus)
-    gains = model.link_gains(topo)
-    for k in (0, 7, topo.num_nodes - 1):
-        assert model.gain_row(topo, k).tobytes() == gains.gamma[k].tobytes()
+        model.gain_row(topo, 0)
 
 
 @pytest.mark.parametrize("scale", [1, 5, 2**18])
-def test_gain_row_refuses_any_coincident_pair_as_link_gains_does(scale):
+def test_gain_row_refuses_any_coincident_pair(scale):
     # the same layout at coordinates scaled from units up to 2^18
     positions = np.arange(12.0).reshape(6, 2) * scale
     positions[4] = positions[2]
     topo = model.Topology(positions=positions, alpha=4.0, unit_snr=1.0,
                           neighbor_threshold=1.0, area_side=20.0 * scale)
-    with pytest.raises(model.CoincidentNodesError) as want:
-        model.link_gains(topo)
-    with pytest.raises(model.CoincidentNodesError) as got:
-        model.gain_row(topo, 0)
-    assert str(got.value) == str(want.value) == "nodes 2 and 4 are at distance zero"
+    for k in (0, 2, 5):
+        with pytest.raises(model.CoincidentNodesError) as got:
+            model.gain_row(topo, k)
+        assert str(got.value) == "nodes 2 and 4 are at distance zero"
 
 
-def test_gain_row_refuses_an_overflowing_gain_as_link_gains_does():
+def test_gain_row_refuses_an_overflowing_gain():
     # at d = 1e-100, d**(-4) overflows: the gain is inf, not a coincidence
     topo = model.Topology(positions=[[0.0, 0.0], [1e-100, 0.0], [2.0, 0.0]], alpha=4.0,
                           unit_snr=1.0, neighbor_threshold=1.0, area_side=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (model.link_gains, lambda t: model.gain_row(t, 0),
-                      lambda t: model.gain_row(t, 1)):
+        for k in (0, 1):
             with pytest.raises(ValueError, match="link gains must be finite"):
-                build(topo)
+                model.gain_row(topo, k)
         assert model.gain_row(topo, 2).tolist() == [2.0**-4, 2.0**-4, 0.0]
 
 
@@ -170,27 +160,19 @@ def test_area_side_must_be_positive_and_finite(side):
 
 
 def test_path_loss_monotone_in_distance():
-    gains = [model.link_gains(_two_node_topology(d)).gamma[0, 1]
-             for d in (0.5, 1.0, 2.0, 5.0)]
+    gains = [model.gain_row(_two_node_topology(d), 0)[1] for d in (0.5, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
 def test_neighbors_is_threshold_superlevel_set():
-    g = model.LinkGains(gamma=np.array([
-        [0.0, 5.0, 0.5, 2.0],
-        [5.0, 0.0, 9.0, 0.1],
-        [0.5, 9.0, 0.0, 3.0],
-        [2.0, 0.1, 3.0, 0.0],
-    ]))
-    assert model.neighbors(g, 0, 2.0) == {1, 3}
-    assert model.neighbors(g, 0, 100.0) == set()
-    assert model.neighbors(g, 0, 0.0) == {1, 2, 3}
-
-
-def test_neighbor_relation_may_be_non_reciprocal():
-    g = model.LinkGains(gamma=np.array([[0.0, 3.0], [0.5, 0.0]]))
-    assert 1 in model.neighbors(g, 0, 1.0)
-    assert 0 not in model.neighbors(g, 1, 1.0)
+    # node 3 sits at the radius 2, where the gain is the threshold 2**-4
+    topo = model.Topology(positions=[[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [-2.0, 0.0]],
+                          alpha=4.0, unit_snr=1.0, neighbor_threshold=2.0**-4, area_side=10.0)
+    row = model.gain_row(topo, 0)
+    assert {j for j in range(1, 4) if row[j] >= topo.neighbor_threshold} == {1, 3}
+    assert set(discovery.neighbor_lists(topo, 2.0, [0])[0].tolist()) == {1, 3}
+    assert set(discovery.neighbor_lists(topo, 0.5, [0])[0].tolist()) == set()
+    assert set(discovery.neighbor_lists(topo, 5.0, [0])[0].tolist()) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -202,9 +184,10 @@ def test_link_gains_must_be_finite_off_the_diagonal(bad):
 
 
 def test_neighbors_never_contain_owner():
-    g = model.LinkGains(gamma=np.ones((4, 4)))
+    topo = model.Topology(positions=np.arange(8.0).reshape(4, 2), alpha=4.0, unit_snr=1.0,
+                          neighbor_threshold=1.0, area_side=10.0)
     for k in range(4):
-        assert k not in model.neighbors(g, k, 0.0)
+        assert k not in discovery.neighbor_lists(topo, 100.0, [k])[0]
 
 
 def test_torus_wraps_distances():

@@ -21,6 +21,9 @@ def _gains(k):
     return model.LinkGains(gamma=np.ones((k, k)) - np.eye(k))
 
 
+_RECEIVERS = "receivers must be a list of node indices in [0, 3)"
+
+
 def _topology(count):
     return model.Topology(positions=np.arange(2.0 * count).reshape(count, 2), alpha=4.0,
                           unit_snr=1.0, neighbor_threshold=1.0, area_side=100.0)
@@ -80,12 +83,14 @@ REFUSALS = {
         lambda tmp: cli._read_gains_file(str(tmp / "missing.txt")), cli.UsageError,
         "cannot read gains file"),
     "discovery.observe_discovery-book-size": (
-        lambda tmp: discovery.observe_discovery(0, _gains(3), _book(2), neighbor_threshold=1.0),
-        ValueError, "book must cover every node in the gain matrix"),
+        lambda tmp: discovery.observe_discovery(_topology(3), 5.0, 0, _book(2)),
+        ValueError, "book must cover every node in the topology"),
     "discovery.observe_discovery-mode": (
-        lambda tmp: discovery.observe_discovery(0, _gains(3), _book(3), "loud",
-                                                neighbor_threshold=1.0),
+        lambda tmp: discovery.observe_discovery(_topology(3), 5.0, 0, _book(3), "loud"),
         ValueError, "unknown discovery mode 'loud'"),
+    "discovery.observe_discovery-node": (
+        lambda tmp: discovery.observe_discovery(_topology(3), 5.0, 3, _book(3)),
+        ValueError, _RECEIVERS),
     "discovery.survivors-width": (
         lambda tmp: discovery.survivors(_book(3).on_slots, np.zeros((1, 8), dtype=bool)),
         ValueError, "quiet rows of shape (1, 8) do not match 16-slot masks"),
@@ -104,6 +109,17 @@ REFUSALS = {
     "discovery.neighbor_lists-radius-inf": (
         lambda tmp: discovery.neighbor_lists(_topology(3), np.inf),
         ValueError, "radius must be nonnegative and finite, got inf"),
+    # -1 listed the last node as its own neighbor, 1.5 read as node 1,
+    # True as node 1, and 3 died with a bare IndexError
+    "discovery.neighbor_lists-node-negative": (
+        lambda tmp: discovery.neighbor_lists(_topology(3), 5.0, [-1]), ValueError, _RECEIVERS),
+    "discovery.neighbor_lists-node-float": (
+        lambda tmp: discovery.neighbor_lists(_topology(3), 5.0, [1.5]), ValueError, _RECEIVERS),
+    "discovery.neighbor_lists-node-bool": (
+        lambda tmp: discovery.neighbor_lists(_topology(3), 5.0, [True]), ValueError, _RECEIVERS),
+    "discovery.neighbor_lists-node-past-end": (
+        lambda tmp: discovery.neighbor_lists(_topology(3), 5.0, [0, 3]), ValueError,
+        _RECEIVERS),
     "model.Topology-positions": (
         lambda tmp: model.Topology(positions=np.zeros((3, 3)), alpha=4.0, unit_snr=1.0,
                                    neighbor_threshold=1.0, area_side=10.0),
@@ -114,12 +130,12 @@ REFUSALS = {
     "model.LinkGains-negative": (
         lambda tmp: model.LinkGains(gamma=[[0.0, -1.0], [1.0, 0.0]]), ValueError,
         "link gains must be nonnegative"),
-    "model.link_gains-one-node": (
-        lambda tmp: model.link_gains(_topology(1)), ValueError,
+    "model.gain_row-one-node": (
+        lambda tmp: model.gain_row(_topology(1), 0), ValueError,
         "link gains need at least 2 nodes"),
-    "model.neighbors-node": (
-        lambda tmp: model.neighbors(_gains(2), 2, 1.0), ValueError,
-        "node index 2 out of range"),
+    # -1 gave the row of the last node
+    "model.gain_row-node-negative": (
+        lambda tmp: model.gain_row(_topology(3), -1), ValueError, _RECEIVERS),
     "signatures.DuplexMask-2d": (
         lambda tmp: signatures.DuplexMask(bits=np.zeros((2, 2)), owner=0, q=0.5),
         ValueError, "mask bits must be a 1-D vector"),
