@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signatures import on_slots
+from .signatures import _mask_bits, on_slots
 
 _POWER_TOL = 1e-9
 
@@ -44,27 +44,30 @@ class RealFrameObservation(_FrameObservation):
 class TransmitFrame:
     """One node's masked symbol vector, under unit average power.
 
-    symbols[m] is only sent when mask.bits[m] = 1; the power constraint
+    symbols[m] is only sent when mask[m] = 1; the power constraint
     sum_m s_m * x_m^2 <= M is checked at construction.
     """
 
     symbols: np.ndarray
-    mask: "DuplexMask"
+    mask: np.ndarray    # the node's (M,) 0/1 row
 
     def __post_init__(self):
+        self.mask = _mask_row(self.mask, "frame")
         self.symbols = np.asarray(self.symbols, dtype=np.float64)
-        if self.symbols.shape != self.mask.bits.shape:
+        if self.symbols.shape != self.mask.shape:
             raise ValueError("symbols and mask must have equal length")
         if not np.isfinite(self.symbols).all():
             raise ValueError("symbols must be finite")
-        m = self.symbols.shape[0]
-        power = float(np.sum(self.mask.bits * self.symbols**2))
-        if power > m * (1.0 + _POWER_TOL):
-            raise ValueError(f"frame power {power:g} exceeds the budget of {m}")
+        power = float(np.sum(self.mask * self.symbols**2))
+        if power > self.mask.size * (1.0 + _POWER_TOL):
+            raise ValueError(f"frame power {power:g} exceeds the budget of {self.mask.size}")
 
-    @property
-    def length(self):
-        return self.symbols.shape[0]
+
+def _mask_row(mask, name):
+    """`mask` as a uint8 row, refusing by `name` one that is not 1-D or not 0/1."""
+    if np.ndim(mask) != 1:
+        raise ValueError(f"{name} mask bits must be a 1-D vector, got shape {np.shape(mask)}")
+    return _mask_bits(mask)
 
 
 def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=None,
@@ -136,24 +139,24 @@ def receive(erased, index, heard, gains=None, noise_var=0.0, seed=None, values=N
     return type(block)(values=block.values[0], erased=block.erased[0])
 
 
-def or_channel(receiver_mask, peers):
+def or_channel(mask, peers):
     """Inclusive-or channel with erasure at the receiver's on-slots.
 
-    peers is a sequence of (mask, bits) pairs; a peer contributes 1 to
-    slot m iff its mask is on there and its transmitted bit is 1.  The
-    output at every non-erased slot is the OR over all peers.  Bits
-    outside {0, 1} are refused, naming the peer's position in `peers`.
+    `mask` is the receiver's row and peers a sequence of (mask, bits)
+    rows; a peer contributes 1 to slot m iff its mask is on there and its
+    transmitted bit is 1, and every unerased slot reads the OR over all
+    peers.  Bits outside {0, 1} are refused, naming the peer.
     """
-    m = receiver_mask.length
+    mask = _mask_row(mask, "receiver")
     rows = []
     for p, (peer_mask, bits) in enumerate(peers):
         if not np.isin(bits, (0, 1)).all():
             raise ValueError(f"peer {p} transmits bits outside {{0, 1}}")
-        bits = np.asarray(bits, dtype=np.uint8)
-        if peer_mask.length != m or bits.shape[0] != m:
+        peer_mask, bits = _mask_row(peer_mask, f"peer {p}"), np.asarray(bits, dtype=np.uint8)
+        if peer_mask.shape != mask.shape or bits.shape != mask.shape:
             raise ValueError("peer frame length differs from the receiver's")
-        rows.append(peer_mask.bits & bits)
-    return receive(receiver_mask.bits, on_slots(np.reshape(rows, (-1, m))), range(len(rows)))
+        rows.append(peer_mask & bits)
+    return receive(mask, on_slots(np.reshape(rows, (-1, mask.size))), range(len(rows)))
 
 
 def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
@@ -172,14 +175,14 @@ def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
     if gain.shape != (len(frames),):
         raise ValueError(f"need one gain per frame: got shape {gain.shape} "
                          f"for {len(frames)} frames")
-    m = frames[receiver].length
+    m = frames[receiver].mask.size
     for j, frame in enumerate(frames):
-        if frame is not None and frame.length != m:
-            raise ValueError(f"frame of node {j} has length {frame.length}, expected {m}")
+        if frame is not None and frame.mask.size != m:
+            raise ValueError(f"frame of node {j} has length {frame.mask.size}, expected {m}")
     heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None]
-    rows = np.reshape([frames[j].mask.bits * frames[j].symbols for j in heard], (-1, m))
+    rows = np.reshape([frames[j].mask * frames[j].symbols for j in heard], (-1, m))
     lit = rows != 0
-    return receive(frames[receiver].mask.bits, on_slots(lit), range(len(heard)), gain[heard],
+    return receive(frames[receiver].mask, on_slots(lit), range(len(heard)), gain[heard],
                    noise_var, seed, rows[lit])
 
 

@@ -380,7 +380,7 @@ def _cmd_trace(args):
         frames = []
         for j in range(n):
             symbols = rng.normal(0.0, 1.0, args.M)
-            power = float(np.sum(book[j].bits * symbols**2))
+            power = float(np.sum(book[j] * symbols**2))
             symbols *= math.sqrt(args.M / max(power, args.M))
             frames.append(channels.TransmitFrame(symbols=symbols, mask=book[j]))
         obs = channels.gaussian_mac(args.receiver, model.gain_row(topo, args.receiver),

@@ -13,7 +13,6 @@ slot m is ON iff word_m < floor(q * 2**64), where word_m is the m-th raw
 """
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,43 +70,22 @@ def _mask_bits(bits):
     return np.ascontiguousarray(bits, dtype=np.uint8)
 
 
+def _message(message):
+    """`message` as an int, refusing a bool or a non-integer by name."""
+    if not isinstance(message, bool) and hasattr(type(message), "__index__"):
+        return operator.index(message)
+    raise ValueError(f"message must be an integer, got {message!r}")
+
+
 def _on_threshold(q):
     if not (0.0 < q < 1.0):
         raise ValueError(f"on-probability q must lie strictly inside (0,1), got {q}")
     return int(q * 2.0**_WORD_BITS)
 
 
-@dataclass(eq=False)
-class DuplexMask:
-    """Binary on-off mask of one node over a frame of M slots."""
-
-    bits: np.ndarray  # uint8 vector, 1 = on/transmit, 0 = off/listen
-    owner: int        # NIA the mask was derived from
-    q: float          # design on-probability
-
-    def __post_init__(self):
-        self.bits = _mask_bits(self.bits)
-        if self.bits.ndim != 1:
-            raise ValueError("mask bits must be a 1-D vector")
-
-    @property
-    def length(self):
-        return self.bits.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, DuplexMask):
-            return NotImplemented
-        return (self.owner == other.owner and self.q == other.q
-                and np.array_equal(self.bits, other.bits))
-
-
 def derive_mask(nia, q, num_slots, domain_tag=DISCOVERY_TAG):
-    """Derive the on-off mask of `nia` for a frame of `num_slots` slots.
-
-    Deterministic: the same (nia, q, num_slots, domain_tag) yields a
-    bit-identical mask on every platform and in every process.  The mask
-    is the row of a one-NIA book.
-    """
+    """The on-off mask of `nia` over `num_slots` slots: the (M,) uint8 row of
+    a one-NIA book, bit-identical on every platform and in every process."""
     return _derive_book([nia], q, num_slots, domain_tag, mu=1)[nia]
 
 
@@ -135,13 +113,11 @@ class SignatureBook:
     words so that rows OR word by word, and `counts[r]` its number of
     on-bits.  Build a book by hand from the (N*mu, M) 0/1 matrix `bits`;
     _derive_book passes packed rows instead.
-    book[nia] and book[(nia, m)] return a DuplexMask of an unpacked copy
-    of that row.
+    book[nia] and book[(nia, m)] are an unpacked (M,) copy of that row.
     """
 
-    def __init__(self, nias, q, bits=None, mu=1, *, packed=None, counts=None,
-                 num_slots=None):
-        self.nias, self.q, self.mu = list(nias), q, mu
+    def __init__(self, nias, bits=None, mu=1, *, packed=None, counts=None, num_slots=None):
+        self.nias, self.mu = list(nias), mu
         self._index = {nia: i for i, nia in enumerate(self.nias)}
         if len(self._index) != len(self.nias):
             raise ValueError("duplicate NIA in book")
@@ -164,9 +140,10 @@ class SignatureBook:
 
     def __getitem__(self, key):
         nia, message = key if isinstance(key, tuple) else (key, 0)
-        if not (0 <= message < self.mu):
+        message = _message(message)
+        if not 0 <= message < self.mu:
             raise KeyError(key)
-        return DuplexMask(bits=self.unpacked(self.row(nia) + message), owner=nia, q=self.q)
+        return self.unpacked(self.row(nia) + message)
 
     def __len__(self):
         return len(self.nias)
@@ -253,7 +230,7 @@ def on_slots(masks):
     """The OnSlots index of the (R, M) 0/1 matrix `masks`, as a book of its rows."""
     if np.ndim(masks) != 2:
         raise ValueError(f"masks must be a matrix, got shape {np.shape(masks)}")
-    return SignatureBook(range(len(masks)), None, masks).on_slots
+    return SignatureBook(range(len(masks)), masks).on_slots
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):
@@ -283,7 +260,7 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
             np.less(gen.random_raw(num_slots), thr, out=out)
         packed[lo:lo + len(part)] = _packed_rows(part)
         counts[lo:lo + len(part)] = np.count_nonzero(part, axis=1)
-    return SignatureBook(nias, q, mu=mu, packed=packed, counts=counts, num_slots=num_slots)
+    return SignatureBook(nias, mu=mu, packed=packed, counts=counts, num_slots=num_slots)
 
 
 def reconstruct_book(nias, q, num_slots, domain_tag=DISCOVERY_TAG):

@@ -41,8 +41,8 @@ def build_message_book(nias, mu, q, num_slots):
 
 
 def encode(book, nia, message):
-    """The mask node `nia` transmits for `message`; also its duplex mask."""
-    if not (0 <= message < book.mu):
+    """The (M,) mask row node `nia` transmits for `message`; also its duplex mask."""
+    if not 0 <= signatures._message(message) < book.mu:
         raise ValueError(f"message {message} out of range 0..{book.mu - 1}")
     return book[(nia, message)]
 

@@ -9,14 +9,13 @@ from hypothesis.extra.numpy import arrays
 from rodd import channels, signatures
 
 
-def _mask(bits, owner=0, q=0.5):
-    return signatures.DuplexMask(bits=np.array(bits, dtype=np.uint8),
-                                 owner=owner, q=q)
+def _mask(bits):
+    return np.array(bits, dtype=np.uint8)
 
 
 def test_or_channel_worked_example():
-    receiver = _mask([1, 0, 1, 0], owner=1)
-    peer = _mask([0, 1, 1, 0], owner=2)
+    receiver = _mask([1, 0, 1, 0])
+    peer = _mask([0, 1, 1, 0])
     obs = channels.or_channel(receiver, [(peer, [0, 1, 1, 0])])
     assert list(obs.erased) == [True, False, True, False]
     assert obs.values[1] == 1 and obs.values[3] == 0
@@ -37,12 +36,12 @@ def test_or_channel_four_node_snapshot():
     bits = [rng.integers(0, 2, m).astype(np.uint8) for _ in range(4)]
     obs = channels.or_channel(masks[0], list(zip(masks[1:], bits[1:])))
     for slot in range(m):
-        if masks[0].bits[slot]:
+        if masks[0][slot]:
             assert obs.erased[slot]
         else:
             expect = 0
             for j in (1, 2, 3):
-                expect |= masks[j].bits[slot] & bits[j][slot]
+                expect |= masks[j][slot] & bits[j][slot]
             assert obs.values[slot] == expect
 
 
@@ -88,23 +87,23 @@ def _unit_gains(k):
 
 def test_gaussian_single_peer_no_noise():
     m = 8
-    rmask = _mask([1, 0, 0, 1, 0, 0, 0, 0], owner=0)
-    pmask = _mask([0, 1, 1, 0, 1, 0, 1, 0], owner=1)
+    rmask = _mask([1, 0, 0, 1, 0, 0, 0, 0])
+    pmask = _mask([0, 1, 1, 0, 1, 0, 1, 0])
     sym = np.array([0.0, 1.0, -1.5, 0.0, 0.5, 0.0, 2.0, 0.0])
     frames = [channels.TransmitFrame(symbols=np.zeros(m), mask=rmask),
               channels.TransmitFrame(symbols=sym, mask=pmask)]
     obs = channels.gaussian_mac(0, _unit_gains(2), frames, noise_var=0.0)
     off = ~obs.erased
-    assert np.allclose(obs.values[off], (pmask.bits * sym)[off])
-    assert np.array_equal(obs.erased, rmask.bits.astype(bool))
+    assert np.allclose(obs.values[off], (pmask * sym)[off])
+    assert np.array_equal(obs.erased, rmask.astype(bool))
 
 
 def test_gaussian_superposition_is_linear():
     m = 6
-    rmask = _mask([0] * m, owner=0)
+    rmask = _mask([0] * m)
     f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=rmask)
-    p1 = channels.TransmitFrame(symbols=np.full(m, 1.0), mask=_mask([1] * m, owner=1))
-    p2 = channels.TransmitFrame(symbols=np.full(m, -0.5), mask=_mask([1] * m, owner=2))
+    p1 = channels.TransmitFrame(symbols=np.full(m, 1.0), mask=_mask([1] * m))
+    p2 = channels.TransmitFrame(symbols=np.full(m, -0.5), mask=_mask([1] * m))
     both = channels.gaussian_mac(0, [0.0, 4.0, 9.0], [f0, p1, p2], noise_var=0.0)
     # sqrt(4)*1 + sqrt(9)*(-0.5) = 0.5 in every slot
     assert np.allclose(both.values, 0.5)
@@ -112,7 +111,7 @@ def test_gaussian_superposition_is_linear():
 
 def test_gaussian_noise_variance():
     m = 100_000
-    rmask = signatures.DuplexMask(bits=np.zeros(m, dtype=np.uint8), owner=0, q=0.5)
+    rmask = np.zeros(m, dtype=np.uint8)
     f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=rmask)
     obs = channels.gaussian_mac(0, _unit_gains(2), [f0, None], noise_var=2.0, seed=5)
     # sample variance of N(0, 2): std error ~ var * sqrt(2/m)
@@ -130,9 +129,9 @@ def test_gaussian_deterministic_given_seed():
 
 def test_gaussian_neighbor_filter():
     m = 4
-    rmask = _mask([0] * m, owner=0)
+    rmask = _mask([0] * m)
     f0 = channels.TransmitFrame(symbols=np.zeros(m), mask=rmask)
-    peer = channels.TransmitFrame(symbols=np.ones(m), mask=_mask([1] * m, owner=1))
+    peer = channels.TransmitFrame(symbols=np.ones(m), mask=_mask([1] * m))
     gain = [0.0, 0.25]
     heard = channels.gaussian_mac(0, gain, [f0, peer], noise_var=0.0)
     # a non-neighbor is a None frame: its interference belongs in noise_var
@@ -145,7 +144,7 @@ def test_erased_slots_are_exactly_the_on_slots():
     m = 500
     rmask = signatures.derive_mask(9, 0.35, m)
     obs = channels.or_channel(rmask, [])
-    assert np.array_equal(np.flatnonzero(obs.erased), np.flatnonzero(rmask.bits == 1))
+    assert np.array_equal(np.flatnonzero(obs.erased), np.flatnonzero(rmask == 1))
 
 
 def test_power_constraint_enforced():
@@ -169,11 +168,11 @@ def test_masked_slots_do_not_count_against_power():
     # only on-slots spend power
     frame = channels.TransmitFrame(symbols=np.array([100.0, 1.0]),
                                    mask=_mask([0, 1]))
-    assert frame.length == 2
+    assert frame.mask.size == 2
 
 
 def test_dump_format():
-    obs = channels.or_channel(_mask([1, 0]), [(_mask([0, 1], owner=1), [0, 1])])
+    obs = channels.or_channel(_mask([1, 0]), [(_mask([0, 1]), [0, 1])])
     assert channels.dump_observation(obs) == "0 E\n1 1\n"
 
 
@@ -280,7 +279,7 @@ def test_word_or_channel_and_padded_book_equal_the_dense_rules(rows, m, receiver
     m += m % 8 == 0
     rng = np.random.default_rng(seed)
     masks = (rng.random((rows, m)) < density).astype(np.uint8)
-    book = signatures.SignatureBook(nias=range(7, 7 + rows), q=0.5, bits=masks)
+    book = signatures.SignatureBook(nias=range(7, 7 + rows), bits=masks)
     assert book.packed.shape == (rows, 8 * -(-m // 64))
     assert np.array_equal(book.unpacked(slice(None)), masks)
     assert np.array_equal(book.packed[:, :-(-m // 8)], np.packbits(masks, axis=1))

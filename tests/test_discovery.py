@@ -25,7 +25,7 @@ def test_observation_with_no_neighbors_is_silent():
     book = _book(3)
     obs = discovery.observe_discovery(topo, 0.5, 0, book)
     assert np.all(obs.values == 0)
-    assert np.array_equal(np.flatnonzero(~obs.erased), np.flatnonzero(book[0].bits == 0))
+    assert np.array_equal(np.flatnonzero(~obs.erased), np.flatnonzero(book[0] == 0))
 
 
 def test_single_neighbor_observation_is_its_signature():
@@ -34,13 +34,13 @@ def test_single_neighbor_observation_is_its_signature():
                           unit_snr=5.0, neighbor_threshold=5.0 / 16, area_side=10.0)
     book = _book(3)
     obs = discovery.observe_discovery(topo, 2.0, 0, book)
-    assert np.array_equal(obs.values[~obs.erased], book[1].bits[~obs.erased])
+    assert np.array_equal(obs.values[~obs.erased], book[1][~obs.erased])
     # energy mode records the linear channel's amplitude; observed_quiet squares it
     amp = discovery.observe_discovery(topo, 2.0, 0, book, discovery.ENERGY, noise_var=0.0)
     assert isinstance(amp, channels.RealFrameObservation)
     assert np.array_equal(amp.erased, obs.erased)
     assert np.array_equal(amp.values,
-                          np.where(obs.erased, 0.0, math.sqrt(5.0) * book[1].bits))
+                          np.where(obs.erased, 0.0, math.sqrt(5.0) * book[1]))
 
 
 def test_energy_mode_is_seeded():
@@ -62,11 +62,11 @@ def test_constructed_elimination():
         3: [0, 0, 1, 0, 0, 0],   # on at quiet slot 2
         4: [0, 0, 0, 1, 0, 0],   # on at quiet slot 3
     }
-    book = signatures.SignatureBook(nias=list(masks), q=0.3,
+    book = signatures.SignatureBook(nias=list(masks),
                                     bits=np.array(list(masks.values()), dtype=np.uint8))
     obs = channels.OrFrameObservation(values=np.array(masks[2], dtype=np.uint8),
                                       erased=np.array(masks[1], dtype=bool))
-    result = discovery.eliminate(obs, book[1], book)
+    result = discovery.eliminate(obs, 1, book)
     assert result.estimated == {2}
     assert result.eliminated_count == 2
     assert result.slots_used == 6
@@ -166,7 +166,7 @@ def test_noiseless_mode_never_misses(seed):
     for k in range(topo.num_nodes):
         true = _neighbors(topo, radius, k)
         obs = discovery.observe_discovery(topo, radius, k, book)
-        est = discovery.eliminate(obs, book[k], book)
+        est = discovery.eliminate(obs, k, book)
         assert true <= est.estimated
 
 
@@ -178,7 +178,7 @@ def test_noiseless_elimination_never_misses_on_random_books(seed, n, q, m, p_nei
     for k in range(n):
         true = _neighbors(topo, radius, k)
         obs = discovery.observe_discovery(topo, radius, k, book)
-        assert true <= discovery.eliminate(obs, book[k], book).estimated
+        assert true <= discovery.eliminate(obs, k, book).estimated
 
 
 def test_more_slots_never_add_false_alarms():
@@ -192,7 +192,7 @@ def test_more_slots_never_add_false_alarms():
         for k in range(n):
             true = _neighbors(topo, radius, k)
             obs = discovery.observe_discovery(topo, radius, k, book)
-            est = discovery.eliminate(obs, book[k], book)
+            est = discovery.eliminate(obs, k, book)
             fa += len(est.estimated - true)
         if prev_fa is not None:
             assert fa <= prev_fa
@@ -203,10 +203,10 @@ def test_energy_mode_converges_to_noiseless():
     topo, radius, book = _random_instance(1)
     for k in range(topo.num_nodes):
         obs_or = discovery.observe_discovery(topo, radius, k, book)
-        ref = discovery.eliminate(obs_or, book[k], book)
+        ref = discovery.eliminate(obs_or, k, book)
         obs_e = discovery.observe_discovery(topo, radius, k, book, discovery.ENERGY,
                                             noise_var=1e-20, seed=9)
-        got = discovery.eliminate(obs_e, book[k], book, threshold=1e-6)
+        got = discovery.eliminate(obs_e, k, book, threshold=1e-6)
         assert got.estimated == ref.estimated
 
 
@@ -228,8 +228,8 @@ def test_eliminate_reads_either_channel_record():
         or_obs = channels.or_channel(book[k], peers)
         real_obs = channels.gaussian_mac(k, model.gain_row(topo, k),
                                          _heard(frames, topo, radius, k), 0.0)
-        got = discovery.eliminate(real_obs, book[k], book, threshold=1e-6)
-        assert got.estimated == discovery.eliminate(or_obs, book[k], book).estimated
+        got = discovery.eliminate(real_obs, k, book, threshold=1e-6)
+        assert got.estimated == discovery.eliminate(or_obs, k, book).estimated
         assert got.slots_used == m
 
 
@@ -262,7 +262,7 @@ def test_quiet_rule_refuses_a_negative_or_nan_threshold():
         with pytest.raises(ValueError, match="threshold"):
             discovery.observed_quiet(obs, bad)
         with pytest.raises(ValueError, match="threshold"):
-            discovery.eliminate(obs, book[0], book, threshold=bad)
+            discovery.eliminate(obs, 0, book, threshold=bad)
         with pytest.raises(ValueError, match="threshold"):
             sparsecode.decode(obs, book, [1], threshold=bad)
         with pytest.raises(ValueError, match="threshold"):
@@ -319,7 +319,7 @@ def test_threshold_sweep_trades_misses_for_false_alarms():
                                       noise_var=0.5, seed=4)
     misses, fas = [], []
     for thr in (1e-4, 0.5, 2.0, 10.0, 100.0):
-        est = discovery.eliminate(obs, book[k], book, threshold=thr)
+        est = discovery.eliminate(obs, k, book, threshold=thr)
         miss, fa, _ = discovery.discovery_metrics(true, est)
         misses.append(miss)
         fas.append(fa)
@@ -398,9 +398,18 @@ def test_topology_hits_the_degree_target():
 def test_candidate_restriction():
     topo, radius, book = _random_instance(4)
     obs = discovery.observe_discovery(topo, radius, 0, book)
-    full = discovery.eliminate(obs, book[0], book)
-    narrowed = discovery.eliminate(obs, book[0], book, candidates=[1, 2, 3])
+    full = discovery.eliminate(obs, 0, book)
+    narrowed = discovery.eliminate(obs, 0, book, candidates=[1, 2, 3])
     assert narrowed.estimated == full.estimated & {1, 2, 3}
+
+
+def test_eliminate_refuses_a_receiver_outside_the_book():
+    # an unknown NIA would screen the receiver's own row, which always survives
+    topo, radius, book = _random_instance(4)
+    obs = discovery.observe_discovery(topo, radius, 0, book)
+    for candidates in (None, [1, 2]):
+        with pytest.raises(KeyError):
+            discovery.eliminate(obs, 99, book, candidates=candidates)
 
 
 @pytest.mark.parametrize("candidates", [None, [2, 3]])
@@ -411,15 +420,15 @@ def test_eliminate_refuses_a_block_record(candidates):
                                    [2, 3, 4, 5], [2, 2])
     with pytest.raises(ValueError, match="eliminate takes one receiver's record, "
                                          "got a block of 2 receivers"):
-        discovery.eliminate(block, book[0], book, candidates=candidates)
+        discovery.eliminate(block, 0, book, candidates=candidates)
 
 
 def test_eliminate_reads_a_block_of_one_as_its_receiver():
     book = signatures.reconstruct_book(range(20), 0.2, 120)
     one = channels.receive_block(book.unpacked([0]).view(bool), book.on_slots, [2, 3], [2])
-    got = discovery.eliminate(one, book[0], book)
+    got = discovery.eliminate(one, 0, book)
     own = channels.receive(book.unpacked(0), book.on_slots, [2, 3])
-    assert got == discovery.eliminate(own, book[0], book)
+    assert got == discovery.eliminate(own, 0, book)
     assert {2, 3} <= got.estimated
 
 
@@ -427,14 +436,14 @@ def test_default_candidates_screen_the_whole_book_in_place(monkeypatch):
     # no cut of the index for the default list; an explicit one is cut
     topo, radius, book = _random_instance(11)
     obs = discovery.observe_discovery(topo, radius, 0, book)
-    full = discovery.eliminate(obs, book[0], book)
+    full = discovery.eliminate(obs, 0, book)
     cuts = []
     take = signatures.OnSlots.take
     monkeypatch.setattr(signatures.OnSlots, "take",
                         lambda index, rows: cuts.append(len(rows)) or take(index, rows))
-    assert discovery.eliminate(obs, book[0], book) == full
+    assert discovery.eliminate(obs, 0, book) == full
     assert cuts == []
-    listed = discovery.eliminate(obs, book[0], book, candidates=list(book.nias))
+    listed = discovery.eliminate(obs, 0, book, candidates=list(book.nias))
     assert listed == full
     assert cuts == [len(book.nias) - 1]
 
@@ -479,7 +488,7 @@ def _assert_experiment_matches_op_level_path(mode, noise_var):
         true = set(np.flatnonzero(model.gain_row(topo, k) >= tau).tolist())
         obs = discovery.observe_discovery(topo, radius, k, book, mode, noise_var=noise_var,
                                           seed=5)
-        est = discovery.eliminate(obs, book[k], book, threshold=rep.threshold)
+        est = discovery.eliminate(obs, k, book, threshold=rep.threshold)
         assert len(true) == true_count
         assert len(est.estimated) == est_count
         assert len(true - est.estimated) == misses

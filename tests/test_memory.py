@@ -53,7 +53,7 @@ def test_eliminate_stays_below_the_dense_book():
     nbrs = discovery.neighbor_lists(topo, radius, [0])[0]
     obs = _record(book.unpacked(0), book.unpacked(nbrs))
     dense = topo.num_nodes * m                  # 10 MB at about 4,000 nodes
-    peak = _traced_peak(lambda: discovery.eliminate(obs, book[0], book))
+    peak = _traced_peak(lambda: discovery.eliminate(obs, 0, book))
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
 
 
@@ -65,8 +65,8 @@ def test_eliminate_default_candidates_copy_nothing_of_the_index():
     book = signatures.reconstruct_book(range(topo.num_nodes), 0.02, 2500)
     nbrs = discovery.neighbor_lists(topo, radius, [0])[0]
     obs = _record(book.unpacked(0), book.unpacked(nbrs))
-    discovery.eliminate(obs, book[0], book)
-    peak = _traced_peak(lambda: discovery.eliminate(obs, book[0], book))
+    discovery.eliminate(obs, 0, book)
+    peak = _traced_peak(lambda: discovery.eliminate(obs, 0, book))
     assert peak < 2 * 2**20, f"traced peak {peak} B for a warm default call"
 
 
@@ -117,7 +117,7 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
     for mode in (discovery.OR_NOISELESS, discovery.ENERGY):
         for receiver in range(k):
             obs = discovery.observe_discovery(topo, float(k), receiver, book, mode, seed=3)
-            discovery.eliminate(obs, book[receiver], book, threshold=5.0)
+            discovery.eliminate(obs, receiver, book, threshold=5.0)
     assert calls == {"book.on_slots": 1}
 
     calls.clear()

@@ -10,7 +10,7 @@ from rodd import analysis, channels, cli, discovery, model, signatures, validate
 
 
 def _mask(length):
-    return signatures.DuplexMask(bits=np.ones(length, dtype=np.uint8), owner=0, q=0.5)
+    return np.ones(length, dtype=np.uint8)
 
 
 def _frame(length):
@@ -61,6 +61,24 @@ REFUSALS = {
     "channels.TransmitFrame-length": (
         lambda tmp: channels.TransmitFrame(symbols=np.ones(3), mask=_mask(4)),
         ValueError, "symbols and mask must have equal length"),
+    # a mask is a 1-D 0/1 row wherever the channel takes one
+    "channels.TransmitFrame-mask-2d": (
+        lambda tmp: channels.TransmitFrame(symbols=np.ones((2, 2)), mask=np.zeros((2, 2))),
+        ValueError, "frame mask bits must be a 1-D vector, got shape (2, 2)"),
+    "channels.TransmitFrame-mask-fraction": (
+        lambda tmp: channels.TransmitFrame(symbols=np.ones(2), mask=[0.5, 1]), ValueError,
+        "mask bits must be 0/1"),
+    "channels.or_channel-receiver-mask-2d": (
+        lambda tmp: channels.or_channel(np.zeros((2, 2)), []), ValueError,
+        "receiver mask bits must be a 1-D vector, got shape (2, 2)"),
+    "channels.or_channel-receiver-mask-bits": (
+        lambda tmp: channels.or_channel([0, 2], []), ValueError, "mask bits must be 0/1"),
+    "channels.or_channel-peer-mask-2d": (
+        lambda tmp: channels.or_channel(_mask(2), [(np.zeros((1, 2)), [1, 1])]), ValueError,
+        "peer 0 mask bits must be a 1-D vector, got shape (1, 2)"),
+    "channels.or_channel-peer-mask-bits": (
+        lambda tmp: channels.or_channel(_mask(2), [(_mask(2), [1, 1]), ([0, 2], [1, 1])]),
+        ValueError, "mask bits must be 0/1"),
     "channels.gaussian_mac-silent-receiver": (
         lambda tmp: channels.gaussian_mac(0, [0.0, 1.0], [None, _frame(4)], 1.0, seed=0),
         ValueError, "the receiver needs a frame"),
@@ -136,17 +154,8 @@ REFUSALS = {
     # -1 gave the row of the last node
     "model.gain_row-node-negative": (
         lambda tmp: model.gain_row(_topology(3), -1), ValueError, _RECEIVERS),
-    "signatures.DuplexMask-2d": (
-        lambda tmp: signatures.DuplexMask(bits=np.zeros((2, 2)), owner=0, q=0.5),
-        ValueError, "mask bits must be a 1-D vector"),
-    "signatures.DuplexMask-bits": (
-        lambda tmp: signatures.DuplexMask(bits=[0, 2], owner=0, q=0.5), ValueError,
-        "mask bits must be 0/1"),
-    "signatures.DuplexMask-fraction": (
-        lambda tmp: signatures.DuplexMask(bits=[0.5, 1], owner=0, q=0.5), ValueError,
-        "mask bits must be 0/1"),
     "signatures.SignatureBook-negative": (
-        lambda tmp: signatures.SignatureBook([1], 0.5, bits=[[-1, 0]]), ValueError,
+        lambda tmp: signatures.SignatureBook([1], bits=[[-1, 0]]), ValueError,
         "mask bits must be 0/1"),
     "signatures.on_slots-fraction": (
         lambda tmp: signatures.on_slots(np.array([[0.25, 1.0]])), ValueError,

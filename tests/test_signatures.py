@@ -12,15 +12,15 @@ from rodd import signatures, sparsecode
 def test_derive_mask_deterministic():
     a = signatures.derive_mask(42, 0.3, 200, domain_tag=1)
     b = signatures.derive_mask(42, 0.3, 200, domain_tag=1)
-    assert np.array_equal(a.bits, b.bits)
-    assert a == b
+    assert np.array_equal(a, b)
+    assert a.dtype == np.uint8 and a.shape == (200,)
 
 
 def test_distinct_inputs_change_the_mask():
     base = signatures.derive_mask(42, 0.3, 500)
-    assert not np.array_equal(base.bits, signatures.derive_mask(43, 0.3, 500).bits)
-    assert not np.array_equal(base.bits,
-                              signatures.derive_mask(42, 0.3, 500, domain_tag=1).bits)
+    assert not np.array_equal(base, signatures.derive_mask(43, 0.3, 500))
+    assert not np.array_equal(base,
+                              signatures.derive_mask(42, 0.3, 500, domain_tag=1))
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
@@ -73,7 +73,7 @@ def test_on_fraction_concentrates():
     q = 0.5
     sigma = math.sqrt(q * (1 - q) / m)
     for nia in (1, 999, 123456789):
-        frac = signatures.derive_mask(nia, q, m).bits.mean()
+        frac = signatures.derive_mask(nia, q, m).mean()
         assert abs(frac - q) <= 3 * sigma
 
 
@@ -83,7 +83,7 @@ def test_pairwise_overlap_is_independent():
     q = 0.5
     a = signatures.derive_mask(7, q, m)
     b = signatures.derive_mask(8, q, m)
-    overlap = int(np.sum(a.bits & b.bits))
+    overlap = int(np.sum(a & b))
     sigma = math.sqrt(m * q**2 * (1 - q**2))
     assert abs(overlap - q**2 * m) <= 3 * sigma
 
@@ -97,7 +97,7 @@ _KEY_PART = st.integers(0, 2**64 - 1)
 def test_single_bit_access_matches_full_derivation(nia, tag, q, m):
     mask = signatures.derive_mask(nia, q, m, domain_tag=tag)
     got = [signatures.derive_bit(nia, q, s, domain_tag=tag) for s in range(m)]
-    assert np.array_equal(mask.bits, np.array(got, dtype=np.uint8))
+    assert np.array_equal(mask, np.array(got, dtype=np.uint8))
 
 
 def _convention_mask(nia, tag, q, m):
@@ -121,7 +121,7 @@ def test_derivation_matches_the_written_out_convention(nias, tag, q, m, mu, slot
             expected = _convention_mask(nia, tag_base + msg, q, m)
             assert np.array_equal(book.matrix()[i * mu + msg], expected)
             mask = signatures.derive_mask(nia, q, m, tag_base + msg)
-            assert np.array_equal(mask.bits, expected)
+            assert np.array_equal(mask, expected)
             for s in {0, slot % m, m - 1}:
                 assert signatures.derive_bit(nia, q, s, tag_base + msg) == expected[s]
 
@@ -130,7 +130,7 @@ def test_reconstruct_book_is_rederivable():
     book = signatures.reconstruct_book([10, 20, 30], 0.3, 64, domain_tag=2)
     assert len(book) == 3
     for nia in (10, 20, 30):
-        assert book[nia] == signatures.derive_mask(nia, 0.3, 64, domain_tag=2)
+        assert np.array_equal(book[nia], signatures.derive_mask(nia, 0.3, 64, domain_tag=2))
 
 
 def test_reconstruction_is_byte_equal_between_parties():
@@ -155,7 +155,7 @@ def test_duplicate_nia_rejected():
 
 def test_packed_rows_are_msb_first():
     bits = np.array([[1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0]], dtype=np.uint8)
-    book = signatures.SignatureBook(nias=[3], q=0.5, bits=bits)
+    book = signatures.SignatureBook(nias=[3], bits=bits)
     # slot 0 is the MSB of the first byte; the bits past M are zero
     assert book.packed[0, :2].tobytes().hex() == "81a0"
     assert not book.packed[0, 2:].any()
@@ -164,13 +164,13 @@ def test_packed_rows_are_msb_first():
 def test_book_rows_are_copies_of_the_unpacked_rows():
     book = signatures.reconstruct_book([7, 3], 0.3, 40)
     assert np.array_equal(book.matrix(), [book.unpacked(r) for r in range(len(book))])
-    assert np.array_equal(book[3].bits, book.matrix()[1])
-    assert np.array_equal(book[3].bits, book.unpacked(1))
+    assert np.array_equal(book[3], book.matrix()[1])
+    assert np.array_equal(book[3], book.unpacked(1))
     before = book.packed.copy()
     mask = book[3]
-    mask.bits ^= 1
+    mask ^= 1
     assert np.array_equal(book.packed, before)
-    assert np.array_equal(book[3].bits, 1 - mask.bits)
+    assert np.array_equal(book[3], 1 - mask)
     with pytest.raises(KeyError):
         book[(3, 1)]
 
@@ -185,11 +185,11 @@ def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
     m += m % 8 == 0              # never a multiple of 8: every row ends in a padded byte
     dense = (np.random.default_rng(seed).random((n * mu, m)) < density).astype(np.uint8)
     nias = list(range(50, 50 + n))
-    book = signatures.SignatureBook(nias=nias, q=0.5, bits=dense, mu=mu)
+    book = signatures.SignatureBook(nias=nias, bits=dense, mu=mu)
     assert np.array_equal(book.matrix(), dense)
     for i, nia in enumerate(nias):
         for msg in range(mu):
-            assert np.array_equal(book[(nia, msg)].bits, dense[i * mu + msg])
+            assert np.array_equal(book[(nia, msg)], dense[i * mu + msg])
     assert np.array_equal(book.packed, _index_oracle(dense)[2])
     for index in (book.on_slots, signatures.on_slots(dense)):
         starts, slots, packed = _index_oracle(dense)
@@ -258,7 +258,7 @@ def test_derived_book_across_chunks_matches_the_convention():
 ])
 def test_book_rejects_malformed_bits(bits):
     with pytest.raises(ValueError):
-        signatures.SignatureBook(nias=[1, 2], q=0.5, bits=bits)
+        signatures.SignatureBook(nias=[1, 2], bits=bits)
 
 
 @settings(max_examples=30, deadline=None)
@@ -269,7 +269,7 @@ def test_masks_are_prefix_stable(nia, tag, q, m, extra):
     # same key: a longer frame extends the mask without changing the prefix
     short = signatures.derive_mask(nia, q, m, tag)
     long = signatures.derive_mask(nia, q, m + extra, tag)
-    assert np.array_equal(long.bits[:m], short.bits)
+    assert np.array_equal(long[:m], short)
 
 
 def test_book_statistics_match_design_q():

@@ -7,15 +7,15 @@ from rodd import channels, discovery, signatures, sparsecode
 
 
 def _or_observation(receiver_mask, transmitted_masks):
-    peers = [(m, np.ones(m.length, dtype=np.uint8)) for m in transmitted_masks]
+    peers = [(m, np.ones(m.size, dtype=np.uint8)) for m in transmitted_masks]
     return channels.or_channel(receiver_mask, peers)
 
 
 def test_encode_returns_the_message_mask():
     book = sparsecode.build_message_book([5, 6], mu=4, q=0.3, num_slots=50)
     mask = sparsecode.encode(book, 5, 2)
-    assert mask == book[(5, 2)]
-    assert mask == sparsecode.encode(book, 5, 2)
+    assert np.array_equal(mask, book[(5, 2)])
+    assert np.array_equal(mask, sparsecode.encode(book, 5, 2))
 
 
 def test_encode_message_range():
@@ -24,11 +24,18 @@ def test_encode_message_range():
         sparsecode.encode(book, 1, 2)
     with pytest.raises(ValueError):
         sparsecode.encode(book, 1, -1)
+    # 1.5 died with a bare IndexError and True was read as message 1
+    for bad in (1.5, True, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="^message must be an integer"):
+            sparsecode.encode(book, 1, bad)
+        with pytest.raises(ValueError, match="^message must be an integer"):
+            book[(1, bad)]
+    assert np.array_equal(sparsecode.encode(book, 1, np.int64(1)), book[(1, 1)])
 
 
 def test_binary_messages_have_distinct_masks():
     book = sparsecode.build_message_book([9], mu=2, q=0.3, num_slots=200)
-    assert not np.array_equal(book[(9, 0)].bits, book[(9, 1)].bits)
+    assert not np.array_equal(book[(9, 0)], book[(9, 1)])
 
 
 def test_message_tags_do_not_collide_with_discovery():
@@ -36,7 +43,7 @@ def test_message_tags_do_not_collide_with_discovery():
     discovery_mask = signatures.derive_mask(nia, q, m, signatures.DISCOVERY_TAG)
     book = sparsecode.build_message_book([nia], mu=4, q=q, num_slots=m)
     for msg in range(4):
-        assert not np.array_equal(book[(nia, msg)].bits, discovery_mask.bits)
+        assert not np.array_equal(book[(nia, msg)], discovery_mask)
 
 
 @pytest.mark.parametrize("num_nodes, trials, name", [
@@ -54,8 +61,7 @@ def test_decode_constructed_pair():
         [0, 1, 0, 0],   # (2, 0): sent
         [0, 0, 1, 0],   # (2, 1): on-bit at quiet slot 2 -> eliminated
     ]
-    book = sparsecode.MessageBook(nias=[1, 2], mu=2, q=0.5,
-                                  bits=np.array(bits, dtype=np.uint8))
+    book = sparsecode.MessageBook(nias=[1, 2], mu=2, bits=np.array(bits, dtype=np.uint8))
     receiver_mask = book[(1, 0)]
     obs = _or_observation(receiver_mask, [book[(2, 0)]])
     out = sparsecode.decode(obs, book, [2])
@@ -66,8 +72,7 @@ def test_decode_constructed_pair():
 def _constructed_book(neighbor_rows):
     # node 1 sends (1, 0), on only at slot 0; node 2's two messages follow
     bits = [[1, 0, 0, 0], [0, 0, 0, 1]] + neighbor_rows
-    return sparsecode.MessageBook(nias=[1, 2], mu=2, q=0.5,
-                                  bits=np.array(bits, dtype=np.uint8))
+    return sparsecode.MessageBook(nias=[1, 2], mu=2, bits=np.array(bits, dtype=np.uint8))
 
 
 def test_decode_constructed_ambiguous_pair():
@@ -119,7 +124,7 @@ def test_decode_equals_one_survivors_call_per_neighbor(nodes, mu, m, real, thres
     rng = np.random.default_rng(seed)
     nias = [int(x) for x in rng.choice(1000, nodes, replace=False)]
     bits = (rng.random((nodes * mu, m)) < rng.uniform(0, 0.6)).astype(np.uint8)
-    book = sparsecode.MessageBook(nias=nias, mu=mu, q=0.5, bits=bits)
+    book = sparsecode.MessageBook(nias=nias, mu=mu, bits=bits)
     erased = rng.random(m) < 0.3
     if real:
         obs = channels.RealFrameObservation(values=rng.normal(0, 1, m), erased=erased)
