@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 GOLDEN_TOL = 1e-9
 WATER_RESIDUAL_REL = 1e-9
@@ -140,6 +139,7 @@ def _check_gamma(gamma):
 
 def _binomial_weights(top, n, K, q):
     """C(top, n) q^n (1-q)^(K-n) over the array n, via log-space terms."""
+    from scipy.special import gammaln   # math.lgamma's last bits differ: CSV bytes would move
     log_binom = gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
     log_w = log_binom + n * math.log(q) + (K - n) * math.log1p(-q)
     return np.exp(log_w)

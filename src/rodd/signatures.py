@@ -131,7 +131,10 @@ class SignatureBook:
 
     def row(self, nia):
         """Index into the book's rows of the first (or only) mask of `nia`."""
-        return self._index[nia] * self.mu
+        try:
+            return self._index[nia] * self.mu
+        except KeyError:
+            raise KeyError(f"NIA {nia!r} is not in the book") from None
 
     def unpacked(self, rows):
         """Rows `rows` (an index, slice or index array) as 0/1 uint8 slots:
@@ -142,7 +145,7 @@ class SignatureBook:
         nia, message = key if isinstance(key, tuple) else (key, 0)
         message = _message(message)
         if not 0 <= message < self.mu:
-            raise KeyError(key)
+            raise ValueError(f"message {message} out of range 0..{self.mu - 1}")
         return self.unpacked(self.row(nia) + message)
 
     def __len__(self):

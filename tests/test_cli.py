@@ -735,6 +735,34 @@ def test_a_bare_import_loads_neither_numpy_nor_scipy():
     assert done.stdout.splitlines() == ["0.1.0", ""]
 
 
+_SCIPY_PROBE = ("import sys; from rodd import cli; "
+                "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                "print(*loaded()); print(cli.main(sys.argv[1:])); print(*loaded())")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "2", "--seed", "1"],
+     set()),
+    (["fig2", "--K", "3", "--q", "0.5"], {"scipy.special"}),
+    (["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--q", "0.1", "--seed", "1"],
+     {"scipy.special", "scipy.spatial"}),
+])
+def test_a_command_imports_only_the_scipy_it_runs(tmp_path, argv, loaded):
+    # gammaln (closed forms) and cKDTree (neighbor query) are imported on first use
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv,
+                           "--out", str(tmp_path / "out.csv")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()      # a summary line may sit in between
+    at_import, code, after_run = lines[0], lines[-2], lines[-1]
+    assert (at_import, code) == ("", "0")
+    modules = set(after_run.split())
+    assert {"scipy.special", "scipy.spatial"} & modules == loaded
+    if not loaded:
+        assert modules == set()
+
+
 def test_python_dash_m_rodd_runs_the_cli(tmp_path):
     # `python -m rodd` from a checkout: the package on PYTHONPATH, no install
     src = Path(cli.__file__).resolve().parents[1]

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rodd import analysis, channels, cli, discovery, model, signatures, validate
+from rodd import analysis, channels, cli, discovery, model, signatures, sparsecode, validate
 
 
 def _mask(length):
@@ -31,6 +31,12 @@ def _topology(count):
 
 def _book(count):
     return signatures.reconstruct_book(range(count), 0.2, 16)
+
+
+def _eliminate(receiver, candidates=None):
+    book = _book(4)
+    observation = discovery.observe_discovery(_topology(4), 5.0, 0, book)
+    return discovery.eliminate(observation, receiver, book, candidates=candidates)
 
 
 def _config(tmp_path, text):
@@ -112,6 +118,11 @@ REFUSALS = {
     "discovery.survivors-width": (
         lambda tmp: discovery.survivors(_book(3).on_slots, np.zeros((1, 8), dtype=bool)),
         ValueError, "quiet rows of shape (1, 8) do not match 16-slot masks"),
+    # an unknown NIA was a bare KeyError carrying only the number
+    "discovery.eliminate-receiver-nia": (
+        lambda tmp: _eliminate(99), KeyError, "NIA 99 is not in the book"),
+    "discovery.eliminate-candidate-nia": (
+        lambda tmp: _eliminate(0, [1, 9]), KeyError, "NIA 9 is not in the book"),
     "discovery.random_access_baseline-tx_prob": (
         lambda tmp: discovery.random_access_baseline([{1}, {0}], 8, 1.5, 0.9, seed=0),
         ValueError, "tx_prob must lie in [0,1]"),
@@ -163,6 +174,10 @@ REFUSALS = {
     "signatures.derive_bit-slot": (
         lambda tmp: signatures.derive_bit(0, 0.5, -1), ValueError,
         "slot must be nonnegative"),
+    "sparsecode.encode-nia": (
+        lambda tmp: sparsecode.encode(
+            sparsecode.build_message_book([5, 6], mu=2, q=0.3, num_slots=16), 7, 1),
+        KeyError, "NIA 7 is not in the book"),
     "validate.mc_gauss_rate-gamma": (
         lambda tmp: validate.mc_gauss_rate(3, 0.2, -1.0, 1000, 0), ValueError,
         "gamma must be nonnegative"),

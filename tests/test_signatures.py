@@ -171,7 +171,7 @@ def test_book_rows_are_copies_of_the_unpacked_rows():
     mask ^= 1
     assert np.array_equal(book.packed, before)
     assert np.array_equal(book[3], 1 - mask)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^message 1 out of range 0\.\.0$"):
         book[(3, 1)]
 
 

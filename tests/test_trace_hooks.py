@@ -49,3 +49,5 @@ def test_every_workload_command_leaves_no_hook_absent(tmp_path):
     layers = {span.layer for span in tracer.spans}
     assert layers == {"model", "signatures", "discovery", "sparsecode", "analysis",
                       "validate"}
+    # the neighbor query is measured, not a hook that resolves but never runs
+    assert ("discovery", "neighbor_query") in {(s.layer, s.name) for s in tracer.spans}
