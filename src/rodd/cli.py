@@ -210,7 +210,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=4.0, help="path-loss exponent")
     p.add_argument("--no-torus", action="store_true",
                    help="disable wraparound distances (edge effects return)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="draws topology and noise; the book is always NIAs 0..N-1")
     _add_common(p, _cmd_discover)
 
     p = subs.add_parser("sparsecode", help="mu-signatures-per-node message code trial")

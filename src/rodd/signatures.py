@@ -80,7 +80,11 @@ def _message(message):
 def _on_threshold(q):
     if not (0.0 < q < 1.0):
         raise ValueError(f"on-probability q must lie strictly inside (0,1), got {q}")
-    return int(q * 2.0**_WORD_BITS)
+    thr = int(q * 2.0**_WORD_BITS)
+    if thr == 0:
+        # a Philox word is on iff it is below the threshold: every mask would be empty
+        raise ValueError(f"on-probability q must be at least 2**-{_WORD_BITS}, got {q}")
+    return thr
 
 
 def derive_mask(nia, q, num_slots, domain_tag=DISCOVERY_TAG):

@@ -56,7 +56,9 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
     One survivors() call screens the mu signatures of every listed
-    neighbor, cut from book.on_slots (built over every row on first use).
+    neighbor, cut from book.on_slots (built over every row on first use),
+    and _tally() counts each neighbor's survivors in one scan, as in the
+    batch experiment; a neighbor is DECODED iff exactly one survives.
     Each row is screened alone, so the outcome for one neighbor does not
     depend on the rest of the list.  An empty candidate set means the
     channel contradicted every signature of that neighbor (impossible
@@ -65,12 +67,30 @@ def decode(observation, book, neighbor_list, threshold=0.0):
     quiet = discovery.one_receiver_quiet(observation, threshold, "decode")
     starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
     index = book.on_slots.take((starts[:, None] + np.arange(book.mu)).ravel())
-    alive = discovery.survivors(index, quiet).reshape(-1, book.mu)
-    count, first = alive.sum(axis=1), alive.argmax(axis=1)
+    alive = discovery.survivors(index, quiet)
+    count, first = (a[0] for a in _tally(alive, book.mu))
     return {nia: NeighborDecode(status=_STATUS[min(n, 2)],
                                 message=int(m) if n == 1 else None,
                                 candidates=frozenset(np.flatnonzero(a).tolist()))
-            for nia, a, n, m in zip(neighbor_list, alive, count, first)}
+            for nia, a, n, m in zip(neighbor_list, alive.reshape(-1, book.mu), count, first)}
+
+
+def _tally(alive, mu):
+    """Survivor count and a surviving message of every (column, neighbor).
+
+    `alive` is (n*mu, P) bool, row j*mu + m for message m of neighbor j;
+    returns two (P, n) int64 arrays.  One scan of the hits replaces a sum
+    and an argmax over the strided message axis.  Where several messages
+    survive, which of them lands in `first` is unspecified; callers read
+    `first` only where count == 1, and there exactly one write lands.
+    """
+    n, p = alive.shape[0] // mu, alive.shape[1]
+    nbr_msg, col = np.divmod(np.flatnonzero(alive), p)
+    nbr, msg = np.divmod(nbr_msg, mu)
+    key = col * n + nbr
+    first = np.zeros(n * p, dtype=np.int64)
+    first[key] = msg
+    return np.bincount(key, minlength=n * p).reshape(p, n), first.reshape(p, n)
 
 
 @dataclass
@@ -114,9 +134,10 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     book is built once; per batch of trials, one channels.receive_block()
     call records the K receivers of every trial from that index, erasing
     their sent rows (the only rows unpacked), one
-    survivors() call screens all mu*K candidates against them, and every
-    pair's outcome follows from its survivor count and first survivor
-    through _STATUS, as in decode.
+    survivors() call screens all mu*K candidates against them, and one
+    _tally() scan of the survivors gives every pair's survivor count and,
+    where that count is 1, its decoded message; the count picks the
+    outcome through _STATUS, as in decode.
     """
     if num_nodes < 2:
         raise ValueError(f"num_nodes must be >= 2 (a receiver and a neighbor), "
@@ -143,13 +164,13 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         heard = np.broadcast_to(sent[:, None], (len(ts), num_nodes, num_nodes))[:, pairs]
         record = receive_block(book.unpacked(sent.ravel()).view(bool), index, heard.ravel(),
                                np.full(sent.size, num_nodes - 1))
-        # alive[j, m, i, k]: message m of node j survives at receiver k in trial ts[i]
-        alive = discovery.survivors(index, discovery.observed_quiet(record)).reshape(
-            num_nodes, mu, len(ts), num_nodes)
+        # alive[j * mu + m, i * K + k]: message m of node j survives at receiver k in trial ts[i]
+        alive = discovery.survivors(index, discovery.observed_quiet(record))
         # per (trial, pair) arrays, pairs in record order
-        count = alive.sum(axis=1).transpose(1, 2, 0)[:, pairs]
-        first = alive.argmax(axis=1).transpose(1, 2, 0)[:, pairs]
-        kept = alive[ids, msgs, np.arange(len(ts))[:, None]].transpose(0, 2, 1)[:, pairs]
+        count, first = (a.reshape(len(ts), num_nodes, num_nodes)[:, pairs]
+                        for a in _tally(alive, mu))
+        kept = alive.reshape(num_nodes, mu, len(ts), num_nodes)[
+            ids, msgs, np.arange(len(ts))[:, None]].transpose(0, 2, 1)[:, pairs]
         true_msg = msgs[:, js]
         decoded = count == 1
         s.pairs += count.size

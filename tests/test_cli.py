@@ -202,6 +202,15 @@ def test_discover_rejects_negative_noise_variance(tmp_path, capsys):
         assert "noise_var must be nonnegative" in capsys.readouterr().err
 
 
+def test_discover_refuses_a_q_below_one_philox_step(tmp_path, capsys):
+    # q * 2**64 truncated to 0: every mask was empty and the run exited 0
+    out = tmp_path / "d.csv"
+    assert run("discover", "--n", "200", "--neighbors", "8", "--M", "80", "--q", "1e-300",
+               "--seed", "1", "--out", str(out)) == 2
+    assert "q must be at least 2**-64, got 1e-300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_tuned_threshold_that_overflows_is_refused_by_noise_var(tmp_path, capsys,
                                                                   monkeypatch):
     from rodd import discovery, signatures

@@ -174,6 +174,13 @@ REFUSALS = {
     "signatures.derive_bit-slot": (
         lambda tmp: signatures.derive_bit(0, 0.5, -1), ValueError,
         "slot must be nonnegative"),
+    # q * 2**64 truncated to an on-threshold of 0, so every mask came out empty
+    "signatures.derive_bit-q-below-word": (
+        lambda tmp: signatures.derive_bit(0, 1e-300, 0), ValueError,
+        "on-probability q must be at least 2**-64, got 1e-300"),
+    "signatures.reconstruct_book-q-below-word": (
+        lambda tmp: signatures.reconstruct_book(range(3), 2.0**-65, 16), ValueError,
+        "on-probability q must be at least 2**-64"),
     "sparsecode.encode-nia": (
         lambda tmp: sparsecode.encode(
             sparsecode.build_message_book([5, 6], mu=2, q=0.3, num_slots=16), 7, 1),

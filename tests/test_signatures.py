@@ -110,11 +110,20 @@ def _convention_mask(nia, tag, q, m):
 @settings(max_examples=30, deadline=None)
 @example(nias=[2**64 - 1], tag=2**64 - 1, q=0.5, m=1, mu=1, slot=0)
 @example(nias=[0, 2**64 - 1], tag=2**64 - 1, q=0.09, m=300, mu=4, slot=299)
+@example(nias=[3], tag=0, q=2.0**-64, m=8, mu=2, slot=5)     # on-threshold 1: accepted
+@example(nias=[3], tag=0, q=2.0**-65, m=8, mu=2, slot=5)     # on-threshold 0: refused
 @given(nias=st.lists(_KEY_PART, min_size=1, max_size=4, unique=True), tag=_KEY_PART,
        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        m=st.integers(1, 300), mu=st.integers(1, 4), slot=st.integers(0, 299))
 def test_derivation_matches_the_written_out_convention(nias, tag, q, m, mu, slot):
     tag_base = min(tag, 2**64 - mu)      # every tag_base + message stays a 64-bit word
+    if int(q * 2**64) == 0:              # every mask would be empty: refused
+        for derive in (lambda: signatures._derive_book(nias, q, m, tag_base, mu),
+                       lambda: signatures.derive_mask(nias[0], q, m, tag_base),
+                       lambda: signatures.derive_bit(nias[0], q, slot, tag_base)):
+            with pytest.raises(ValueError, match=r"q must be at least 2\*\*-64"):
+                derive()
+        return
     book = signatures._derive_book(nias, q, m, tag_base, mu)
     for i, nia in enumerate(nias):
         for msg in range(mu):

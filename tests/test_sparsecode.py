@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodd import channels, discovery, signatures, sparsecode
@@ -143,6 +143,26 @@ def test_decode_equals_one_survivors_call_per_neighbor(nodes, mu, m, real, thres
         message = min(kept) if status == sparsecode.DECODED else None
         expect[nia] = sparsecode.NeighborDecode(status, message, kept)
     assert sparsecode.decode(obs, book, neighbor_list, threshold) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(nodes=st.integers(1, 6), mu=st.integers(1, 9), trials=st.integers(1, 5),
+       density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+@example(nodes=3, mu=4, trials=2, density=0.0, seed=0)   # no pair has a survivor
+@example(nodes=1, mu=5, trials=1, density=0.2, seed=1)   # one column: P = 1
+@example(nodes=4, mu=2, trials=3, density=0.5, seed=2)   # two messages per node
+# the batch driver's ragged last batch: 70 trials of 4 receivers, 64 to a batch
+@example(nodes=4, mu=8, trials=70 % 64, density=0.1, seed=3)
+def test_tally_equals_the_dense_sum_and_argmax(nodes, mu, trials, density, seed):
+    # survivors() layout: row j * mu + m, column trial * K + receiver
+    p = trials * nodes
+    alive = np.random.default_rng(seed).random((nodes * mu, p)) < density
+    count, first = sparsecode._tally(alive, mu)
+    dense = alive.reshape(nodes, mu, p)
+    assert count.shape == first.shape == (p, nodes)
+    assert np.array_equal(count, dense.sum(axis=1).T)
+    one = count == 1
+    assert np.array_equal(first[one], dense.argmax(axis=1).T[one])
 
 
 def _decode_trial(seed, num_nodes=5, mu=8, q=0.12, m=250):
