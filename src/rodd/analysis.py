@@ -137,10 +137,55 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
+# cephes lgam's Stirling corrections in 1/x^2 (np.polyval order) below
+# x = 1000 and from there on, and log(sqrt(2 pi))
+_LGAM_SMALL = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+               8.33333333333331927722e-2)
+_LGAM_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+               0.0833333333333333333333)
+_LS2PI = 0.91893853320467274178
+_log_fact = np.zeros(0)               # log(i!) for i < len; grown by _log_factorials
+
+
+def _lgam_at_integers(x):
+    """scipy.special.gammaln at the integer-valued floats x >= 1, bit for bit.
+
+    Follows the integer branches of cephes lgam (Moshier), the code behind
+    gammaln: log of the exact factorial below 13, from there the Stirling
+    series (x - 0.5) log x - x + log sqrt(2 pi) with a 5-term correction
+    below 1000, a 3-term one from 1000 and none above 1e8.  Each log is
+    math.log, the C library's log that cephes calls: numpy's SIMD np.log,
+    like math.lgamma, differs from it in the last bit at some integers, and
+    CSV bytes would move.
+    """
+    out = (x - 0.5) * np.array([math.log(v) for v in x.tolist()]) - x + _LS2PI
+    p = 1.0 / (x * x)
+    tail = np.where(x < 1000.0, np.polyval(_LGAM_SMALL, p), np.polyval(_LGAM_LARGE, p)) / x
+    out = np.where(x > 1e8, out, out + tail)
+    small = x < 13.0
+    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small]]
+    return out
+
+
+def _log_factorials(top):
+    """log(i!) for i = 0..top, which is gammaln(i + 1) bit for bit.
+
+    One read-only table serves every call; it at least doubles when a
+    larger top is asked for, and an entry does not depend on its length.
+    """
+    global _log_fact
+    if top >= len(_log_fact):
+        x = np.arange(len(_log_fact), max(top + 1, 2 * len(_log_fact))) + 1.0
+        _log_fact = np.concatenate([_log_fact, _lgam_at_integers(x)])
+        _log_fact.flags.writeable = False
+    return _log_fact[:top + 1]
+
+
 def _binomial_weights(top, n, K, q):
     """C(top, n) q^n (1-q)^(K-n) over the array n, via log-space terms."""
-    from scipy.special import gammaln   # math.lgamma's last bits differ: CSV bytes would move
-    log_binom = gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
+    lf = _log_factorials(top)
+    log_binom = lf[top] - lf[n] - lf[top - n]
     log_w = log_binom + n * math.log(q) + (K - n) * math.log1p(-q)
     return np.exp(log_w)
 

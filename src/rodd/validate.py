@@ -56,11 +56,12 @@ def _mc_rate(masks, functional):
 
     Row 0 of the (K, M) `masks` is the receiver.  Each of its off-slots
     contributes functional(n)/(K-1), where n is the realized count of
-    transmitting peers (an array over the slots); on-slots contribute 0.
+    transmitting peers; on-slots contribute 0.  The functional is evaluated
+    once per count, on the array 0..K-1, and each slot looks its count up.
     """
     K, m = masks.shape
-    n = masks[1:].sum(axis=0).astype(np.float64)
-    samples = np.where(masks[0] == 0, functional(n), 0.0) / (K - 1)
+    per_count = functional(np.arange(K, dtype=np.float64)) / (K - 1)
+    samples = np.where(masks[0] == 0, per_count[masks[1:].sum(axis=0)], 0.0)
     return McEstimate(mean=float(samples.mean()),
                       std_error=float(samples.std(ddof=1) / math.sqrt(m)),
                       trials=m)

@@ -303,6 +303,26 @@ def test_numpy_integer_node_counts_are_accepted():
             analysis.gauss_symmetric_capacity(5, 0.3, 10.0)
 
 
+def test_log_factorial_table_is_gammaln_bit_for_bit():
+    top = 10**6
+    assert np.array_equal(analysis._log_factorials(top), gammaln(np.arange(top + 1) + 1.0))
+
+
+def test_log_factorial_table_keeps_its_bits_as_it_grows(monkeypatch):
+    monkeypatch.setattr(analysis, "_log_fact", np.zeros(0))
+    for top in (0, 3, 11, 12, 13, 998, 999, 1000, 5000, 20):
+        table = analysis._log_factorials(top)
+        assert len(table) == top + 1 and not table.flags.writeable
+        assert np.array_equal(table, gammaln(np.arange(top + 1) + 1.0))
+
+
+def test_lgam_branch_above_1e8_is_gammaln_bit_for_bit():
+    # the table never reaches 10^8 here (it would take 800 MB), so the
+    # Stirling-only branch is checked at single points around its edge
+    x = np.array([1e8 - 1, 1e8, 1e8 + 1, 1e8 + 12345, 3e9, 123456789012.0, 2.0**53])
+    assert np.array_equal(analysis._lgam_at_integers(x), gammaln(x))
+
+
 @settings(max_examples=25, deadline=None)
 @given(K=st.integers(2, 300), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 @example(K=2, q=0.5)

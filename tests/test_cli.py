@@ -752,12 +752,14 @@ _SCIPY_PROBE = ("import sys; from rodd import cli; "
 @pytest.mark.parametrize("argv, loaded", [
     (["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "2", "--seed", "1"],
      set()),
-    (["fig2", "--K", "3", "--q", "0.5"], {"scipy.special"}),
+    (["fig2", "--K", "3", "--q", "0.5"], set()),
+    (["fig3", "--K", "3"], set()),
+    (["validate", "--M", "2000", "--seed", "3"], set()),
     (["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--q", "0.1", "--seed", "1"],
      {"scipy.special", "scipy.spatial"}),
 ])
 def test_a_command_imports_only_the_scipy_it_runs(tmp_path, argv, loaded):
-    # gammaln (closed forms) and cKDTree (neighbor query) are imported on first use
+    # cKDTree (neighbor query) is imported on first use; the closed forms need no scipy
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv,
                            "--out", str(tmp_path / "out.csv")], capture_output=True, text=True,

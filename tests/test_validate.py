@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from rodd import analysis, validate
@@ -71,6 +74,33 @@ def test_mc_gauss_zero_snr():
 def test_mc_gauss_two_node_hand_point():
     est = validate.mc_gauss_rate(2, 0.5, 1.0, 100_000, seed=7)
     assert abs(est.mean - 0.19812031259014452) <= 3 * est.std_error
+
+
+def mc_rate_per_slot_code(masks, functional):
+    # the slot average as it stood when the functional ran on every slot
+    K, m = masks.shape
+    n = masks[1:].sum(axis=0).astype(np.float64)
+    samples = np.where(masks[0] == 0, functional(n), 0.0) / (K - 1)
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 20), m=st.integers(1, 300), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0),
+       gamma=st.floats(0.0, 1e4), q=st.floats(0.01, 1.0))
+@example(K=2, m=1, share=0.5, seed=0, p=0.5, gamma=1.0, q=0.5)
+@example(K=20, m=300, share=1.0, seed=1, p=0.0, gamma=0.0, q=1.0)
+@example(K=5, m=300, share=0.0, seed=2, p=1.0, gamma=1e4, q=0.01)
+def test_mc_rate_evaluates_per_count_to_the_bits_of_the_per_slot_code(K, m, share, seed,
+                                                                       p, gamma, q):
+    masks = (np.random.default_rng(seed).random((K, m)) < share).astype(np.uint8)
+    for functional in (lambda n: analysis.h2(p**n), lambda n: analysis.g(n * gamma / q)):
+        with warnings.catch_warnings():   # one slot has no sample std: nan on both sides
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est = validate._mc_rate(masks, functional)
+            expected = mc_rate_per_slot_code(masks, functional)
+        assert np.array([est.mean, est.std_error]).tobytes() == np.array(expected).tobytes()
+        assert est.trials == m
 
 
 def test_mc_estimates_converge_across_seeds():
