@@ -27,6 +27,7 @@ the hundreds stays finite and accurate.
 """
 
 import contextvars
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -145,7 +146,6 @@ _LGAM_SMALL = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
 _LGAM_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
                0.0833333333333333333333)
 _LS2PI = 0.91893853320467274178
-_log_fact = np.zeros(0)               # log(i!) for i < len; grown by _log_factorials
 
 
 def _lgam_at_integers(x):
@@ -168,18 +168,13 @@ def _lgam_at_integers(x):
     return out
 
 
+@functools.lru_cache
 def _log_factorials(top):
-    """log(i!) for i = 0..top, which is gammaln(i + 1) bit for bit.
-
-    One read-only table serves every call; it at least doubles when a
-    larger top is asked for, and an entry does not depend on its length.
-    """
-    global _log_fact
-    if top >= len(_log_fact):
-        x = np.arange(len(_log_fact), max(top + 1, 2 * len(_log_fact))) + 1.0
-        _log_fact = np.concatenate([_log_fact, _lgam_at_integers(x)])
-        _log_fact.flags.writeable = False
-    return _log_fact[:top + 1]
+    """log(i!) for i = 0..top, which is gammaln(i + 1) bit for bit: one
+    read-only table per top, kept for the next call with that top."""
+    table = _lgam_at_integers(np.arange(top + 1) + 1.0)
+    table.flags.writeable = False
+    return table
 
 
 def _binomial_weights(top, n, K, q):

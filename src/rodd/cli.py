@@ -1,9 +1,10 @@
 """Command-line front end: experiment orchestration and CSV emission.
 
 Every randomized command requires an explicit --seed and produces
-byte-identical output when rerun with the same flags.  dB values are
-converted to linear SNR here and nowhere else; the library works in
-linear units throughout.
+byte-identical output when rerun with the same flags.  fig3's --gamma-db
+is converted to linear SNR here; discover's --snr-db is passed in dB to
+discovery.poisson_discovery_topology, which converts it.  The rest of the
+library works in linear units.
 
 Exit codes: 0 success, 2 usage error, 3 check failure (--check).
 """
@@ -407,14 +408,9 @@ def main(argv=None):
         if hasattr(args, "seed"):
             _require_seed(args)
         return args.run(args)
-    except (UsageError, ValueError, discovery.ConvergenceError,
-            analysis.WaterLevelBracketError) as exc:
+    except (UsageError, ValueError, analysis.WaterLevelBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

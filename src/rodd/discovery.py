@@ -49,13 +49,6 @@ class ConvergenceError(RuntimeError):
     """Baseline simulation hit its frame cap before reaching the target."""
 
 
-@dataclass
-class DiscoveryResult:
-    estimated: set          # surviving candidate NIAs
-    eliminated_count: int
-    slots_used: int         # frame length consumed by the discovery round
-
-
 def observe_discovery(topology, radius, receiver, book, mode=OR_NOISELESS, *,
                       noise_var=1.0, seed=None):
     """What receiver `receiver` measures while everyone sends signatures.
@@ -155,7 +148,8 @@ def observed_quiet(observation, threshold=0.0):
 
 
 def eliminate(observation, receiver, book, threshold=0.0, candidates=None):
-    """Group-testing elimination against one receiver's observation.
+    """Group-testing elimination against one receiver's observation: the
+    set of surviving candidate NIAs, the receiver's neighbor estimate.
 
     A candidate is discarded iff some off-slot read empty (bit 0, or
     energy below `threshold`) while the candidate's signature was on
@@ -173,9 +167,7 @@ def eliminate(observation, receiver, book, threshold=0.0, candidates=None):
         alive = survivors(book.on_slots, quiet)[rows, 0]
     else:
         alive = survivors(book.on_slots.take(rows), quiet)[:, 0]
-    return DiscoveryResult(estimated={nia for nia, a in zip(nias, alive) if a},
-                           eliminated_count=len(nias) - int(alive.sum()),
-                           slots_used=observation.length)
+    return {nia for nia, a in zip(nias, alive) if a}
 
 
 def one_receiver_quiet(observation, threshold, reader):
@@ -193,13 +185,14 @@ def _accuracy(misses, false_alarms, size):
     return max(0.0, 1.0 - (misses + false_alarms) / size)
 
 
-def discovery_metrics(true_set, result):
-    """(miss_rate, false_alarm_rate, accuracy) against the true neighbor set.
+def discovery_metrics(true_set, estimated):
+    """(miss_rate, false_alarm_rate, accuracy) of the NIAs `estimated`, such
+    as eliminate() returns, against the true neighbor set.
 
     Both error rates are normalized by the true neighbor count; the
     accuracy is _accuracy's, as in the experiment records.
     """
-    est = result.estimated if isinstance(result, DiscoveryResult) else set(result)
+    est = set(estimated)
     true_set = set(true_set)
     if not true_set:
         raise ValueError("metrics are undefined for an empty true neighbor set")

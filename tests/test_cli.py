@@ -306,7 +306,7 @@ def test_energy_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-m", "rodd.cli", *argv, "--out", str(out)],
+    subprocess.run([sys.executable, "-m", "rodd", *argv, "--out", str(out)],
                    env=env, check=True, capture_output=True)
     assert digest(out) == expected
 

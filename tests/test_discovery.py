@@ -66,10 +66,10 @@ def test_constructed_elimination():
                                     bits=np.array(list(masks.values()), dtype=np.uint8))
     obs = channels.OrFrameObservation(values=np.array(masks[2], dtype=np.uint8),
                                       erased=np.array(masks[1], dtype=bool))
-    result = discovery.eliminate(obs, 1, book)
-    assert result.estimated == {2}
-    assert result.eliminated_count == 2
-    assert result.slots_used == 6
+    candidates = set(masks) - {1}
+    estimate = discovery.eliminate(obs, 1, book)
+    assert estimate == {2}
+    assert len(candidates) - len(estimate) == 2
 
 
 def _reference_survivors(masks, quiet):
@@ -166,8 +166,7 @@ def test_noiseless_mode_never_misses(seed):
     for k in range(topo.num_nodes):
         true = _neighbors(topo, radius, k)
         obs = discovery.observe_discovery(topo, radius, k, book)
-        est = discovery.eliminate(obs, k, book)
-        assert true <= est.estimated
+        assert true <= discovery.eliminate(obs, k, book)
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,7 +177,7 @@ def test_noiseless_elimination_never_misses_on_random_books(seed, n, q, m, p_nei
     for k in range(n):
         true = _neighbors(topo, radius, k)
         obs = discovery.observe_discovery(topo, radius, k, book)
-        assert true <= discovery.eliminate(obs, k, book).estimated
+        assert true <= discovery.eliminate(obs, k, book)
 
 
 def test_more_slots_never_add_false_alarms():
@@ -193,7 +192,7 @@ def test_more_slots_never_add_false_alarms():
             true = _neighbors(topo, radius, k)
             obs = discovery.observe_discovery(topo, radius, k, book)
             est = discovery.eliminate(obs, k, book)
-            fa += len(est.estimated - true)
+            fa += len(est - true)
         if prev_fa is not None:
             assert fa <= prev_fa
         prev_fa = fa
@@ -207,7 +206,7 @@ def test_energy_mode_converges_to_noiseless():
         obs_e = discovery.observe_discovery(topo, radius, k, book, discovery.ENERGY,
                                             noise_var=1e-20, seed=9)
         got = discovery.eliminate(obs_e, k, book, threshold=1e-6)
-        assert got.estimated == ref.estimated
+        assert got == ref
 
 
 def _heard(frames, topo, radius, k):
@@ -229,8 +228,7 @@ def test_eliminate_reads_either_channel_record():
         real_obs = channels.gaussian_mac(k, model.gain_row(topo, k),
                                          _heard(frames, topo, radius, k), 0.0)
         got = discovery.eliminate(real_obs, k, book, threshold=1e-6)
-        assert got.estimated == discovery.eliminate(or_obs, k, book).estimated
-        assert got.slots_used == m
+        assert got == discovery.eliminate(or_obs, k, book)
 
 
 @settings(max_examples=25, deadline=None)
@@ -328,14 +326,10 @@ def test_threshold_sweep_trades_misses_for_false_alarms():
 
 
 def test_metrics_values():
-    res = discovery.DiscoveryResult(estimated=set(range(50)), eliminated_count=0,
-                                    slots_used=10)
-    assert discovery.discovery_metrics(set(range(50)), res) == (0.0, 0.0, 1.0)
-    res.estimated = set(range(51))
-    miss, fa, acc = discovery.discovery_metrics(set(range(50)), res)
+    assert discovery.discovery_metrics(set(range(50)), set(range(50))) == (0.0, 0.0, 1.0)
+    miss, fa, acc = discovery.discovery_metrics(set(range(50)), set(range(51)))
     assert (miss, fa) == (0.0, 0.02) and acc == pytest.approx(0.98)
-    res.estimated = set()
-    assert discovery.discovery_metrics(set(range(50)), res) == (1.0, 0.0, 0.0)
+    assert discovery.discovery_metrics(set(range(50)), set()) == (1.0, 0.0, 0.0)
 
 
 def test_metrics_accuracy_is_the_experiment_rule():
@@ -346,15 +340,12 @@ def test_metrics_accuracy_is_the_experiment_rule():
 
 
 def test_metrics_empty_true_set_undefined():
-    res = discovery.DiscoveryResult(estimated=set(), eliminated_count=0, slots_used=1)
     with pytest.raises(ValueError):
-        discovery.discovery_metrics(set(), res)
+        discovery.discovery_metrics(set(), set())
 
 
 def test_accuracy_floor_at_zero():
-    res = discovery.DiscoveryResult(estimated=set(range(100)), eliminated_count=0,
-                                    slots_used=1)
-    _, _, acc = discovery.discovery_metrics({0, 1}, res)
+    _, _, acc = discovery.discovery_metrics({0, 1}, set(range(100)))
     assert acc == 0.0
 
 
@@ -400,7 +391,7 @@ def test_candidate_restriction():
     obs = discovery.observe_discovery(topo, radius, 0, book)
     full = discovery.eliminate(obs, 0, book)
     narrowed = discovery.eliminate(obs, 0, book, candidates=[1, 2, 3])
-    assert narrowed.estimated == full.estimated & {1, 2, 3}
+    assert narrowed == full & {1, 2, 3}
 
 
 def test_eliminate_refuses_a_receiver_outside_the_book():
@@ -429,7 +420,7 @@ def test_eliminate_reads_a_block_of_one_as_its_receiver():
     got = discovery.eliminate(one, 0, book)
     own = channels.receive(book.unpacked(0), book.on_slots, [2, 3])
     assert got == discovery.eliminate(own, 0, book)
-    assert {2, 3} <= got.estimated
+    assert {2, 3} <= got
 
 
 def test_default_candidates_screen_the_whole_book_in_place(monkeypatch):
@@ -490,9 +481,9 @@ def _assert_experiment_matches_op_level_path(mode, noise_var):
                                           seed=5)
         est = discovery.eliminate(obs, k, book, threshold=rep.threshold)
         assert len(true) == true_count
-        assert len(est.estimated) == est_count
-        assert len(true - est.estimated) == misses
-        assert len(est.estimated - true) == fa
+        assert len(est) == est_count
+        assert len(true - est) == misses
+        assert len(est - true) == fa
         assert acc == (discovery.discovery_metrics(true, est)[2] if true else None)
 
 
