@@ -390,19 +390,19 @@ def gauss_symmetric_capacity(K, q, gamma):
 
 
 def asymmetric_rate_bound(gains, q, k):
-    """Achievable rate of node k under per-node on-probabilities q.
-
-    gains.gamma[i][j] is the SNR of node j's signal at receiver i.  For
-    every listener i != k the rate is a sum over all transmitter subsets
-    A containing k (drawn from everyone but i), weighted by the
-    probability of that on-pattern; the bound is the minimum over
-    listeners.  K is capped at SUBSET_ENUM_MAX_NODES.
-    """
+    """The asymmetric_rate_bounds of node k alone: a one-node view."""
     return asymmetric_rate_bounds(gains, q, [k])[0]
 
 
 def asymmetric_rate_bounds(gains, q, nodes):
-    """asymmetric_rate_bound of each node of `nodes`, as a list.
+    """Achievable rate of each node of `nodes` under per-node
+    on-probabilities q, as a list.
+
+    gains.gamma[i][j] is the SNR of node j's signal at receiver i.  For
+    every listener i != k the rate of node k is a sum over all
+    transmitter subsets A containing k (drawn from everyone but i),
+    weighted by the probability of that on-pattern; k's bound is the
+    minimum over listeners.  K is capped at SUBSET_ENUM_MAX_NODES.
 
     The listeners run on a pool of threads; each forms its rates for
     every node in one set of subset arrays.  A node's bound is the

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import model, signatures
 from .channels import OrFrameObservation, receive, receive_block
-from .signatures import _WORD_BITS
 
 OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
@@ -82,16 +81,16 @@ def survivors(index, quiet):
     matrix behind the on_slots() `index` has no on-bit in a quiet slot of
     row b of the (B, M) bool `quiet`.
 
-    Receivers are packed 64 to a word: bit j of word g of a slot is
-    quiet[64 * g + j, slot].  A row's hits are the OR of the words at its
-    on-slots, and the row survives for receiver j iff bit j of its hits is
-    0.  One quiet on-slot clears a candidate, so the OR stops early: the
-    head stage ORs the words at each row's first _HEAD_SLOTS on-slots
-    (index.head, built once per index), and only the rows that still
-    survive for some receiver OR the rest, one np.bitwise_or.reduceat
-    over the on-slots of at most _GATHER_ROWS rows at a time.  Rows
-    without an on-bit always survive.  Integer ORs are exact at any frame
-    length.
+    Each slot's receivers are packed in the book's own row layout
+    (signatures._packed_rows), 64 to a word.  A row's hits are the OR of
+    the words at its on-slots, and the row survives for receiver j iff
+    bit j of its unpacked hits is 0.  One quiet on-slot clears a
+    candidate, so the OR stops early: the head stage ORs the words at
+    each row's first _HEAD_SLOTS on-slots (index.head, built once per
+    index), and only the rows that still survive for some receiver OR the
+    rest, one np.bitwise_or.reduceat over the on-slots of at most
+    _GATHER_ROWS rows at a time.  Rows without an on-bit always survive.
+    Integer ORs are exact at any frame length.
     """
     quiet = np.asarray(quiet, dtype=bool)
     if quiet.ndim != 2 or quiet.shape[1] != index.num_slots:
@@ -103,7 +102,8 @@ def survivors(index, quiet):
     alive[np.bincount(lit, minlength=len(alive)) == 0] = True    # rows without an on-bit
     if lit.size == 0 or b == 0:
         return alive
-    word, full = (_receiver_words(rows) for rows in (quiet, np.ones((b, 1), dtype=bool)))
+    word, full = (signatures._packed_rows(np.ascontiguousarray(rows.T)).view("<u8")
+                  for rows in (quiet, np.ones((b, 1), dtype=bool)))
     hits = np.zeros((lit.size, word.shape[1]), dtype="<u8")
     gathered = np.empty_like(hits)
     for slots in head:
@@ -117,17 +117,8 @@ def survivors(index, quiet):
         tail = lens > 0
         hits[rows[tail]] |= np.bitwise_or.reduceat(word.take(index.slots[at], axis=0),
                                                    (np.cumsum(lens) - lens)[tail])
-    alive[lit[open_]] = np.unpackbits(hits[open_].view(np.uint8), axis=1, count=b,
-                                      bitorder="little") == 0
+    alive[lit[open_]] = np.unpackbits(hits[open_].view(np.uint8), axis=1, count=b) == 0
     return alive
-
-
-def _receiver_words(rows):
-    """The (B, X) bool `rows` packed along receivers: (X, ceil(B / 64))
-    little-endian words, bit j of word g of column x being rows[64g + j, x]."""
-    padded = np.zeros((rows.shape[1], _WORD_BITS * -(-rows.shape[0] // _WORD_BITS)), dtype=bool)
-    padded[:, :rows.shape[0]] = rows.T
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _check_threshold(threshold):

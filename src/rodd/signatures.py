@@ -114,13 +114,13 @@ class SignatureBook:
     Row i*mu + m is message m of nias[i]; discovery books have mu = 1, so
     row i is the mask of nias[i].  `packed` holds row r's M bits 8 to a
     byte, MSB-first (np.packbits order), zero-padded to whole 64-bit
-    words so that rows OR word by word, and `counts[r]` its number of
-    on-bits.  Build a book by hand from the (N*mu, M) 0/1 matrix `bits`;
+    words so that rows OR word by word; it is the book's only record of
+    its bits.  Build a book by hand from the (N*mu, M) 0/1 matrix `bits`;
     _derive_book passes packed rows instead.
     book[nia] and book[(nia, m)] are an unpacked (M,) copy of that row.
     """
 
-    def __init__(self, nias, bits=None, mu=1, *, packed=None, counts=None, num_slots=None):
+    def __init__(self, nias, bits=None, mu=1, *, packed=None, num_slots=None):
         self.nias, self.mu = list(nias), mu
         self._index = {nia: i for i, nia in enumerate(self.nias)}
         if len(self._index) != len(self.nias):
@@ -129,9 +129,8 @@ class SignatureBook:
             bits = _mask_bits(bits)
             if bits.ndim != 2 or bits.shape[0] != len(self.nias) * mu:
                 raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows")
-            packed, counts = _packed_rows(bits), np.count_nonzero(bits, axis=1)
-            num_slots = bits.shape[1]
-        self.packed, self.counts, self.num_slots = packed, counts, num_slots
+            packed, num_slots = _packed_rows(bits), bits.shape[1]
+        self.packed, self.num_slots = packed, num_slots
 
     def row(self, nia):
         """Index into the book's rows of the first (or only) mask of `nia`."""
@@ -164,14 +163,15 @@ class SignatureBook:
     def on_slots(self):
         """The OnSlots index of the book's rows, built on first use and kept.
 
-        The slots array is allocated once at its final size, from
-        `counts`, and filled from _CHUNK_ROWS unpacked rows at a time.
+        The slots array is allocated once at its final size, from the
+        on-bits counted in `packed`, and filled from _CHUNK_ROWS unpacked
+        rows at a time.
         """
-        m = self.num_slots
-        starts = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=starts[1:])
+        m, rows = self.num_slots, len(self.packed)
+        starts = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(self.packed.view("<u8")).sum(axis=1), out=starts[1:])
         slots = np.empty(starts[-1], dtype=np.int64)
-        for lo in range(0, len(self.counts), _CHUNK_ROWS):
+        for lo in range(0, rows, _CHUNK_ROWS):
             # read as bool: flatnonzero is several times faster than on uint8
             part = self.unpacked(slice(lo, lo + _CHUNK_ROWS)).view(bool)
             out = slots[starts[lo]:starts[lo + len(part)]]
@@ -246,8 +246,7 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
     The only code that turns keys into mask bits.  One Philox is re-keyed
     per mask: counter 0 and an empty buffer, the state Philox(key=k)
     starts in.  Rows are compared into a reusable (_CHUNK_ROWS, M) bool
-    buffer and stored packed with their on-counts, so the dense book is
-    never held.
+    buffer and stored packed, so the dense book is never held.
     """
     thr = np.uint64(_on_threshold(q))
     if num_slots < 1:
@@ -255,7 +254,6 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
     nias = list(nias)
     keys = _mask_keys(nias, [tag_base + m for m in range(mu)])
     packed = np.empty((len(keys), 8 * -(-num_slots // _WORD_BITS)), dtype=np.uint8)
-    counts = np.empty(len(keys), dtype=np.int64)
     buf = np.empty((min(len(keys), _CHUNK_ROWS), num_slots), dtype=bool)
     gen = Philox(key=0)
     fresh = gen.state
@@ -266,8 +264,7 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
             gen.state = fresh
             np.less(gen.random_raw(num_slots), thr, out=out)
         packed[lo:lo + len(part)] = _packed_rows(part)
-        counts[lo:lo + len(part)] = np.count_nonzero(part, axis=1)
-    return SignatureBook(nias, mu=mu, packed=packed, counts=counts, num_slots=num_slots)
+    return SignatureBook(nias, mu=mu, packed=packed, num_slots=num_slots)
 
 
 def reconstruct_book(nias, q, num_slots, domain_tag=DISCOVERY_TAG):

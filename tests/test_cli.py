@@ -724,6 +724,25 @@ def test_the_out_check_leaves_an_existing_file_until_its_csv_is_ready(tmp_path):
     assert out.read_text().startswith("receiver,")
 
 
+def test_an_out_without_write_permission_is_refused(tmp_path, capsys, monkeypatch):
+    # os.access grants root everything, so the denial is simulated
+    asked = []
+
+    def deny(path, mode):
+        asked.append((path, mode))
+        return False
+    monkeypatch.setattr(cli.os, "access", deny)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"kept\n")
+    for out, checked in ((kept, kept), (tmp_path / "new.csv", tmp_path)):
+        assert run("fig2", "--K", "3", "--q", "0.5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write --out {str(out)!r}: permission denied" in err
+        assert asked.pop() == (str(checked), os.W_OK)
+    assert kept.read_bytes() == b"kept\n"
+    assert not (tmp_path / "new.csv").exists()
+
+
 def test_no_command_prints_usage():
     assert run() == 2
 

@@ -147,7 +147,7 @@ def test_reconstruction_is_byte_equal_between_parties():
     here = signatures.reconstruct_book(nias, 0.25, 128, domain_tag=3)
     there = signatures.reconstruct_book(nias, 0.25, 128, domain_tag=3)
     assert here.packed.tobytes() == there.packed.tobytes()
-    assert np.array_equal(here.counts, there.counts)
+    assert np.array_equal(np.diff(here.on_slots.starts), np.diff(there.on_slots.starts))
 
 
 def test_empty_book():
@@ -254,7 +254,7 @@ def test_derived_book_across_chunks_matches_the_convention():
                       for nia in nias for msg in range(mu)])
     assert len(dense) > signatures._CHUNK_ROWS
     assert np.array_equal(book.matrix(), dense)
-    assert np.array_equal(book.counts, dense.sum(axis=1))
+    assert np.array_equal(np.diff(book.on_slots.starts), dense.sum(axis=1))
     starts, slots, _ = _index_oracle(dense)
     assert np.array_equal(book.on_slots.starts, starts)
     assert np.array_equal(book.on_slots.slots, slots)
