@@ -1,7 +1,7 @@
 """Slot-level multiaccess channel simulators with receiver-side erasure.
 
 `receive_block` is the one channel: it records a block of receivers at
-once from the on-slot index of what they hear.  `receive` is its block
+once from the signature book of what they hear.  `receive` is its block
 of one, behind `or_channel`, `gaussian_mac` and `observe_discovery`.
 Whatever a node transmits, its own observation in every slot where its
 mask is ON is erased.  Erasures are marked explicitly instead of being
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signatures import _mask_bits, on_slots
+from .signatures import SignatureBook, _mask_bits
 
 _POWER_TOL = 1e-9
 
@@ -70,12 +70,12 @@ def _mask_row(mask, name):
     return _mask_bits(mask)
 
 
-def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=None,
+def receive_block(erased, book, heard, sizes, gains=None, noise_var=0.0, seeds=None,
                   values=None):
     """The one slot-level channel: the records of a block of B receivers.
 
-    The transmitted rows are given by their on_slots() `index`, whose
-    on-bits carry `values` (aligned with index.slots; None means 1).
+    The transmitted rows are those of the SignatureBook `book`, whose
+    on-bits carry `values` (aligned with book.slots; None means 1).
     Receiver b hears the next sizes[b] rows of `heard` and erases the slots
     of its row of the (B, M) bool `erased`.  Without `gains` it is the
     noiseless OR channel: a slot reads 1 iff a heard row is on there, one
@@ -91,7 +91,7 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     erased = np.array(erased, dtype=bool)
-    m = index.num_slots
+    m = book.num_slots
     if erased.ndim != 2 or erased.shape[1] != m:
         raise ValueError(f"erasures of shape {erased.shape} do not match {m}-slot rows")
     heard, sizes = np.asarray(heard, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
@@ -99,7 +99,7 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
         raise ValueError(f"sizes must split the {heard.size} heard rows among "
                          f"{len(erased)} receivers")
     if gains is None:
-        words = index.packed.view("<u8")
+        words = book.packed.view("<u8")
         busy = np.zeros((len(erased), words.shape[1]), dtype="<u8")
         # reduceat would give a receiver that hears nothing the next one's rows
         hears = sizes > 0
@@ -116,9 +116,9 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
                           or any(s is None for s in seeds)):
         raise ValueError("a noisy channel needs a seed per receiver")
-    at, lens = index.spans(heard)
+    at, lens = book.spans(heard)
     owner = np.repeat(np.arange(len(erased)) * m, sizes)
-    keys = np.repeat(owner, lens) + index.slots[at]
+    keys = np.repeat(owner, lens) + book.slots[at]
     terms = np.repeat(root, lens)
     if values is not None:
         terms = terms * values[at]
@@ -131,10 +131,10 @@ def receive_block(erased, index, heard, sizes, gains=None, noise_var=0.0, seeds=
     return RealFrameObservation(values=out, erased=erased)
 
 
-def receive(erased, index, heard, gains=None, noise_var=0.0, seed=None, values=None):
+def receive(erased, book, heard, gains=None, noise_var=0.0, seed=None, values=None):
     """One receiver's record, with its (M,) bool own on-slots `erased`:
     receive_block of a block of one, which hears every row of `heard`."""
-    block = receive_block(np.asarray(erased)[None], index, heard, [np.size(heard)], gains,
+    block = receive_block(np.asarray(erased)[None], book, heard, [np.size(heard)], gains,
                           noise_var, [seed], values)
     return type(block)(values=block.values[0], erased=block.erased[0])
 
@@ -156,7 +156,8 @@ def or_channel(mask, peers):
         if peer_mask.shape != mask.shape or bits.shape != mask.shape:
             raise ValueError("peer frame length differs from the receiver's")
         rows.append(peer_mask & bits)
-    return receive(mask, on_slots(np.reshape(rows, (-1, mask.size))), range(len(rows)))
+    book = SignatureBook(range(len(rows)), np.reshape(rows, (-1, mask.size)))
+    return receive(mask, book, range(len(rows)))
 
 
 def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
@@ -182,8 +183,8 @@ def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
     heard = [j for j, frame in enumerate(frames) if j != receiver and frame is not None]
     rows = np.reshape([frames[j].mask * frames[j].symbols for j in heard], (-1, m))
     lit = rows != 0
-    return receive(frames[receiver].mask, on_slots(lit), range(len(heard)), gain[heard],
-                   noise_var, seed, rows[lit])
+    return receive(frames[receiver].mask, SignatureBook(heard, lit), range(len(heard)),
+                   gain[heard], noise_var, seed, rows[lit])
 
 
 def dump_observation(obs):

@@ -101,7 +101,9 @@ def _check_out(path):
     if path == "-":
         return
     folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
+    if not path:
+        problem = "the path is empty"
+    elif not os.path.isdir(folder):
         problem = f"no folder {folder!r}"
     elif os.path.isdir(path):
         problem = "it is a folder"

@@ -56,7 +56,7 @@ def observe_discovery(topology, radius, receiver, book, mode=OR_NOISELESS, *,
     neighbor_lists() neighbors at their path gains.  Returns the
     channels.receive() record that run_discovery_experiment sees, with
     energy-mode noise from the same (seed, receiver) stream, read from
-    book.on_slots: only the receiver's row, its erasures, is unpacked.
+    the book: only the receiver's row, its erasures, is unpacked.
     Each call builds a cKDTree over all K nodes (about 2 ms at 10k nodes,
     1.8 ms of it the neighbor query); loop over many receivers with
     run_threshold_sweep, which builds one tree for all of them.
@@ -66,7 +66,7 @@ def observe_discovery(topology, radius, receiver, book, mode=OR_NOISELESS, *,
     if mode not in (OR_NOISELESS, ENERGY):
         raise ValueError(f"unknown discovery mode {mode!r}")
     nbrs = neighbor_lists(topology, radius, [receiver])[0]
-    return receive(book.unpacked(receiver), book.on_slots, nbrs,
+    return receive(book.unpacked(receiver), book, nbrs,
                    topology.path_gain(receiver, nbrs) if mode == ENERGY else None,
                    noise_var, _noise_seed(seed, receiver))
 
@@ -76,29 +76,29 @@ def _noise_seed(seed, receiver):
     return None if seed is None else (seed, _NOISE_SALT, int(receiver))
 
 
-def survivors(index, quiet):
-    """The elimination kernel (COMP): (R, B) bool, True iff row r of the
-    matrix behind the on_slots() `index` has no on-bit in a quiet slot of
-    row b of the (B, M) bool `quiet`.
+def survivors(book, quiet):
+    """The elimination kernel (COMP): (R, B) bool, True iff row r of
+    `book` has no on-bit in a quiet slot of row b of the (B, M) bool
+    `quiet`.
 
     Each slot's receivers are packed in the book's own row layout
     (signatures._packed_rows), 64 to a word.  A row's hits are the OR of
     the words at its on-slots, and the row survives for receiver j iff
     bit j of its unpacked hits is 0.  One quiet on-slot clears a
     candidate, so the OR stops early: the head stage ORs the words at
-    each row's first _HEAD_SLOTS on-slots (index.head, built once per
-    index), and only the rows that still survive for some receiver OR the
+    each row's first _HEAD_SLOTS on-slots (book.head, built once per
+    book), and only the rows that still survive for some receiver OR the
     rest, one np.bitwise_or.reduceat over the on-slots of at most
     _GATHER_ROWS rows at a time.  Rows without an on-bit always survive.
     Integer ORs are exact at any frame length.
     """
     quiet = np.asarray(quiet, dtype=bool)
-    if quiet.ndim != 2 or quiet.shape[1] != index.num_slots:
+    if quiet.ndim != 2 or quiet.shape[1] != book.num_slots:
         raise ValueError(f"quiet rows of shape {quiet.shape} do not match "
-                         f"{index.num_slots}-slot masks")
+                         f"{book.num_slots}-slot masks")
     b = quiet.shape[0]
-    lit, head = index.head(_HEAD_SLOTS)
-    alive = np.zeros((len(index.packed), b), dtype=bool)
+    lit, head = book.head(_HEAD_SLOTS)
+    alive = np.zeros((len(book.packed), b), dtype=bool)
     alive[np.bincount(lit, minlength=len(alive)) == 0] = True    # rows without an on-bit
     if lit.size == 0 or b == 0:
         return alive
@@ -112,10 +112,10 @@ def survivors(index, quiet):
     open_ = np.flatnonzero((hits != full).any(axis=1))
     for lo in range(0, open_.size, _GATHER_ROWS):
         rows = open_[lo:lo + _GATHER_ROWS]
-        at, lens = index.spans(lit[rows], len(head))
+        at, lens = book.spans(lit[rows], len(head))
         # reduceat would give a row without a tail the next row's first word
         tail = lens > 0
-        hits[rows[tail]] |= np.bitwise_or.reduceat(word.take(index.slots[at], axis=0),
+        hits[rows[tail]] |= np.bitwise_or.reduceat(word.take(book.slots[at], axis=0),
                                                    (np.cumsum(lens) - lens)[tail])
     alive[lit[open_]] = np.unpackbits(hits[open_].view(np.uint8), axis=1, count=b) == 0
     return alive
@@ -145,20 +145,16 @@ def eliminate(observation, receiver, book, threshold=0.0, candidates=None):
     A candidate is discarded iff some off-slot read empty (bit 0, or
     energy below `threshold`) while the candidate's signature was on
     there.  The receiver, a NIA of the book, is never a candidate.  One
-    survivors() call screens the rows of `candidates`, cut from
-    book.on_slots; by default (the full-NIA-enumeration premise) it screens
-    the whole index, which costs no copy, and drops the receiver's row.
+    survivors() call screens the book.take() of `candidates`; by default
+    (the full-NIA-enumeration premise) it screens the whole book, which
+    costs no copy, and drops the receiver's row.
     """
     quiet = one_receiver_quiet(observation, threshold, "eliminate")
     book.row(receiver)      # an unknown receiver is a KeyError, as a candidate is
-    nias = [nia for nia in (book.nias if candidates is None else candidates)
-            if nia != receiver]
-    rows = np.array([book.row(nia) for nia in nias], dtype=np.int64)
-    if candidates is None:
-        alive = survivors(book.on_slots, quiet)[rows, 0]
-    else:
-        alive = survivors(book.on_slots.take(rows), quiet)[:, 0]
-    return {nia for nia, a in zip(nias, alive) if a}
+    if candidates is not None:
+        book = book.take([nia for nia in candidates if nia != receiver])
+    alive = survivors(book, quiet)[::book.mu, 0]     # each NIA's first row
+    return {nia for nia, a in zip(book.nias, alive) if a and nia != receiver}
 
 
 def one_receiver_quiet(observation, threshold, reader):
@@ -351,9 +347,9 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     one ExperimentReport per entry of the sequence `thresholds`, in order.
 
     The neighbor lists come from one radius query at the `receivers`
-    (node indices, default all).  The packed book and its
-    on_slots index are made once.  Receivers are taken `block` at a time
-    in serpentine order over cells of side 2 * radius; each block is
+    (node indices, default all).  The packed book and its on-slot index
+    are made once.  Receivers are taken `block` at a time in serpentine
+    order over cells of side 2 * radius; each block is
     recorded by one channels.receive_block() call, which erases their own
     rows, the only rows unpacked, and observed_quiet() gives the record's
     quiet rows at every threshold.  Per threshold, survivors() screens the
@@ -383,7 +379,6 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     receivers = topology.receivers(receivers)
     nbr_lists = neighbor_lists(topology, radius, receivers)
     book = signatures.reconstruct_book(range(n), q, num_slots)
-    index = book.on_slots
     records = [[None] * len(receivers) for _ in thresholds]
     order = _spatial_order(topology.positions[receivers], 2 * radius)
     for start in range(0, len(receivers), block):
@@ -395,10 +390,10 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
         column = np.repeat(np.arange(len(chunk)), sizes)
         nbrs = np.concatenate(lists)
         gains = topology.path_gain(chunk[column], nbrs) if mode == ENERGY else None
-        record = receive_block(book.unpacked(chunk).view(bool), index, nbrs, sizes, gains,
+        record = receive_block(book.unpacked(chunk).view(bool), book, nbrs, sizes, gains,
                                noise_var, [_noise_seed(seed, k) for k in chunk])
         for rows, threshold in zip(records, thresholds):
-            alive = survivors(index, observed_quiet(record, threshold))
+            alive = survivors(book, observed_quiet(record, threshold))
             found = np.bincount(column[alive[nbrs, column]], minlength=len(chunk))
             est = alive.sum(axis=0) - 1              # own mask always survives
             for i, k, size, est_count, hit in zip(picks.tolist(), chunk.tolist(),

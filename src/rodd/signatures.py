@@ -118,6 +118,7 @@ class SignatureBook:
     its bits.  Build a book by hand from the (N*mu, M) 0/1 matrix `bits`;
     _derive_book passes packed rows instead.
     book[nia] and book[(nia, m)] are an unpacked (M,) copy of that row.
+    The book is also its own on-slot index, built on first use.
     """
 
     def __init__(self, nias, bits=None, mu=1, *, packed=None, num_slots=None):
@@ -128,9 +129,11 @@ class SignatureBook:
         if bits is not None:
             bits = _mask_bits(bits)
             if bits.ndim != 2 or bits.shape[0] != len(self.nias) * mu:
-                raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows")
+                raise ValueError(f"bits must be a matrix of {len(self.nias) * mu} rows, "
+                                 f"got shape {bits.shape}")
             packed, num_slots = _packed_rows(bits), bits.shape[1]
         self.packed, self.num_slots = packed, num_slots
+        self._head = None
 
     def row(self, nia):
         """Index into the book's rows of the first (or only) mask of `nia`."""
@@ -160,46 +163,30 @@ class SignatureBook:
         return self.unpacked(slice(None))
 
     @cached_property
-    def on_slots(self):
-        """The OnSlots index of the book's rows, built on first use and kept.
-
-        The slots array is allocated once at its final size, from the
-        on-bits counted in `packed`, and filled from _CHUNK_ROWS unpacked
-        rows at a time.
-        """
-        m, rows = self.num_slots, len(self.packed)
-        starts = np.zeros(rows + 1, dtype=np.int64)
+    def starts(self):
+        """(R + 1,) int64 offsets: row r's on-slots are slots[starts[r]:starts[r + 1]]."""
+        starts = np.zeros(len(self.packed) + 1, dtype=np.int64)
         np.cumsum(np.bitwise_count(self.packed.view("<u8")).sum(axis=1), out=starts[1:])
+        return starts
+
+    @cached_property
+    def slots(self):
+        """Each row's on-slots, ascending, row after row: allocated once at its
+        final size and filled from _CHUNK_ROWS unpacked rows at a time.
+        Other modules gather rows through spans(), never starts."""
+        starts = self.starts
         slots = np.empty(starts[-1], dtype=np.int64)
-        for lo in range(0, rows, _CHUNK_ROWS):
+        for lo in range(0, len(self.packed), _CHUNK_ROWS):
             # read as bool: flatnonzero is several times faster than on uint8
             part = self.unpacked(slice(lo, lo + _CHUNK_ROWS)).view(bool)
             out = slots[starts[lo]:starts[lo + len(part)]]
-            np.remainder(np.flatnonzero(part), m, out=out)
-        return OnSlots(starts, slots, m, self.packed)
-
-
-class OnSlots:
-    """The on-bits of an (R, M) 0/1 matrix, row by row.
-
-    The on-slots of row r are slots[starts[r]:starts[r + 1]], in ascending
-    order, and packed[r] is the row in a book's `packed` layout (whole
-    64-bit words), for the word-parallel OR channel.  Other modules gather
-    rows through spans(), never starts.  head(c) is the elimination
-    kernel's head stage, kept for as long as the index.
-    """
-
-    def __init__(self, starts, slots, num_slots, packed):
-        self.starts = starts        # (R + 1,) int64
-        self.slots = slots          # (number of on-bits,) int64
-        self.num_slots = num_slots  # M
-        self.packed = packed        # (R, 8 * ceil(M / 64)) uint8
-        self._head = None
+            np.remainder(np.flatnonzero(part), self.num_slots, out=out)
+        return slots
 
     def head(self, c):
         """(lit, first): the rows with an on-bit, and the (c, len(lit))
         array of their first c on-slots, a shorter row repeating its last.
-        Built on first use and kept for the last c asked."""
+        The kernel's head stage, built on first use and kept for the last c."""
         if self._head is None or self._head[0] != c:
             lit = np.flatnonzero(np.diff(self.starts))
             first, last = self.starts[lit], self.starts[lit + 1] - 1
@@ -219,11 +206,17 @@ class OnSlots:
         ahead = np.cumsum(lens) - lens
         return np.repeat(first - ahead, lens) + np.arange(lens.sum()), lens
 
-    def take(self, rows):
-        """The OnSlots index of rows `rows` (an int64 array) of this one."""
+    def take(self, nias):
+        """The book of the listed NIAs (repeats dropped), with their mu rows
+        each and the matching cut of the on-slot index, not unpacked."""
+        nias = list(dict.fromkeys(nias))
+        rows = (np.array([self.row(nia) for nia in nias], dtype=np.int64)[:, None]
+                + np.arange(self.mu)).ravel()
+        cut = SignatureBook(nias, mu=self.mu, packed=self.packed[rows],
+                            num_slots=self.num_slots)
         at, lens = self.spans(rows)
-        return OnSlots(np.append(0, np.cumsum(lens)), self.slots[at], self.num_slots,
-                       self.packed[rows])
+        cut.starts, cut.slots = np.append(0, np.cumsum(lens)), self.slots[at]
+        return cut
 
 
 def _packed_rows(bits):
@@ -231,13 +224,6 @@ def _packed_rows(bits):
     packed = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // _WORD_BITS)), dtype=np.uint8)
     packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1)
     return packed
-
-
-def on_slots(masks):
-    """The OnSlots index of the (R, M) 0/1 matrix `masks`, as a book of its rows."""
-    if np.ndim(masks) != 2:
-        raise ValueError(f"masks must be a matrix, got shape {np.shape(masks)}")
-    return SignatureBook(range(len(masks)), masks).on_slots
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):

@@ -55,24 +55,24 @@ class NeighborDecode:
 def decode(observation, book, neighbor_list, threshold=0.0):
     """Per-neighbor candidate elimination; returns {nia: NeighborDecode}.
 
-    One survivors() call screens the mu signatures of every listed
-    neighbor, cut from book.on_slots (built over every row on first use),
-    and _tally() counts each neighbor's survivors in one scan, as in the
-    batch experiment; a neighbor is DECODED iff exactly one survives.
-    Each row is screened alone, so the outcome for one neighbor does not
-    depend on the rest of the list.  An empty candidate set means the
-    channel contradicted every signature of that neighbor (impossible
-    without noise) and is reported as ELIMINATED_ALL, not papered over.
+    One survivors() call screens the book.take() of the list: the mu
+    signatures of every listed neighbor, cut from the book's on-slot
+    index (built over every row on first use).  _tally() counts each
+    neighbor's survivors in one scan, as in the batch experiment; a
+    neighbor is DECODED iff exactly one survives.  Each row is screened
+    alone, so the outcome for one neighbor does not depend on the rest of
+    the list.  An empty candidate set means the channel contradicted
+    every signature of that neighbor (impossible without noise) and is
+    reported as ELIMINATED_ALL, not papered over.
     """
     quiet = discovery.one_receiver_quiet(observation, threshold, "decode")
-    starts = np.array([book.row(nia) for nia in neighbor_list], dtype=np.int64)
-    index = book.on_slots.take((starts[:, None] + np.arange(book.mu)).ravel())
-    alive = discovery.survivors(index, quiet)
+    cut = book.take(neighbor_list)
+    alive = discovery.survivors(cut, quiet)
     count, first = (a[0] for a in _tally(alive, book.mu))
     return {nia: NeighborDecode(status=_STATUS[min(n, 2)],
                                 message=int(m) if n == 1 else None,
                                 candidates=frozenset(np.flatnonzero(a).tolist()))
-            for nia, a, n, m in zip(neighbor_list, alive.reshape(-1, book.mu), count, first)}
+            for nia, a, n, m in zip(cut.nias, alive.reshape(-1, book.mu), count, first)}
 
 
 def _tally(alive, mu):
@@ -130,9 +130,9 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
     One signature book per run (NIAs disjoint across seeds); each trial
     draws fresh uniform messages and decodes every (receiver, neighbor)
     pair.  Each receiver hears every other node, so its busy slots are
-    the OR of the other sent masks.  The on_slots index of the packed
+    the OR of the other sent masks.  The on-slot index of the packed
     book is built once; per batch of trials, one channels.receive_block()
-    call records the K receivers of every trial from that index, erasing
+    call records the K receivers of every trial from the book, erasing
     their sent rows (the only rows unpacked), one
     survivors() call screens all mu*K candidates against them, and one
     _tally() scan of the survivors gives every pair's survivor count and,
@@ -146,7 +146,6 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         raise ValueError(f"trials must be >= 1, got {trials}")
     nias = signatures._seeded_nias(seed, num_nodes)
     book = build_message_book(nias, mu, q, num_slots)
-    index = book.on_slots
     ids = np.arange(num_nodes)
     # the (receiver k, neighbor j) pairs in record order, k != j
     pairs = ~np.eye(num_nodes, dtype=bool)
@@ -162,10 +161,10 @@ def run_sparsecode_experiment(num_nodes, mu, q, num_slots, trials, seed):
         # receiver k of trial ts[i] erases its sent row and hears the others'
         sent = ids * mu + msgs
         heard = np.broadcast_to(sent[:, None], (len(ts), num_nodes, num_nodes))[:, pairs]
-        record = receive_block(book.unpacked(sent.ravel()).view(bool), index, heard.ravel(),
+        record = receive_block(book.unpacked(sent.ravel()).view(bool), book, heard.ravel(),
                                np.full(sent.size, num_nodes - 1))
         # alive[j * mu + m, i * K + k]: message m of node j survives at receiver k in trial ts[i]
-        alive = discovery.survivors(index, discovery.observed_quiet(record))
+        alive = discovery.survivors(book, discovery.observed_quiet(record))
         # per (trial, pair) arrays, pairs in record order
         count, first = (a.reshape(len(ts), num_nodes, num_nodes)[:, pairs]
                         for a in _tally(alive, mu))

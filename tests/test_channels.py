@@ -9,6 +9,11 @@ from hypothesis.extra.numpy import arrays
 from rodd import channels, signatures
 
 
+def _rows_book(masks):
+    """The book of the 0/1 rows `masks`, NIA r for row r."""
+    return signatures.SignatureBook(range(len(masks)), masks)
+
+
 def _mask(bits):
     return np.array(bits, dtype=np.uint8)
 
@@ -183,7 +188,7 @@ def test_noisy_channel_needs_a_seed():
     with pytest.raises(ValueError, match="seed"):
         channels.gaussian_mac(0, _unit_gains(2), [f0, None], noise_var=1.0)
     with pytest.raises(ValueError, match="seed"):
-        channels.receive(np.zeros(m), signatures.on_slots(np.ones((1, m))), [0], np.ones(1),
+        channels.receive(np.zeros(m), _rows_book(np.ones((1, m))), [0], np.ones(1),
                          noise_var=1.0)
 
 
@@ -191,16 +196,16 @@ def test_receive_refuses_a_noise_variance_that_is_not_finite():
     # NaN would skip the noise draw, infinity would swamp every slot
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="noise_var"):
-            channels.receive(np.zeros(4), signatures.on_slots(np.ones((1, 4))), [0],
+            channels.receive(np.zeros(4), _rows_book(np.ones((1, 4))), [0],
                              np.ones(1), bad, seed=1)
 
 
 def test_receive_refuses_rows_of_another_length():
     # a (J, 1) block would otherwise broadcast over the frame
     with pytest.raises(ValueError, match="shape"):
-        channels.receive(np.zeros(3), signatures.on_slots(np.ones((2, 1))), [0, 1], np.ones(2))
+        channels.receive(np.zeros(3), _rows_book(np.ones((2, 1))), [0, 1], np.ones(2))
     with pytest.raises(ValueError, match="shape"):
-        channels.receive(np.zeros(3), signatures.on_slots(np.ones(3, dtype=np.uint8)), [0])
+        channels.receive(np.zeros(3), _rows_book(np.ones(3, dtype=np.uint8)), [0])
 
 
 @st.composite
@@ -220,7 +225,7 @@ def _linear_frames(draw):
 def test_receive_sums_rows_as_a_left_fold(frame):
     own, signals, gains = frame
     lit = signals != 0
-    obs = channels.receive(own, signatures.on_slots(lit), range(len(signals)), gains,
+    obs = channels.receive(own, _rows_book(lit), range(len(signals)), gains,
                            values=signals[lit])
     expect = [0.0] * own.shape[0]
     for g, row in zip(gains.tolist(), signals.tolist()):
@@ -249,7 +254,7 @@ def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy
              np.zeros(0, np.int64) for _ in range(receivers)]
     gains = [10.0 ** rng.uniform(-8, 8, len(h)) for h in heard] if energy else None
     seeds = [(seed, b) for b in range(receivers)]
-    index = signatures.on_slots(masks)
+    index = _rows_book(masks)
     block = channels.receive_block(
         erased, index, np.concatenate(heard + [np.zeros(0, int)]),
         [len(h) for h in heard], None if gains is None else np.concatenate(gains + [[]]),
@@ -259,7 +264,7 @@ def test_receive_block_equals_stacked_receive_records(rows, m, receivers, energy
     assert block.values.shape == block.erased.shape == (receivers, m)
     for b, h in enumerate(heard):
         # each receiver's rows indexed on their own, apart from the shared index
-        one = channels.receive(erased[b], signatures.on_slots(masks[h]), range(len(h)),
+        one = channels.receive(erased[b], _rows_book(masks[h]), range(len(h)),
                                None if gains is None else gains[b], noise_var, seeds[b])
         assert type(one) is kind
         assert block.values[b].tobytes() == one.values.tobytes()
@@ -288,19 +293,19 @@ def test_word_or_channel_and_padded_book_equal_the_dense_rules(rows, m, receiver
     heard = [rng.integers(0, rows, rng.integers(0, 6)) for _ in range(receivers)]
     heard[0] = np.repeat(heard[0], 2)
     for lists in (heard, [np.zeros(0, np.int64)] * receivers):
-        block = channels.receive_block(erased, book.on_slots, np.concatenate(lists),
+        block = channels.receive_block(erased, book, np.concatenate(lists),
                                        [len(h) for h in lists])
         assert type(block) is channels.OrFrameObservation
         assert np.array_equal(block.erased, erased)
         for b, h in enumerate(lists):
             dense = (masks[h].any(axis=0) & ~erased[b]).astype(np.uint8)
             assert block.values[b].tobytes() == dense.tobytes()
-            one = channels.receive(erased[b], book.on_slots, h)
+            one = channels.receive(erased[b], book, h)
             assert one.values.tobytes() == dense.tobytes()
 
 
 def test_receive_block_refuses_inconsistent_blocks():
-    index = signatures.on_slots(np.eye(3, dtype=np.uint8))
+    index = _rows_book(np.eye(3, dtype=np.uint8))
     erased = np.zeros((2, 3), dtype=bool)
     with pytest.raises(ValueError, match="sizes"):
         channels.receive_block(erased, index, [0, 1, 2], [1, 1])

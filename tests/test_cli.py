@@ -341,21 +341,19 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("reconstruct_book", "on_slots"):
-        counted(signatures, name)
-    # an `on_slots` imported into discovery by name would bypass the wrapper
-    monkeypatch.setattr(discovery, "on_slots", signatures.on_slots, raising=False)
+    counted(signatures, "reconstruct_book")
     for name in ("neighbor_lists", "receive"):
         counted(discovery, name)
-    # the book's cached index: counted once per build, not per read
-    build = signatures.SignatureBook.on_slots.func
+    # the book's cached on-slot index: counted once per build, not per read
+    for name in ("starts", "slots"):
+        build = getattr(signatures.SignatureBook, name).func
 
-    def build_index(book):
-        calls["book.on_slots"] = calls.get("book.on_slots", 0) + 1
-        return build(book)
-    index = functools.cached_property(build_index)
-    index.__set_name__(signatures.SignatureBook, "on_slots")
-    monkeypatch.setattr(signatures.SignatureBook, "on_slots", index)
+        def build_index(book, build=build, name=name):
+            calls[f"book.{name}"] = calls.get(f"book.{name}", 0) + 1
+            return build(book)
+        index = functools.cached_property(build_index)
+        index.__set_name__(signatures.SignatureBook, name)
+        monkeypatch.setattr(signatures.SignatureBook, name, index)
     block = discovery.receive_block
 
     def observe(*args, **kwargs):
@@ -373,7 +371,8 @@ def test_threshold_sweep_derives_queries_and_observes_once(tmp_path, monkeypatch
                    "--receivers", "30", "--threshold-sweep", sweep, "--seed", "3",
                    "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == rows + 1
-        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "book.on_slots": 1}
+        assert calls == {"reconstruct_book": 1, "neighbor_lists": 1, "book.starts": 1,
+                         "book.slots": 1}
         assert sorted(observed) == list(range(30))
 
 
@@ -710,6 +709,25 @@ def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypa
         assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert str(out) in err and problem in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, source):
+    # dirname('') is '.', so an empty path passed the folder check and
+    # open('') raised after the sweep had run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+    from rodd import analysis
+    monkeypatch.setattr(analysis, "sweep_or", refuse)
+    argv = ["fig2", "--K", "3", "--q", "0.5"]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert run(*argv) == 2
+    assert "cannot write --out '': the path is empty" in capsys.readouterr().err
 
 
 def test_the_out_check_leaves_an_existing_file_until_its_csv_is_ready(tmp_path):

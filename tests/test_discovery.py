@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from rodd import channels, discovery, model, signatures, sparsecode
 
 
+def _rows_book(masks):
+    """The book of the 0/1 rows `masks`, NIA r for row r."""
+    return signatures.SignatureBook(range(len(masks)), masks)
+
+
 def _clique(k):
     """k nodes one apart on a line, and a radius that takes in all of them."""
     topo = model.Topology(positions=np.arange(k)[:, None] * [1.0, 0.0], alpha=4.0,
@@ -90,7 +95,7 @@ def test_survivors_matches_reference(rows, receivers, m, density, blank, seed):
     masks = (rng.random((rows, m)) < density).astype(np.uint8)
     masks[rng.random(rows) < blank] = 0
     quiet = rng.random((receivers, m)) < density
-    got = discovery.survivors(signatures.on_slots(masks), quiet)
+    got = discovery.survivors(_rows_book(masks), quiet)
     assert got.dtype == bool
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
@@ -102,7 +107,7 @@ def test_survivors_across_gather_chunks():
     masks = (rng.random((rows, m)) < 0.2).astype(np.uint8)
     masks[[0, discovery._GATHER_ROWS - 1, discovery._GATHER_ROWS, rows - 1]] = 0
     quiet = rng.random((70, m)) < 0.3
-    got = discovery.survivors(signatures.on_slots(masks), quiet)
+    got = discovery.survivors(_rows_book(masks), quiet)
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
 
@@ -113,7 +118,7 @@ def test_survivors_is_exact_past_2_to_the_24_slots():
     masks[1, [5, m - 2]] = 1
     quiet = np.zeros((1, m), dtype=bool)
     quiet[0, m - 1] = True
-    got = discovery.survivors(signatures.on_slots(masks), quiet)
+    got = discovery.survivors(_rows_book(masks), quiet)
     assert np.array_equal(got, _reference_survivors(masks, quiet))
     assert got.tolist() == [[False], [True]]
 
@@ -137,7 +142,7 @@ def test_two_stage_survivors_matches_reference_at_every_head_length(
     quiet = rng.random((receivers, m)) < loud
     expected = _reference_survivors(masks, quiet)
     order = rng.permutation(receivers)
-    index = signatures.on_slots(masks)
+    index = _rows_book(masks)
     with mock.patch.object(discovery, "_GATHER_ROWS", gather):
         for c in range(int(masks.sum(axis=1).max(initial=0)) + 2):
             with mock.patch.object(discovery, "_HEAD_SLOTS", c):
@@ -407,7 +412,7 @@ def test_eliminate_refuses_a_receiver_outside_the_book():
 def test_eliminate_refuses_a_block_record(candidates):
     # a two-receiver record must not be read as receiver 0's alone
     book = signatures.reconstruct_book(range(20), 0.2, 120)
-    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book.on_slots,
+    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book,
                                    [2, 3, 4, 5], [2, 2])
     with pytest.raises(ValueError, match="eliminate takes one receiver's record, "
                                          "got a block of 2 receivers"):
@@ -416,9 +421,9 @@ def test_eliminate_refuses_a_block_record(candidates):
 
 def test_eliminate_reads_a_block_of_one_as_its_receiver():
     book = signatures.reconstruct_book(range(20), 0.2, 120)
-    one = channels.receive_block(book.unpacked([0]).view(bool), book.on_slots, [2, 3], [2])
+    one = channels.receive_block(book.unpacked([0]).view(bool), book, [2, 3], [2])
     got = discovery.eliminate(one, 0, book)
-    own = channels.receive(book.unpacked(0), book.on_slots, [2, 3])
+    own = channels.receive(book.unpacked(0), book, [2, 3])
     assert got == discovery.eliminate(own, 0, book)
     assert {2, 3} <= got
 
@@ -429,9 +434,9 @@ def test_default_candidates_screen_the_whole_book_in_place(monkeypatch):
     obs = discovery.observe_discovery(topo, radius, 0, book)
     full = discovery.eliminate(obs, 0, book)
     cuts = []
-    take = signatures.OnSlots.take
-    monkeypatch.setattr(signatures.OnSlots, "take",
-                        lambda index, rows: cuts.append(len(rows)) or take(index, rows))
+    take = signatures.SignatureBook.take
+    monkeypatch.setattr(signatures.SignatureBook, "take",
+                        lambda book, nias: cuts.append(len(nias)) or take(book, nias))
     assert discovery.eliminate(obs, 0, book) == full
     assert cuts == []
     listed = discovery.eliminate(obs, 0, book, candidates=list(book.nias))

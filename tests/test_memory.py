@@ -42,7 +42,8 @@ def test_sparsecode_run_stays_below_the_dense_book():
 def _record(own, rows):
     """The OR record of the dense 0/1 `rows` at a receiver that sends `own`,
     indexed apart from any book."""
-    return channels.receive(own, signatures.on_slots(rows), range(len(rows)))
+    return channels.receive(own, signatures.SignatureBook(range(len(rows)), rows),
+                            range(len(rows)))
 
 
 def test_eliminate_stays_below_the_dense_book():
@@ -92,8 +93,9 @@ def test_decode_of_a_short_list_scales_with_the_list():
 
 
 def test_op_level_readers_build_the_book_index_once(monkeypatch):
-    # observe_discovery, eliminate and decode read book.on_slots, built on
-    # the first call and kept, and never index dense rows themselves
+    # observe_discovery, eliminate and decode read the book's on-slot
+    # index, built on the first call and kept, and never index dense rows
+    # themselves
     calls = {}
 
     def counted(name, f):
@@ -101,14 +103,18 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return f(*args, **kwargs)
         return wrapper
-    index = functools.cached_property(counted("book.on_slots",
-                                              signatures.SignatureBook.on_slots.func))
-    index.__set_name__(signatures.SignatureBook, "on_slots")
-    monkeypatch.setattr(signatures.SignatureBook, "on_slots", index)
-    dense = counted("signatures.on_slots", signatures.on_slots)
-    # also where an import by name would bind it
-    for module in (signatures, channels, discovery, sparsecode):
-        monkeypatch.setattr(module, "on_slots", dense, raising=False)
+    for name in ("starts", "slots"):
+        built = functools.cached_property(counted(f"book.{name}",
+                                                  getattr(signatures.SignatureBook, name).func))
+        built.__set_name__(signatures.SignatureBook, name)
+        monkeypatch.setattr(signatures.SignatureBook, name, built)
+    init = signatures.SignatureBook.__init__
+
+    def init_from_bits(book, nias, bits=None, *args, **kwargs):
+        if bits is not None:
+            calls["SignatureBook(bits)"] = calls.get("SignatureBook(bits)", 0) + 1
+        init(book, nias, bits, *args, **kwargs)
+    monkeypatch.setattr(signatures.SignatureBook, "__init__", init_from_bits)
 
     k = 6
     topo = model.Topology(positions=np.arange(k)[:, None] * [1.0, 0.0], alpha=4.0,
@@ -118,16 +124,16 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
         for receiver in range(k):
             obs = discovery.observe_discovery(topo, float(k), receiver, book, mode, seed=3)
             discovery.eliminate(obs, receiver, book, threshold=5.0)
-    assert calls == {"book.on_slots": 1}
+    assert calls == {"book.starts": 1, "book.slots": 1}
 
     calls.clear()
     messages = sparsecode.build_message_book(range(k), 4, 0.2, 120)
     sent = np.arange(k) * 4 + np.arange(k) % 4
     for receiver in range(k):
-        obs = channels.receive(messages.unpacked(sent[receiver]), messages.on_slots,
+        obs = channels.receive(messages.unpacked(sent[receiver]), messages,
                                np.delete(sent, receiver))
         sparsecode.decode(obs, messages, [j for j in range(k) if j != receiver])
-    assert calls == {"book.on_slots": 1}
+    assert calls == {"book.starts": 1, "book.slots": 1}
 
 
 def test_kernel_head_does_not_outlive_its_index():

@@ -116,7 +116,7 @@ REFUSALS = {
         lambda tmp: discovery.observe_discovery(_topology(3), 5.0, 3, _book(3)),
         ValueError, _RECEIVERS),
     "discovery.survivors-width": (
-        lambda tmp: discovery.survivors(_book(3).on_slots, np.zeros((1, 8), dtype=bool)),
+        lambda tmp: discovery.survivors(_book(3), np.zeros((1, 8), dtype=bool)),
         ValueError, "quiet rows of shape (1, 8) do not match 16-slot masks"),
     # an unknown NIA was a bare KeyError carrying only the number
     "discovery.eliminate-receiver-nia": (
@@ -168,8 +168,8 @@ REFUSALS = {
     "signatures.SignatureBook-negative": (
         lambda tmp: signatures.SignatureBook([1], bits=[[-1, 0]]), ValueError,
         "mask bits must be 0/1"),
-    "signatures.on_slots-fraction": (
-        lambda tmp: signatures.on_slots(np.array([[0.25, 1.0]])), ValueError,
+    "signatures.SignatureBook-fraction": (
+        lambda tmp: signatures.SignatureBook([1], np.array([[0.25, 1.0]])), ValueError,
         "mask bits must be 0/1"),
     "signatures.derive_bit-slot": (
         lambda tmp: signatures.derive_bit(0, 0.5, -1), ValueError,

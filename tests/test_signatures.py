@@ -9,6 +9,11 @@ from numpy.random import Philox
 from rodd import signatures, sparsecode
 
 
+def _rows_book(masks):
+    """The book of the 0/1 rows `masks`, NIA r for row r."""
+    return signatures.SignatureBook(range(len(masks)), masks)
+
+
 def test_derive_mask_deterministic():
     a = signatures.derive_mask(42, 0.3, 200, domain_tag=1)
     b = signatures.derive_mask(42, 0.3, 200, domain_tag=1)
@@ -147,7 +152,7 @@ def test_reconstruction_is_byte_equal_between_parties():
     here = signatures.reconstruct_book(nias, 0.25, 128, domain_tag=3)
     there = signatures.reconstruct_book(nias, 0.25, 128, domain_tag=3)
     assert here.packed.tobytes() == there.packed.tobytes()
-    assert np.array_equal(np.diff(here.on_slots.starts), np.diff(there.on_slots.starts))
+    assert np.array_equal(np.diff(here.starts), np.diff(there.starts))
 
 
 def test_empty_book():
@@ -200,21 +205,25 @@ def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
         for msg in range(mu):
             assert np.array_equal(book[(nia, msg)], dense[i * mu + msg])
     assert np.array_equal(book.packed, _index_oracle(dense)[2])
-    for index in (book.on_slots, signatures.on_slots(dense)):
+    for index in (book, _rows_book(dense)):
         starts, slots, packed = _index_oracle(dense)
         assert np.array_equal(index.starts, starts)
         assert np.array_equal(index.slots, slots)
         assert np.array_equal(index.packed, packed)
         assert index.num_slots == m
-    assert book.on_slots is book.on_slots         # built once, then kept
-    # a cut of repeated, unordered rows is the index of those rows alone
-    for rows in (np.random.default_rng(seed).integers(0, n * mu, 2 * n), np.zeros(0, int)):
-        cut = book.on_slots.take(rows)
+    assert book.starts is book.starts and book.slots is book.slots  # built once, then kept
+    # a cut of repeated, unordered NIAs is the book of those NIAs alone, once each
+    for picks in (np.random.default_rng(seed).integers(0, n, 2 * n), np.zeros(0, int)):
+        kept = list(dict.fromkeys(picks.tolist()))
+        rows = (np.array(kept, dtype=int)[:, None] * mu + np.arange(mu)).ravel()
+        cut = book.take([nias[i] for i in picks])
+        assert cut.nias == [nias[i] for i in kept] and cut.mu == mu
         starts, slots, packed = _index_oracle(dense[rows])
         assert np.array_equal(cut.starts, starts)
         assert np.array_equal(cut.slots, slots)
         assert np.array_equal(cut.packed, packed)
         assert cut.num_slots == m
+        assert np.array_equal(cut.matrix(), dense[rows])
 
 
 def _index_oracle(dense):
@@ -238,7 +247,7 @@ def _index_oracle(dense):
 def test_spans_gather_the_on_slots_of_each_row_past_skip(m, density, rows, skip, seed):
     # repeated and unordered rows, rows without an on-bit, skips past the longest row
     dense = (np.random.default_rng(seed).random((6, m)) < density).astype(np.uint8)
-    index = signatures.on_slots(dense)
+    index = _rows_book(dense)
     at, lens = index.spans(np.array(rows, dtype=np.int64), skip)
     expected = [np.flatnonzero(dense[r])[skip:] for r in rows]
     assert lens.tolist() == [len(e) for e in expected]
@@ -254,10 +263,10 @@ def test_derived_book_across_chunks_matches_the_convention():
                       for nia in nias for msg in range(mu)])
     assert len(dense) > signatures._CHUNK_ROWS
     assert np.array_equal(book.matrix(), dense)
-    assert np.array_equal(np.diff(book.on_slots.starts), dense.sum(axis=1))
+    assert np.array_equal(np.diff(book.starts), dense.sum(axis=1))
     starts, slots, _ = _index_oracle(dense)
-    assert np.array_equal(book.on_slots.starts, starts)
-    assert np.array_equal(book.on_slots.slots, slots)
+    assert np.array_equal(book.starts, starts)
+    assert np.array_equal(book.slots, slots)
 
 
 @pytest.mark.parametrize("bits", [

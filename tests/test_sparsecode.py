@@ -102,7 +102,7 @@ def test_decode_of_no_neighbors_is_empty():
 
 def test_decode_refuses_a_block_record():
     book = _constructed_book([[0, 1, 0, 0], [0, 0, 1, 0]])
-    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book.on_slots,
+    block = channels.receive_block(book.unpacked([0, 1]).view(bool), book,
                                    [2, 3], [1, 1])
     with pytest.raises(ValueError, match="decode takes one receiver's record, "
                                          "got a block of 2 receivers"):
@@ -136,7 +136,8 @@ def test_decode_equals_one_survivors_call_per_neighbor(nodes, mu, m, real, thres
     expect = {}
     for nia in neighbor_list:
         row = book.row(nia)
-        alive = discovery.survivors(signatures.on_slots(book.matrix()[row:row + mu]), quiet)
+        cut = signatures.SignatureBook(range(mu), book.matrix()[row:row + mu])
+        alive = discovery.survivors(cut, quiet)
         kept = frozenset(np.flatnonzero(alive[:, 0]).tolist())
         status = {0: sparsecode.ELIMINATED_ALL, 1: sparsecode.DECODED}.get(
             len(kept), sparsecode.AMBIGUOUS)
