@@ -38,8 +38,8 @@ import numpy as np
 GOLDEN_TOL = 1e-9
 WATER_RESIDUAL_REL = 1e-9
 SUBSET_ENUM_MAX_NODES = 25
-# Largest (points x terms) block an objective evaluates at once: memory
-# stays bounded at large K, and each 256 KiB temporary stays in cache.
+# Largest (points x terms) block a batch evaluates at once: memory stays
+# bounded at large K, and each 256 KiB temporary stays in cache.
 _BLOCK_ELEMENTS = 2**15
 # Threads of the asymmetric bound: one per CPU this process may use.  Each
 # holds two 2^(K-2) float64 subset arrays; together they stay within
@@ -52,6 +52,7 @@ _SUBSET_BUFFER_BYTES = 2**25
 _TERM_CHUNK = 2**16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID = np.linspace(0.0, 1.0, 1001)
 
 
 class WaterLevelBracketError(RuntimeError):
@@ -194,53 +195,11 @@ def _pattern_weights(K, q):
     return _binomial_weights(K - 1, np.arange(K), K, q)
 
 
-def _maximize_on_unit_interval(f):
-    """Maximize f over [0,1]: coarse grid to locate the mode, golden refine.
-
-    f takes a scalar or an array of points; the grid is one array call.
-    The grid also guards against non-unimodal objectives: refinement is
-    confined to a bracket around the global grid maximum, so a spurious
-    local mode elsewhere cannot capture the search.
-    """
-    xs = np.linspace(0.0, 1.0, 1001)
-    i = int(np.argmax(f(xs)))
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x), b - a
-
-
 def _or_objective(K, q):
-    """p -> sum_{n=1..K-1} w[n] H2(p^n), at a scalar p or per point of an array.
-
-    A scalar gives a float; an array gives one sum per point, evaluated in
-    blocks of at most _BLOCK_ELEMENTS terms.  Each point's sum is the same
-    float either way.
-    """
+    """p -> sum_{n=1..K-1} w[n] H2(p^n) at a scalar p."""
     w = _pattern_weights(K, q)[1:]
     n = np.arange(1, K)
-    rows = max(1, _BLOCK_ELEMENTS // (K - 1))
-
-    def objective(p):
-        if np.ndim(p) == 0:
-            return float(np.sum(w * h2(p**n)))
-        out = np.empty(len(p))
-        for s in range(0, len(p), rows):
-            out[s:s + rows] = np.sum(w * h2(p[s:s + rows, None] ** n), axis=1)
-        return out
-
-    return objective
+    return lambda p: float(np.sum(w * h2(p**n)))
 
 
 def or_rate_at_p(K, q, p):
@@ -253,9 +212,58 @@ def or_rate_at_p(K, q, p):
 
 def or_symmetric_rate(K, q):
     """Symmetric rate of the OR-channel (signature-independent codes)."""
-    K = _check_kq(K, q)
-    p_star, best, width = _maximize_on_unit_interval(_or_objective(K, q))
-    return RateResult(rate=best / (K - 1), p_star=p_star, residual=width)
+    return _or_rates(K, [q])[0]
+
+
+def _or_rates(K, qs):
+    """or_symmetric_rate at each q of qs: the maximum on _GRID locates the
+    mode, then a refinement confined to its neighbours, which a spurious
+    local mode elsewhere cannot capture, finds it."""
+    K = _check_kq(K)
+    for q in qs:
+        _check_kq(K, q)
+    return [_or_refine(K, q, int(np.argmax(row))) for q, row in zip(qs, _or_grid(K, qs))]
+
+
+def _or_grid(K, qs):
+    """The OR objective at each point of _GRID, one row per q of qs.
+
+    h2(p^n) does not depend on q: each block of at most _BLOCK_ELEMENTS
+    terms evaluates it once, at the n where some q's weight is nonzero.
+    Each q sums its whole row of K-1 terms, 0.0 where h2 was skipped: the
+    array the scalar objective sums, so each grid value is the same float.
+    """
+    w = np.array([_pattern_weights(K, q)[1:] for q in qs]).reshape(len(qs), K - 1)
+    live = np.flatnonzero(w.any(axis=0))
+    rows = max(1, _BLOCK_ELEMENTS // (K - 1))
+    h = np.zeros((rows, K - 1))
+    out = np.empty((len(qs), len(_GRID)))
+    for s in range(0, len(_GRID), rows):
+        p = _GRID[s:s + rows, None]
+        h[:len(p), live] = h2(p ** (live + 1))
+        for j in range(len(qs)):
+            out[j, s:s + len(p)] = np.sum(w[j] * h[:len(p)], axis=1)
+    return out
+
+
+def _or_refine(K, q, i):
+    """Golden-section search for the OR objective's maximum between the
+    grid points either side of _GRID[i]; the rate there."""
+    f = _or_objective(K, q)
+    a, b = _GRID[max(i - 1, 0)], _GRID[min(i + 1, len(_GRID) - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > GOLDEN_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return RateResult(rate=f(x) / (K - 1), p_star=x, residual=b - a)
 
 
 def or_symmetric_capacity(K, q):
@@ -487,31 +495,22 @@ def _listener_rates(gamma, q, i, nodes):
     return rates
 
 
-def _sweep(Ks, q_grid, gamma, rate, capacities, aloha):
-    """K times the symmetric rate and capacity, and the ALOHA throughput,
-    over a (K, q) grid; capacities(K) gives the capacity at each q of the
-    grid, and a gamma that is not None is passed on to rate and aloha."""
-    extra = () if gamma is None else (gamma,)
-    return SweepTable(rows=[
-        SweepRow(K=K, q=q, gamma=gamma,
-                 rodd_sum_rate=K * rate(K, q, *extra).rate,
-                 rodd_sum_capacity=K * capacity,
-                 aloha=aloha(K, q, *extra))
-        for K in Ks for q, capacity in zip(q_grid, capacities(K))])
-
-
 def sweep_or(Ks, q_grid):
-    """Sum rate, sum capacity and ALOHA throughput over a (K, q) grid."""
-    return _sweep(Ks, q_grid, None, or_symmetric_rate,
-                  lambda K: [or_symmetric_capacity(K, q).rate for q in q_grid],
-                  or_aloha_throughput)
+    """K times the symmetric rate and capacity, and the ALOHA throughput,
+    over a (K, q) grid; each K's rates share one grid stage."""
+    return SweepTable(rows=[
+        SweepRow(K=K, q=q, gamma=None, rodd_sum_rate=K * r.rate,
+                 rodd_sum_capacity=K * or_symmetric_capacity(K, q).rate,
+                 aloha=or_aloha_throughput(K, q))
+        for K in Ks for q, r in zip(q_grid, _or_rates(K, q_grid))])
 
 
 def sweep_gauss(Ks, q_grid, gamma):
     """Gaussian-channel counterpart of sweep_or at a common SNR; each K's
     water levels are solved over the whole q grid in one call."""
-    def capacities(K):
-        levels = _water_levels(K, q_grid, gamma)
-        return [_mean_rate(K, q, _power_levels(K, v)) for q, v in zip(q_grid, levels)]
-    return _sweep(Ks, q_grid, gamma, gauss_symmetric_rate, capacities,
-                  gauss_aloha_throughput)
+    return SweepTable(rows=[
+        SweepRow(K=K, q=q, gamma=gamma,
+                 rodd_sum_rate=K * gauss_symmetric_rate(K, q, gamma).rate,
+                 rodd_sum_capacity=K * _mean_rate(K, q, _power_levels(K, v)),
+                 aloha=gauss_aloha_throughput(K, q, gamma))
+        for K in Ks for q, v in zip(q_grid, _water_levels(K, q_grid, gamma))])

@@ -323,18 +323,39 @@ def test_lgam_branch_above_1e8_is_gammaln_bit_for_bit():
     assert np.array_equal(analysis._lgam_at_integers(x), gammaln(x))
 
 
+open_q = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# q at the edges of (0, 1) too, where the nonzero-weight window of n moves
+edge_q = st.one_of(open_q, st.sampled_from([1e-300, 1e-9, 0.01, 0.99, 1 - 1e-9]))
+
+
 @settings(max_examples=25, deadline=None)
-@given(K=st.integers(2, 300), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-@example(K=2, q=0.5)
-@example(K=300, q=1e-300)
-def test_array_objective_equals_the_scalar_code_at_every_grid_point(K, q):
+@given(K=st.integers(2, 2000), q=open_q, others=st.lists(edge_q, max_size=3))
+@example(K=2, q=0.5, others=[])
+@example(K=300, q=1e-300, others=[0.5])
+@example(K=300, q=0.01, others=[1 - 1e-9, 1e-300])
+@example(K=2000, q=0.5, others=[0.01])
+def test_array_objective_equals_the_scalar_code_at_every_grid_point(K, q, others):
+    # the grid stage alone and as one row of a batch whose other rows have
+    # other nonzero-weight windows
     xs = np.linspace(0.0, 1.0, 1001)
     scalar = or_objective_scalar_code(K, q)
     expected = [scalar(x) for x in xs]
+    assert analysis._or_grid(K, [q])[0].tolist() == expected
+    assert analysis._or_grid(K, [*others, q, 0.5])[len(others)].tolist() == expected
     objective = analysis._or_objective(K, q)
-    assert objective(xs).tolist() == expected
     assert [objective(x) for x in xs[::50]] == expected[::50]
     assert analysis.or_rate_at_p(K, q, 0.3) == scalar(0.3) / (K - 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(K=st.integers(2, 2000), qs=st.lists(edge_q, min_size=1, max_size=3))
+@example(K=2000, qs=[1e-300, 0.5, 1 - 1e-9])
+@example(K=2000, qs=[0.01, 0.99])
+@example(K=3, qs=[1e-9, 0.02])
+def test_sweep_or_rates_equal_the_one_q_scalar_code(K, qs):
+    # one grid stage serves every q of a K, bit for bit
+    rates = [row.rodd_sum_rate for row in analysis.sweep_or([K], qs).rows]
+    assert rates == [K * or_symmetric_rate_scalar_code(K, q)[0] for q in qs]
 
 
 @settings(max_examples=25, deadline=None)

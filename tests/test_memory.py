@@ -9,6 +9,9 @@ import functools
 import tracemalloc
 
 import numpy as np
+# discovery.cKDTree imports scipy.spatial on its first tree; importing it
+# here keeps the module's own allocations out of the traced peaks
+import scipy.spatial  # noqa: F401
 
 from rodd import channels, discovery, model, signatures, sparsecode
 
