@@ -122,15 +122,16 @@ def g(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_kq(K, q=None, least=2):
-    """Refuse a K that is not an integer >= least or a q (unless None) outside
+def _check_kq(K, *qs, least=2):
+    """Refuse a K that is not an integer >= least, then the first q outside
     (0,1); return K as a Python int, so numpy integers cannot wrap later."""
     if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
         raise ValueError(f"K must be an integer node count, got {K!r}")
     if K < least:
         raise ValueError(f"need at least {least} node(s), got K={K}")
-    if q is not None and not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly inside (0,1), got {q}")
+    for q in qs:
+        if not (0.0 < q < 1.0):
+            raise ValueError(f"q must lie strictly inside (0,1), got {q}")
     return int(K)
 
 
@@ -219,9 +220,7 @@ def _or_rates(K, qs):
     """or_symmetric_rate at each q of qs: the maximum on _GRID locates the
     mode, then a refinement confined to its neighbours, which a spurious
     local mode elsewhere cannot capture, finds it."""
-    K = _check_kq(K)
-    for q in qs:
-        _check_kq(K, q)
+    K = _check_kq(K, *qs)
     return [_or_refine(K, q, int(np.argmax(row))) for q, row in zip(qs, _or_grid(K, qs))]
 
 
@@ -337,9 +336,7 @@ def _water_levels(K, qs, gamma):
     over blocks of at most _BLOCK_ELEMENTS weights.  Each q keeps its own
     bracket growth, early exit and 200-step fallback, so its level is the
     float that a solve of that q alone gives."""
-    K = _check_kq(K)
-    for q in qs:
-        _check_kq(K, q)
+    K = _check_kq(K, *qs)
     _check_gamma(gamma)
     rows = max(1, _BLOCK_ELEMENTS // (K - 1))
     return np.concatenate([np.empty(0)] + [_bisect_levels(K, qs[s:s + rows], gamma)

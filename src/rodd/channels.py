@@ -103,8 +103,7 @@ def receive_block(erased, book, heard, sizes, gains=None, noise_var=0.0, seeds=N
         busy = np.zeros((len(erased), words.shape[1]), dtype="<u8")
         # reduceat would give a receiver that hears nothing the next one's rows
         hears = sizes > 0
-        if hears.any():
-            busy[hears] = np.bitwise_or.reduceat(words[heard], (np.cumsum(sizes) - sizes)[hears])
+        busy[hears] = np.bitwise_or.reduceat(words[heard], (np.cumsum(sizes) - sizes)[hears])
         out = np.unpackbits(busy.view(np.uint8), axis=1, count=m)
         out[erased] = 0
         return OrFrameObservation(values=out, erased=erased)

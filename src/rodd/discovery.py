@@ -24,8 +24,6 @@ OR_NOISELESS = "or_noiseless"
 ENERGY = "energy"
 
 _NOISE_SALT = 0xD15C
-# On-slots per row that survivors() ORs before it drops closed rows.
-_HEAD_SLOTS = 16
 # Index rows whose words one survivors() gather holds at a time.
 _GATHER_ROWS = 4096
 
@@ -86,18 +84,18 @@ def survivors(book, quiet):
     the words at its on-slots, and the row survives for receiver j iff
     bit j of its unpacked hits is 0.  One quiet on-slot clears a
     candidate, so the OR stops early: the head stage ORs the words at
-    each row's first _HEAD_SLOTS on-slots (book.head, built once per
-    book), and only the rows that still survive for some receiver OR the
-    rest, one np.bitwise_or.reduceat over the on-slots of at most
-    _GATHER_ROWS rows at a time.  Rows without an on-bit always survive.
-    Integer ORs are exact at any frame length.
+    each row's first signatures._HEAD_SLOTS on-slots (book.head, built
+    once per book), and only the rows that still survive for some
+    receiver OR the rest, one np.bitwise_or.reduceat over the on-slots of
+    at most _GATHER_ROWS rows at a time.  Rows without an on-bit always
+    survive.  Integer ORs are exact at any frame length.
     """
     quiet = np.asarray(quiet, dtype=bool)
     if quiet.ndim != 2 or quiet.shape[1] != book.num_slots:
         raise ValueError(f"quiet rows of shape {quiet.shape} do not match "
                          f"{book.num_slots}-slot masks")
     b = quiet.shape[0]
-    lit, head = book.head(_HEAD_SLOTS)
+    lit, head = book.head
     alive = np.zeros((len(book.packed), b), dtype=bool)
     alive[np.bincount(lit, minlength=len(alive)) == 0] = True    # rows without an on-bit
     if lit.size == 0 or b == 0:

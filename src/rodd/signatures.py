@@ -23,6 +23,8 @@ _MAX_KEY_PART = 1 << 64
 _MAX_SEED = 1 << 32
 # Rows derived, and unpacked for the on-slot index, per step.
 _CHUNK_ROWS = 512
+# On-slots per row in the head, which survivors() ORs before it drops closed rows.
+_HEAD_SLOTS = 16
 
 # Conventional domain tags.  Discovery signatures and per-message data
 # signatures must never collide, so the message code starts its tags at 1.
@@ -133,7 +135,6 @@ class SignatureBook:
                                  f"got shape {bits.shape}")
             packed, num_slots = _packed_rows(bits), bits.shape[1]
         self.packed, self.num_slots = packed, num_slots
-        self._head = None
 
     def row(self, nia):
         """Index into the book's rows of the first (or only) mask of `nia`."""
@@ -183,18 +184,17 @@ class SignatureBook:
             np.remainder(np.flatnonzero(part), self.num_slots, out=out)
         return slots
 
-    def head(self, c):
-        """(lit, first): the rows with an on-bit, and the (c, len(lit))
-        array of their first c on-slots, a shorter row repeating its last.
-        The kernel's head stage, built on first use and kept for the last c."""
-        if self._head is None or self._head[0] != c:
-            lit = np.flatnonzero(np.diff(self.starts))
-            first, last = self.starts[lit], self.starts[lit + 1] - 1
-            head = np.empty((c, lit.size), dtype=self.slots.dtype)
-            for j, row in enumerate(head):      # no (c, rows) temporary
-                self.slots.take(np.minimum(first + j, last), out=row)
-            self._head = c, lit, head
-        return self._head[1:]
+    @cached_property
+    def head(self):
+        """(lit, first): the rows with an on-bit, and the (_HEAD_SLOTS,
+        len(lit)) array of their first _HEAD_SLOTS on-slots, a shorter row
+        repeating its last.  The kernel's head stage."""
+        lit = np.flatnonzero(np.diff(self.starts))
+        first, last = self.starts[lit], self.starts[lit + 1] - 1
+        head = np.empty((_HEAD_SLOTS, lit.size), dtype=self.slots.dtype)
+        for j, row in enumerate(head):      # no (_HEAD_SLOTS, rows) temporary
+            self.slots.take(np.minimum(first + j, last), out=row)
+        return lit, head
 
     def spans(self, rows, skip=0):
         """(at, lens): where in `slots` the on-slots of `rows` (int64, in any

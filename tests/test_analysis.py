@@ -718,6 +718,16 @@ def test_sweep_gauss_dominance():
         assert row.rodd_sum_capacity >= row.rodd_sum_rate - 1e-9
 
 
+def test_sweeps_refuse_the_first_bad_q_after_k():
+    # a q grid is checked in order, after K, before any rate is computed
+    with pytest.raises(ValueError, match=r"\(0,1\), got 1\.5$"):
+        analysis.sweep_or([3], [0.2, 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"\(0,1\), got 0\.0$"):
+        analysis.sweep_gauss([3], [0.2, 0.0], 10.0)
+    with pytest.raises(ValueError, match="got K=1"):
+        analysis.sweep_or([1], [2.0])
+
+
 @settings(max_examples=15, deadline=None)
 @given(K=st.integers(2, 40), q=st.floats(0.01, 0.99), gamma_db=st.floats(-20.0, 40.0))
 def test_rate_within_capacity_and_above_aloha_on_random_points(K, q, gamma_db):

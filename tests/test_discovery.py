@@ -134,18 +134,18 @@ def test_two_stage_survivors_matches_reference_at_every_head_length(
         rows, receivers, m, density, blank, loud, gather, seed):
     # head lengths from 0 (tail only) to past the longest row (head only),
     # so rows shorter than the head and blank rows occur; ragged receiver
-    # groups in any order; tails split over gathers of a few rows; one
-    # index reused across head lengths
+    # groups in any order; tails split over gathers of a few rows; a fresh
+    # book per head length, since a book keeps the head it first built
     rng = np.random.default_rng(seed)
     masks = (rng.random((rows, m)) < density).astype(np.uint8)
     masks[rng.random(rows) < blank] = 0
     quiet = rng.random((receivers, m)) < loud
     expected = _reference_survivors(masks, quiet)
     order = rng.permutation(receivers)
-    index = _rows_book(masks)
     with mock.patch.object(discovery, "_GATHER_ROWS", gather):
         for c in range(int(masks.sum(axis=1).max(initial=0)) + 2):
-            with mock.patch.object(discovery, "_HEAD_SLOTS", c):
+            with mock.patch.object(signatures, "_HEAD_SLOTS", c):
+                index = _rows_book(masks)
                 assert np.array_equal(discovery.survivors(index, quiet), expected)
                 assert np.array_equal(discovery.survivors(index, quiet[order]),
                                       expected[:, order])

@@ -146,7 +146,7 @@ def test_kernel_head_does_not_outlive_its_index():
     # run leaves behind without one (interpreter free lists, numpy's
     # allocation caches) is a few KB and does not grow by a head per run.
     topo, radius = discovery.poisson_discovery_topology(4000, 50, 5)
-    head = discovery._HEAD_SLOTS * topo.num_nodes * 8
+    head = signatures._HEAD_SLOTS * topo.num_nodes * 8
     held = []
     tracemalloc.start()
     try:
