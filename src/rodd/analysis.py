@@ -94,10 +94,8 @@ class SweepTable:
         lines = [self.CSV_HEADER]
         for r in self.rows:
             gamma = "" if r.gamma is None else f"{r.gamma:.12g}"
-            lines.append(
-                f"{r.K},{r.q:.12g},{gamma},{r.rodd_sum_rate:.12g},"
-                f"{r.rodd_sum_capacity:.12g},{r.aloha:.12g}"
-            )
+            lines.append(f"{r.K},{r.q:.12g},{gamma},{r.rodd_sum_rate:.12g},"
+                         f"{r.rodd_sum_capacity:.12g},{r.aloha:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -360,10 +358,9 @@ def _bisect_levels(K, qs, gamma):
         hi[at] *= 2.0
     else:
         r = at[0]
-        raise WaterLevelBracketError(
-            f"no bracket for K={K} q={qs[r]} gamma={gamma}: lhs({hi[r]:g}) = "
-            f"{lhs(at[:1], hi[at[:1]])[0]:g} still below gamma"
-        )
+        raise WaterLevelBracketError(f"no bracket for K={K} q={qs[r]} gamma={gamma}: "
+                                     f"lhs({hi[r]:g}) = {lhs(at[:1], hi[at[:1]])[0]:g} "
+                                     f"still below gamma")
     target = WATER_RESIDUAL_REL * gamma
     levels = np.empty(len(qs))
     at = np.arange(len(qs))           # the rows still bisecting
@@ -423,10 +420,8 @@ def asymmetric_rate_bounds(gains, q, nodes):
     if np.any((q <= 0) | (q >= 1)):
         raise ValueError("all q must lie strictly inside (0,1)")
     if K > SUBSET_ENUM_MAX_NODES:
-        raise ValueError(
-            f"subset enumeration is exponential; K={K} exceeds the cap of "
-            f"{SUBSET_ENUM_MAX_NODES}"
-        )
+        raise ValueError(f"subset enumeration is exponential; K={K} exceeds the cap of "
+                         f"{SUBSET_ENUM_MAX_NODES}")
     nodes = list(nodes)
     for k in nodes:
         if not (0 <= k < K):

@@ -175,10 +175,8 @@ def _add_common(sub, run):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="rodd",
-        description="On-off duplex signaling: throughput tables, neighbor "
-                    "discovery and sparse-recovery message code experiments.",
-    )
+        prog="rodd", description="On-off duplex signaling: throughput tables, neighbor "
+                                 "discovery and sparse-recovery message code experiments.")
     subs = parser.add_subparsers(dest="command", metavar="command")
 
     for name, help_text in (("fig2", "OR-channel sum rate/capacity vs ALOHA sweep"),

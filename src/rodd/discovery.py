@@ -26,20 +26,56 @@ ENERGY = "energy"
 _NOISE_SALT = 0xD15C
 # Index rows whose words one survivors() gather holds at a time.
 _GATHER_ROWS = 4096
+# Receivers whose neighbor candidates one cKDTree query holds at a time.
+_QUERY_ROWS = 1024
 
 
 class cKDTree:
-    """scipy.spatial.cKDTree, imported when the first tree is built, so a
-    command that never queries neighbors never loads scipy.spatial.  The
-    benchmark's tracer rebinds this name to a subclass that times
-    __init__ and query_ball_point."""
+    """The radius-`r` neighbor query over the (K, 2) `data`, on a torus of
+    side `boxsize` or the plane, a torus of infinite side: a cell list
+    (Allen & Tildesley 1987) whose cells, of side at least r/2 and at most
+    about sqrt(2K) to a side, put every neighbor in the wrapped 5 x 5
+    stencil of the receiver's cell (each cell once where fewer fit a side).
+    The name is that of scipy's tree, whose float rule it keeps, for the
+    benchmark tracer's subclass hook; once ROADMAP item 1 retargets the
+    hook, the class can go private."""
 
-    def __init__(self, data, **kwargs):
-        from scipy.spatial import cKDTree
-        self._tree = cKDTree(data, **kwargs)
+    def __init__(self, data, r, boxsize=None):
+        self.data, self.r2, self.box = data, r * r, boxsize or math.inf
+        low = data.min(axis=0) if boxsize is None and len(data) else np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):     # a plane past the floats
+            span = np.float64(boxsize or (data - low).max(initial=0.0))
+            # the margin keeps a cell index's float error inside the stencil
+            side = max(r / 2 * (1 + 2**-20), span / (math.isqrt(2 * len(data)) + 1), 2**-1000)
+            n = max(1, int(np.nan_to_num(span / side)))
+            cell = np.minimum(np.nan_to_num((data - low) / (span / n)).astype(np.int64), n - 1)
+        self.cell, self.n, self.offsets = cell, n, np.unique(np.arange(-2, 3) % n)
+        flat = cell[:, 0] * n + cell[:, 1]
+        self.order = np.argsort(flat, kind="stable")
+        self.starts = np.searchsorted(flat[self.order], np.arange(n * n + 1))
+        self.xy = np.ascontiguousarray(data[self.order].T)     # (2, K) in cell order
 
-    def query_ball_point(self, x, r, **kwargs):
-        return self._tree.query_ball_point(x, r, **kwargs)
+    def query_ball_point(self, which):
+        """neighbor_lists at the nodes `which`, _QUERY_ROWS at a time."""
+        lists, k = [], len(self.data)
+        for w in (which[lo:lo + _QUERY_ROWS] for lo in range(0, len(which), _QUERY_ROWS)):
+            x, y = (self.cell[w].T[:, :, None] + self.offsets) % self.n
+            cells = (x[:, :, None] * self.n + y[:, None, :]).reshape(len(w), -1)
+            first, lens = self.starts[cells], self.starts[cells + 1] - self.starts[cells]
+            per, lens = lens.sum(axis=1), lens.ravel()
+            # each stencil cell's run of the cell order, placed by cumsum offsets
+            at = np.repeat(first.ravel() - np.cumsum(lens) + lens, lens) + np.arange(per.sum())
+            node = self.order[at]
+            with np.errstate(over="ignore"):
+                d = np.repeat(self.data[w].T, per, axis=1) - self.xy[:, at]
+                d[d < -self.box / 2] += self.box        # the tree's minimum image
+                d[d > self.box / 2] -= self.box
+                near = (d[0] * d[0] + d[1] * d[1] <= self.r2) & (node != np.repeat(w, per))
+            owner = np.repeat(np.arange(len(w)), per).compress(near)
+            nodes = np.sort(owner * k + node.compress(near)) % k
+            ends = np.cumsum(np.bincount(owner, minlength=len(w))).tolist()
+            lists += [nodes[a:b] for a, b in zip([0, *ends], ends)]
+        return lists
 
 
 class ConvergenceError(RuntimeError):
@@ -55,9 +91,8 @@ def observe_discovery(topology, radius, receiver, book, mode=OR_NOISELESS, *,
     channels.receive() record that run_discovery_experiment sees, with
     energy-mode noise from the same (seed, receiver) stream, read from
     the book: only the receiver's row, its erasures, is unpacked.
-    Each call builds a cKDTree over all K nodes (about 2 ms at 10k nodes,
-    1.8 ms of it the neighbor query); loop over many receivers with
-    run_threshold_sweep, which builds one tree for all of them.
+    Each call grids all K nodes (about 1.5 ms at 10k nodes); loop over
+    many receivers with run_threshold_sweep, which grids them once.
     """
     if len(book) != topology.num_nodes:
         raise ValueError("book must cover every node in the topology")
@@ -268,30 +303,22 @@ class ExperimentReport:
         for rec in self.records:
             acc = "" if rec[5] is None else f"{rec[5]:.12g}"
             lines.append(f"{rec[0]},{rec[1]},{rec[2]},{rec[3]},{rec[4]},{acc}")
-        lines.append(
-            f"aggregate,{sum(r[1] for r in self.records)},"
-            f"{sum(r[2] for r in self.records)},{self.total_misses},"
-            f"{self.total_false_alarms},{self.mean_accuracy:.12g}"
-        )
+        lines.append(f"aggregate,{sum(r[1] for r in self.records)},"
+                     f"{sum(r[2] for r in self.records)},{self.total_misses},"
+                     f"{self.total_false_alarms},{self.mean_accuracy:.12g}")
         return "\n".join(lines) + "\n"
 
 
 def neighbor_lists(topology, radius, receivers=None):
-    """Geometric neighbor lists from one radius query at the points of
-    `receivers` (default: every node).
-
-    Entry i is the sorted int64 array of the nodes within `radius` of
-    receivers[i], the receiver excluded, with minimum-image distances on a
-    torus.
-    """
+    """Geometric neighbor lists from one cKDTree query at the nodes of
+    `receivers` (default: every node): entry i is the sorted int64 array of
+    the nodes within `radius` of receivers[i], the receiver excluded, with
+    minimum-image distances on a torus."""
     if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     receivers = topology.receivers(receivers)
-    tree = cKDTree(topology.positions,
-                   boxsize=topology.area_side if topology.torus else None)
-    raw = tree.query_ball_point(topology.positions[receivers], radius, return_sorted=True)
-    return [l[l != k] for k, l in zip(receivers.tolist(),
-                                      (np.array(r, dtype=np.int64) for r in raw))]
+    return cKDTree(topology.positions, radius,
+                   topology.area_side if topology.torus else None).query_ball_point(receivers)
 
 
 def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
@@ -329,13 +356,9 @@ def poisson_discovery_topology(expected_nodes, mean_neighbors, seed, *,
     if not 0 < unit_snr < math.inf:
         raise ValueError(f"snr_db {snr_db:g} and alpha {alpha:g} give a unit-distance "
                          f"SNR of {unit_snr:g}, outside the positive floats")
-    topo = model.generate_poisson_network(
-        area_side, density, seed,
-        alpha=alpha,
-        unit_snr=unit_snr,
-        neighbor_threshold=snr_linear,
-        torus=torus,
-    )
+    topo = model.generate_poisson_network(area_side, density, seed, alpha=alpha,
+                                          unit_snr=unit_snr, neighbor_threshold=snr_linear,
+                                          torus=torus)
     return topo, radius
 
 
@@ -378,7 +401,10 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
     nbr_lists = neighbor_lists(topology, radius, receivers)
     book = signatures.reconstruct_book(range(n), q, num_slots)
     records = [[None] * len(receivers) for _ in thresholds]
-    order = _spatial_order(topology.positions[receivers], 2 * radius)
+    # columns left to right, rows up in even columns and down in odd ones: close
+    # receivers share neighbors, so a block of them leaves survivors() few open rows
+    col, row = np.floor_divide(topology.positions[receivers], 2 * radius or np.inf).T
+    order = np.lexsort((np.where(col % 2, -row, row), col))
     for start in range(0, len(receivers), block):
         picks = order[start:start + block]
         chunk = receivers[picks]
@@ -402,16 +428,6 @@ def run_threshold_sweep(topology, radius, num_slots, q, thresholds, mode=OR_NOIS
                 rows[i] = (k, size, est_count, misses, fa, acc)
     return [ExperimentReport(records=rows, num_nodes=n, num_slots=num_slots, mode=mode,
                              threshold=t) for rows, t in zip(records, thresholds)]
-
-
-def _spatial_order(points, side):
-    """Positions of the (R, 2) `points` in serpentine order over cells of
-    `side`: cell columns left to right, rows upward in even columns and
-    downward in odd ones, input order within a cell.  Receivers close
-    together share neighbors, so a block of them leaves survivors() few
-    open rows.  A side of 0 (no receiver has a neighbor) is one cell."""
-    col, row = np.floor_divide(points, side if side > 0 else np.inf).T
-    return np.lexsort((np.where(col % 2, -row, row), col))
 
 
 def run_discovery_experiment(topology, radius, num_slots, q, mode=OR_NOISELESS, *,

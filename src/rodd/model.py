@@ -118,18 +118,11 @@ def generate_poisson_network(area_side, density, seed, *, alpha=4.0, unit_snr=1.
     rng = np.random.default_rng(seed)
     count = rng.poisson(density * area_side**2)
     if count == 0:
-        raise EmptyNetworkError(
-            f"Poisson draw produced zero nodes (mean {density * area_side**2:g})"
-        )
+        raise EmptyNetworkError(f"Poisson draw produced zero nodes "
+                                f"(mean {density * area_side**2:g})")
     positions = rng.uniform(0.0, area_side, size=(count, 2))
-    return Topology(
-        positions=positions,
-        alpha=alpha,
-        unit_snr=unit_snr,
-        neighbor_threshold=neighbor_threshold,
-        area_side=area_side,
-        torus=torus,
-    )
+    return Topology(positions=positions, alpha=alpha, unit_snr=unit_snr,
+                    neighbor_threshold=neighbor_threshold, area_side=area_side, torus=torus)
 
 
 def gain_row(topology, k):

@@ -117,10 +117,8 @@ class ValidationReport:
     def to_csv(self):
         lines = ["quantity,analytic,mc_mean,mc_stderr,trials,pass"]
         for r in self.rows:
-            lines.append(
-                f"{r.quantity},{r.analytic:.12g},{r.mc_mean:.12g},"
-                f"{r.mc_stderr:.12g},{r.trials},{'PASS' if r.passed else 'FAIL'}"
-            )
+            lines.append(f"{r.quantity},{r.analytic:.12g},{r.mc_mean:.12g},"
+                         f"{r.mc_stderr:.12g},{r.trials},{'PASS' if r.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
 

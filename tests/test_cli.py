@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import re
@@ -793,10 +794,10 @@ _SCIPY_PROBE = ("import sys; from rodd import cli; "
     (["fig3", "--K", "3"], set()),
     (["validate", "--M", "2000", "--seed", "3"], set()),
     (["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--q", "0.1", "--seed", "1"],
-     {"scipy.special", "scipy.spatial"}),
+     set()),
 ])
 def test_a_command_imports_only_the_scipy_it_runs(tmp_path, argv, loaded):
-    # cKDTree (neighbor query) is imported on first use; the closed forms need no scipy
+    # the neighbor query is a numpy cell grid; the closed forms need no scipy
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv,
                            "--out", str(tmp_path / "out.csv")], capture_output=True, text=True,
@@ -805,10 +806,35 @@ def test_a_command_imports_only_the_scipy_it_runs(tmp_path, argv, loaded):
     lines = done.stdout.splitlines()      # a summary line may sit in between
     at_import, code, after_run = lines[0], lines[-2], lines[-1]
     assert (at_import, code) == ("", "0")
-    modules = set(after_run.split())
-    assert {"scipy.special", "scipy.spatial"} & modules == loaded
-    if not loaded:
-        assert modules == set()
+    assert set(after_run.split()) == loaded
+
+
+_NO_SCIPY_PROBE = ("import json, sys; sys.modules['scipy'] = None; from rodd import cli; "
+                   "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))")
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test-only dependency: with its import refused, every
+    # subcommand still exits 0
+    gains = tmp_path / "gains.txt"
+    gains.write_text("0 10 20\n10 0 30\n20 30 0\n", encoding="utf-8")
+    net = ["discover", "--n", "60", "--neighbors", "5", "--M", "64", "--q", "0.1",
+           "--seed", "1"]
+    commands = [net, net + ["--no-torus"], net + ["--mode", "energy"],
+                ["sparsecode", "--K", "3", "--mu", "4", "--M", "64", "--trials", "2",
+                 "--seed", "1"],
+                ["fig2", "--K", "3", "--q", "0.5"], ["fig3", "--K", "3", "--q", "0.5"],
+                ["validate", "--M", "2000", "--seed", "3"],
+                ["asym", "--gains-file", str(gains), "--q", "0.2"],
+                ["trace", "--seed", "2"]]
+    assert {argv[0] for argv in commands} == set(cli.build_parser()[1])
+    argvs = [argv + ["--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(commands)]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs)
 
 
 def test_python_dash_m_rodd_runs_the_cli(tmp_path):

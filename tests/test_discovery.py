@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from rodd import channels, discovery, model, signatures, sparsecode
 
@@ -590,6 +591,48 @@ def test_neighbor_query_at_receivers_equals_the_full_query(seed, picks, torus):
     for k, nbrs in zip(receivers, got):
         assert nbrs.dtype == np.int64
         assert np.array_equal(nbrs, full[k])
+
+
+def _ulp_partners(rng, points, radius):
+    """A partner of each point at `radius` in a random direction, each
+    coordinate then moved 0 to 2 ulps either way."""
+    angle = rng.uniform(0.0, 2 * np.pi, len(points))
+    partners = points + radius * np.c_[np.cos(angle), np.sin(angle)]
+    for _ in range(2):
+        partners = np.nextafter(partners, partners + rng.integers(-1, 2, partners.shape))
+    return partners
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60), torus=st.booleans(),
+       side=st.floats(1.0, 1000.0),
+       reach=st.sampled_from(["zero", "fifth", "half-or-more", "small"]))
+@example(seed=0, k=1, torus=True, side=10.0, reach="zero")
+@example(seed=0, k=1, torus=False, side=10.0, reach="zero")
+def test_neighbor_lists_equal_scipys_tree(seed, k, torus, side, reach):
+    # scipy's cKDTree, which the cell grid replaced, is the oracle: the same
+    # lists at radii where few cells fit a side, with partners placed within
+    # ulps of the radius, receivers in shuffled order and plane positions
+    # outside [0, side)
+    rng = np.random.default_rng(seed)
+    radius = {"zero": 0.0, "fifth": side / 5 * rng.uniform(0.98, 1.02),
+              "half-or-more": side * rng.uniform(0.5, 1.5),
+              "small": side * rng.uniform(0.0, 0.2)}[reach]
+    low = 0.0 if torus else rng.uniform(-2 * side, side)
+    points = rng.uniform(low, low + side, (k, 2))
+    points = np.vstack([points, _ulp_partners(rng, points[:k // 2], radius)])
+    if torus:
+        points = np.minimum(points % side, np.nextafter(side, 0))
+    topo = model.Topology(positions=points, alpha=4.0, unit_snr=1.0, neighbor_threshold=1.0,
+                          area_side=side, torus=torus)
+    receivers = rng.permutation(len(points))[:rng.integers(0, len(points) + 1)]
+    tree = cKDTree(points, boxsize=side if torus else None)
+    got = discovery.neighbor_lists(topo, radius, receivers)
+    assert len(got) == len(receivers)
+    for i, nbrs in zip(receivers, got):
+        want = [j for j in tree.query_ball_point(points[i], radius, return_sorted=True) if j != i]
+        assert nbrs.dtype == np.int64
+        assert nbrs.tolist() == want
 
 
 @settings(max_examples=20, deadline=None)

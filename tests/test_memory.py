@@ -9,9 +9,6 @@ import functools
 import tracemalloc
 
 import numpy as np
-# discovery.cKDTree imports scipy.spatial on its first tree; importing it
-# here keeps the module's own allocations out of the traced peaks
-import scipy.spatial  # noqa: F401
 
 from rodd import channels, discovery, model, signatures, sparsecode
 
@@ -31,6 +28,15 @@ def test_discovery_run_stays_below_the_dense_book():
     dense = topo.num_nodes * m                  # 10 MB at about 4,000 nodes
     peak = _traced_peak(lambda: discovery.run_discovery_experiment(
         topo, radius, m, 0.02, receivers=np.arange(4), seed=5))
+    assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
+
+
+def test_neighbor_query_at_every_receiver_stays_below_the_dense_book():
+    # the cell grid gathers candidates for a bounded block of receivers at
+    # a time; all of them at once would hold about 100 per receiver
+    topo, radius = discovery.poisson_discovery_topology(10000, 50, 5)
+    dense = topo.num_nodes * 2500               # 25 MB at about 10,000 nodes
+    peak = _traced_peak(lambda: discovery.neighbor_lists(topo, radius))
     assert peak < dense, f"traced peak {peak} B, dense book {dense} B"
 
 
