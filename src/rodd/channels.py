@@ -27,10 +27,6 @@ class _FrameObservation:
     values: np.ndarray  # meaningful only where not erased
     erased: np.ndarray  # bool, True at the receiver's own on-slots
 
-    @property
-    def length(self):
-        return self.values.shape[-1]
-
 
 class OrFrameObservation(_FrameObservation):
     """Per-slot {erased, 0, 1} observation of the inclusive-or channel (uint8)."""
@@ -85,8 +81,9 @@ def receive_block(erased, book, heard, sizes, gains=None, noise_var=0.0, seeds=N
     order of `heard` (one np.bincount over receiver * M + slot keys, no
     BLAS sum), plus Normal(0, noise_var) noise from default_rng(seeds[b]).
     Erased slots read 0.  The whole block is one gather, so the caller's
-    block bounds the working set at the packed words of each heard row, or
-    one key per on-bit its receivers hear.
+    block bounds the working set: the packed words of each heard row, or
+    the (B, M) float64 record and about three 8-byte words (position, key,
+    term) per on-bit its receivers hear.
     """
     if not 0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
@@ -109,20 +106,21 @@ def receive_block(erased, book, heard, sizes, gains=None, noise_var=0.0, seeds=N
         return OrFrameObservation(values=out, erased=erased)
     if not np.all(np.isfinite(gains) & (np.asarray(gains) >= 0)):
         raise ValueError("gains must be nonnegative and finite")
-    root = np.sqrt(gains)
+    root = np.sqrt(np.asarray(gains, dtype=float))
     if root.shape != heard.shape:
         raise ValueError(f"need one gain per heard row, got shape {root.shape}")
     if noise_var > 0 and (seeds is None or len(seeds) != len(erased)
                           or any(s is None for s in seeds)):
         raise ValueError("a noisy channel needs a seed per receiver")
     at, lens = book.spans(heard)
-    owner = np.repeat(np.arange(len(erased)) * m, sizes)
-    keys = np.repeat(owner, lens) + book.slots[at]
+    keys = np.repeat(np.repeat(np.arange(len(erased)) * m, sizes), lens)
+    keys += book.slots[at]
     terms = np.repeat(root, lens)
     if values is not None:
-        terms = terms * values[at]
-    out = np.zeros(erased.shape)
-    out.reshape(-1)[:] = np.bincount(keys, terms, out.size)
+        terms *= values[at]
+    del at
+    # bincount of no keys gives int64 zeros, weights or not
+    out = np.bincount(keys, terms, erased.size).astype(float, copy=False).reshape(erased.shape)
     if noise_var > 0:
         for row, seed in zip(out, seeds):
             row += np.random.default_rng(seed).normal(0.0, np.sqrt(noise_var), m)
@@ -189,7 +187,7 @@ def gaussian_mac(receiver, gain, frames, noise_var, seed=None):
 def dump_observation(obs):
     """One line per slot: `m E` when erased, else `m <value>`."""
     lines = []
-    for m in range(obs.length):
+    for m in range(obs.values.shape[-1]):
         if obs.erased[m]:
             lines.append(f"{m} E")
         else:

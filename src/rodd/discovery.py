@@ -135,7 +135,7 @@ def survivors(book, quiet):
     alive[np.bincount(lit, minlength=len(alive)) == 0] = True    # rows without an on-bit
     if lit.size == 0 or b == 0:
         return alive
-    word, full = (signatures._packed_rows(np.ascontiguousarray(rows.T)).view("<u8")
+    word, full = (signatures._packed_rows(rows.T).view("<u8")
                   for rows in (quiet, np.ones((b, 1), dtype=bool)))
     hits = np.zeros((lit.size, word.shape[1]), dtype="<u8")
     gathered = np.empty_like(hits)
@@ -168,7 +168,7 @@ def observed_quiet(observation, threshold=0.0):
     v = observation.values
     with np.errstate(over="ignore"):  # a square that overflows is inf: never quiet
         empty = v == 0 if isinstance(observation, OrFrameObservation) else v**2 < threshold
-    return (~observation.erased & empty).reshape(-1, observation.length)
+    return (~observation.erased & empty).reshape(-1, v.shape[-1])
 
 
 def eliminate(observation, receiver, book, threshold=0.0, candidates=None):
@@ -186,8 +186,8 @@ def eliminate(observation, receiver, book, threshold=0.0, candidates=None):
     book.row(receiver)      # an unknown receiver is a KeyError, as a candidate is
     if candidates is not None:
         book = book.take([nia for nia in candidates if nia != receiver])
-    alive = survivors(book, quiet)[::book.mu, 0]     # each NIA's first row
-    return {nia for nia, a in zip(book.nias, alive) if a and nia != receiver}
+    alive = np.flatnonzero(survivors(book, quiet)[::book.mu, 0])     # each NIA's first row
+    return {book.nias[i] for i in alive.tolist()} - {receiver}
 
 
 def one_receiver_quiet(observation, threshold, reader):

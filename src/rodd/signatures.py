@@ -172,23 +172,23 @@ class SignatureBook:
 
     @cached_property
     def slots(self):
-        """Each row's on-slots, ascending, row after row: allocated once at its
-        final size and filled from _CHUNK_ROWS unpacked rows at a time.
+        """Each row's on-slots, ascending, row after row, in the narrowest
+        unsigned dtype that holds M - 1 (uint16 for 256 < M <= 65,536):
+        allocated once and filled from _CHUNK_ROWS unpacked rows at a time.
         Other modules gather rows through spans(), never starts."""
         starts = self.starts
-        slots = np.empty(starts[-1], dtype=np.int64)
+        slots = np.empty(starts[-1], dtype=np.min_scalar_type(max(self.num_slots - 1, 0)))
         for lo in range(0, len(self.packed), _CHUNK_ROWS):
             # read as bool: flatnonzero is several times faster than on uint8
             part = self.unpacked(slice(lo, lo + _CHUNK_ROWS)).view(bool)
-            out = slots[starts[lo]:starts[lo + len(part)]]
-            np.remainder(np.flatnonzero(part), self.num_slots, out=out)
+            slots[starts[lo]:starts[lo + len(part)]] = np.flatnonzero(part) % self.num_slots
         return slots
 
     @cached_property
     def head(self):
         """(lit, first): the rows with an on-bit, and the (_HEAD_SLOTS,
-        len(lit)) array of their first _HEAD_SLOTS on-slots, a shorter row
-        repeating its last.  The kernel's head stage."""
+        len(lit)) array, in the dtype of slots, of their first _HEAD_SLOTS
+        on-slots, a shorter row repeating its last.  The kernel's head stage."""
         lit = np.flatnonzero(np.diff(self.starts))
         first, last = self.starts[lit], self.starts[lit + 1] - 1
         head = np.empty((_HEAD_SLOTS, lit.size), dtype=self.slots.dtype)
@@ -196,13 +196,13 @@ class SignatureBook:
             self.slots.take(np.minimum(first + j, last), out=row)
         return lit, head
 
-    def spans(self, rows, skip=0):
-        """(at, lens): where in `slots` the on-slots of `rows` (int64, in any
-        order, repeats allowed) past each row's first `skip` lie, concatenated
-        row after row, and how many each row gives."""
+    def spans(self, rows, skip=0, run=1):
+        """(at, lens): where in `slots` the on-slots of the `run` rows from each
+        of `rows` (int64, any order, repeats allowed) past each run's first
+        `skip` lie, concatenated run after run, and how many each run gives."""
         first = self.starts[rows] + skip
-        lens = np.maximum(self.starts[rows + 1] - first, 0)
-        # gathered term t, of row i, sits at first[i] + t - ahead[i]
+        lens = np.maximum(self.starts[rows + run] - first, 0)
+        # gathered term t, of run i, sits at first[i] + t - ahead[i]
         ahead = np.cumsum(lens) - lens
         return np.repeat(first - ahead, lens) + np.arange(lens.sum()), lens
 
@@ -210,20 +210,21 @@ class SignatureBook:
         """The book of the listed NIAs (repeats dropped), with their mu rows
         each and the matching cut of the on-slot index, not unpacked."""
         nias = list(dict.fromkeys(nias))
-        rows = (np.array([self.row(nia) for nia in nias], dtype=np.int64)[:, None]
-                + np.arange(self.mu)).ravel()
+        first = np.array([self.row(nia) for nia in nias], dtype=np.int64)
+        rows = (first[:, None] + np.arange(self.mu)).ravel()
         cut = SignatureBook(nias, mu=self.mu, packed=self.packed[rows],
                             num_slots=self.num_slots)
-        at, lens = self.spans(rows)
-        cut.starts, cut.slots = np.append(0, np.cumsum(lens)), self.slots[at]
+        cut.starts = np.append(0, np.cumsum(self.starts[rows + 1] - self.starts[rows]))
+        cut.slots = self.slots[self.spans(first, run=self.mu)[0]]
         return cut
 
 
 def _packed_rows(bits):
     """The (R, M) 0/1 matrix `bits` in a book's `packed` layout."""
-    packed = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // _WORD_BITS)), dtype=np.uint8)
-    packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1)
-    return packed
+    # padded to whole words, then packed flat: packbits along a short axis loops per row
+    padded = np.zeros((len(bits), _WORD_BITS * -(-bits.shape[1] // _WORD_BITS)), dtype=bool)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded.reshape(-1)).reshape(len(bits), padded.shape[1] // 8)
 
 
 def _derive_book(nias, q, num_slots, tag_base, mu):
@@ -231,8 +232,8 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
 
     The only code that turns keys into mask bits.  One Philox is re-keyed
     per mask: counter 0 and an empty buffer, the state Philox(key=k)
-    starts in.  Rows are compared into a reusable (_CHUNK_ROWS, M) bool
-    buffer and stored packed, so the dense book is never held.
+    starts in.  Rows are compared into a reusable bool buffer of _CHUNK_ROWS
+    word-padded rows and packed flat, so the dense book is never held.
     """
     thr = np.uint64(_on_threshold(q))
     if num_slots < 1:
@@ -240,16 +241,16 @@ def _derive_book(nias, q, num_slots, tag_base, mu):
     nias = list(nias)
     keys = _mask_keys(nias, [tag_base + m for m in range(mu)])
     packed = np.empty((len(keys), 8 * -(-num_slots // _WORD_BITS)), dtype=np.uint8)
-    buf = np.empty((min(len(keys), _CHUNK_ROWS), num_slots), dtype=bool)
+    buf = np.zeros((min(len(keys), _CHUNK_ROWS), 8 * packed.shape[1]), dtype=bool)
     gen = Philox(key=0)
     fresh = gen.state
     for lo in range(0, len(keys), _CHUNK_ROWS):
         part = buf[:len(keys) - lo]
-        for key, out in zip(keys[lo:], part):
+        for key, out in zip(keys[lo:], part[:, :num_slots]):
             fresh["state"]["key"] = key
             gen.state = fresh
             np.less(gen.random_raw(num_slots), thr, out=out)
-        packed[lo:lo + len(part)] = _packed_rows(part)
+        packed[lo:lo + len(part)] = np.packbits(part.reshape(-1)).reshape(len(part), -1)
     return SignatureBook(nias, mu=mu, packed=packed, num_slots=num_slots)
 
 

@@ -304,6 +304,18 @@ def test_word_or_channel_and_padded_book_equal_the_dense_rules(rows, m, receiver
             assert one.values.tobytes() == dense.tobytes()
 
 
+@pytest.mark.parametrize("noise_var", [0.0, 1.0])
+def test_an_energy_block_that_hears_nothing_records_float64(noise_var):
+    # np.bincount of no keys gives int64 zeros even with weights
+    book = _rows_book(np.eye(3, dtype=np.uint8))
+    erased = np.eye(3, dtype=bool)[:2]
+    block = channels.receive_block(erased, book, [], [0, 0], [], noise_var, [1, 2])
+    assert type(block) is channels.RealFrameObservation
+    assert block.values.dtype == np.float64 and block.values.shape == (2, 3)
+    assert not block.values[erased].any()
+    assert block.values.any() == (noise_var > 0)
+
+
 def test_receive_block_refuses_inconsistent_blocks():
     index = _rows_book(np.eye(3, dtype=np.uint8))
     erased = np.zeros((2, 3), dtype=bool)

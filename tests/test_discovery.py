@@ -101,6 +101,45 @@ def test_survivors_matches_reference(rows, receivers, m, density, blank, seed):
     assert np.array_equal(got, _reference_survivors(masks, quiet))
 
 
+@settings(max_examples=24, deadline=None)
+@example(m=65536, rows=2, receivers=1, ones=0, loud=1.0, seed=0)
+@example(m=65537, rows=6, receivers=4, ones=40, loud=0.0005, seed=1)
+@given(m=st.sampled_from([256, 257, 65536, 65537]), rows=st.integers(1, 6),
+       receivers=st.integers(1, 4), ones=st.integers(0, 40), loud=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_and_channel_at_the_index_dtype_edges_equal_the_dense_rules(
+        m, rows, receivers, ones, loud, seed):
+    # the book's on-slots are uint8 at M = 256, uint16 at 257 and 65,536 and
+    # uint32 at 65,537; about half the rows are on in the top slot, the
+    # largest the narrower dtype holds, and every receiver hears or erases it
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((rows, m)) < ones / m).astype(np.uint8)
+    masks[rng.random(rows) < 0.5, m - 1] = 1
+    book = _rows_book(masks)
+    quiet = rng.random((receivers, m)) < loud
+    quiet[:, m - 1] = rng.random(receivers) < 0.5
+    assert np.array_equal(discovery.survivors(book, quiet),
+                          _reference_survivors(masks, quiet))
+    erased = rng.random((receivers, m)) < 0.01
+    erased[:, m - 1] = rng.random(receivers) < 0.5
+    heard = [rng.integers(0, rows, rng.integers(0, 5)) for _ in range(receivers)]
+    gains = [10.0 ** rng.uniform(-3, 3, len(h)) for h in heard]
+    values = rng.normal(size=int(masks.sum()))
+    dense = np.zeros(masks.shape)
+    dense[masks.astype(bool)] = values       # row after row, ascending: slots' order
+    args = erased, book, np.concatenate(heard), [len(h) for h in heard]
+    block = channels.receive_block(*args)
+    energy = channels.receive_block(*args, np.concatenate(gains), values=values)
+    for b, h in enumerate(heard):
+        expect = (masks[h].any(axis=0) & ~erased[b]).astype(np.uint8)
+        assert block.values[b].tobytes() == expect.tobytes()
+        expect = np.zeros(m)
+        for g, r in zip(gains[b], h):         # each slot adds its terms in heard order
+            expect += np.sqrt(g) * dense[r]
+        expect[erased[b]] = 0
+        assert energy.values[b].tobytes() == expect.tobytes()
+
+
 def test_survivors_across_gather_chunks():
     # more rows than one gather holds; blank rows at the chunk edges
     rows, m = 2 * discovery._GATHER_ROWS + 3, 16

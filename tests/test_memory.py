@@ -69,8 +69,8 @@ def test_eliminate_stays_below_the_dense_book():
 
 def test_eliminate_default_candidates_copy_nothing_of_the_index():
     # the default list (every NIA but the receiver's) is screened over the
-    # book's own index; a cut of it would copy about 11.5 MB of on-slots
-    # and packed words per call on this 10,000-node book
+    # book's own index; a cut of it would copy about 4.3 MB of on-slots
+    # and packed words per call on this 10,000-node book, and peak at 12 MB
     topo, radius = discovery.poisson_discovery_topology(10000, 50, 5)
     book = signatures.reconstruct_book(range(topo.num_nodes), 0.02, 2500)
     nbrs = discovery.neighbor_lists(topo, radius, [0])[0]
@@ -145,14 +145,41 @@ def test_op_level_readers_build_the_book_index_once(monkeypatch):
     assert calls == {"book.starts": 1, "book.slots": 1}
 
 
+def test_book_index_takes_two_bytes_per_on_slot():
+    # every slot of an M = 2,500 frame is below 2**16
+    book = signatures.reconstruct_book(range(300), 0.02, 2500)
+    assert book.slots.itemsize == 2
+    assert book.head[1].dtype == book.slots.dtype
+
+
+def test_energy_block_holds_three_words_per_heard_on_bit():
+    # one 64-receiver energy block holds its (B, M) float64 record and about
+    # three 8-byte words per on-bit its receivers hear (gather positions,
+    # keys, terms); a dense (B, M) temporary beside the record breaks this
+    topo, radius = discovery.poisson_discovery_topology(4000, 50, 5)
+    book = signatures.reconstruct_book(range(topo.num_nodes), 0.02, 2500)
+    chunk = np.arange(64)
+    lists = discovery.neighbor_lists(topo, radius, chunk)
+    sizes, nbrs = list(map(len, lists)), np.concatenate(lists)
+    gains = topo.path_gain(np.repeat(chunk, sizes), nbrs)
+    erased = book.unpacked(chunk).view(bool)
+    on_bits = int(np.diff(book.starts)[nbrs].sum())
+    book.slots                                  # the index is built untraced
+    for noise_var in (0.0, 1.0):
+        peak = _traced_peak(lambda: channels.receive_block(
+            erased, book, nbrs, sizes, gains, noise_var, [(5, k) for k in chunk]))
+        bound = 3 * 8 * on_bits + 8 * erased.size
+        assert peak <= bound, f"traced peak {peak} B for {on_bits} heard on-bits"
+
+
 def test_kernel_head_does_not_outlive_its_index():
     # survivors() keeps its head (the first _HEAD_SLOTS on-slots of every
     # row) on the book's index, so once a run and its book are gone none of
-    # it may stay held.  One head here is 16 * 4,061 * 8 B = 520 KB; what a
+    # it may stay held.  One head here is 16 * 4,061 * 2 B = 130 KB; what a
     # run leaves behind without one (interpreter free lists, numpy's
     # allocation caches) is a few KB and does not grow by a head per run.
     topo, radius = discovery.poisson_discovery_topology(4000, 50, 5)
-    head = signatures._HEAD_SLOTS * topo.num_nodes * 8
+    head = signatures._HEAD_SLOTS * topo.num_nodes * 2
     held = []
     tracemalloc.start()
     try:
@@ -162,5 +189,5 @@ def test_kernel_head_does_not_outlive_its_index():
             held.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert held[0] < head // 8, f"{held[0]} B held after one run, a head is {head} B"
-    assert held[1] - held[0] < head // 64, f"held {held} B after each run"
+    assert held[0] < head // 2, f"{held[0]} B held after one run, a head is {head} B"
+    assert held[1] - held[0] < head // 16, f"held {held} B after each run"

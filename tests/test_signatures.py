@@ -226,6 +226,42 @@ def test_packed_book_equals_its_dense_matrix(n, mu, m, density, seed):
         assert np.array_equal(cut.matrix(), dense[rows])
 
 
+@settings(max_examples=24, deadline=None)
+@example(m=256, n=1, mu=1, ones=0, seed=0)
+@example(m=65537, n=3, mu=2, ones=40, seed=1)
+@given(m=st.sampled_from([256, 257, 65536, 65537]), n=st.integers(1, 4), mu=st.integers(1, 3),
+       ones=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_index_at_the_dtype_edges_equals_its_dense_oracle(m, n, mu, ones, seed):
+    # slots are stored in the narrowest unsigned dtype that holds M - 1: the
+    # top slot, 255 or 65,535 at M = 256 or 65,536, is the largest a uint8 or
+    # uint16 holds; about half the rows are on there
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n * mu, m)) < ones / m).astype(np.uint8)
+    dense[rng.random(n * mu) < 0.5, m - 1] = 1
+    nias = list(range(40, 40 + n))
+    book = signatures.SignatureBook(nias, dense, mu)
+    dtype = {256: np.uint8, 257: np.uint16, 65536: np.uint16, 65537: np.uint32}[m]
+    starts, slots, _ = _index_oracle(dense)
+    assert book.slots.dtype == dtype
+    assert np.array_equal(book.starts, starts)
+    assert np.array_equal(book.slots, slots)
+    rows = [np.flatnonzero(row) for row in dense]
+    lit, head = book.head
+    assert lit.tolist() == [r for r, row in enumerate(rows) if row.size]
+    assert head.dtype == dtype
+    assert head.tolist() == [[row[min(j, row.size - 1)] for row in rows if row.size]
+                             for j in range(signatures._HEAD_SLOTS)]
+    picks = rng.integers(0, n, 2 * n)
+    kept = list(dict.fromkeys(picks.tolist()))
+    cut = book.take([nias[i] for i in picks])
+    starts, slots, packed = _index_oracle(dense[(np.array(kept)[:, None] * mu
+                                                 + np.arange(mu)).ravel()])
+    assert cut.slots.dtype == dtype
+    assert np.array_equal(cut.starts, starts)
+    assert np.array_equal(cut.slots, slots)
+    assert np.array_equal(cut.packed, packed)
+
+
 def _index_oracle(dense):
     """(starts, slots, packed) of the on-slot index of the 0/1 rows `dense`:
     CSR offsets and each row's np.flatnonzero, written out row by row, and

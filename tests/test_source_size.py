@@ -6,7 +6,7 @@ from pathlib import Path
 import rodd
 
 SRC = Path(rodd.__file__).resolve().parent
-BUDGET = 2342
+BUDGET = 2341
 
 
 def test_source_is_within_its_line_budget():
